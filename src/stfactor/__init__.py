@@ -30,7 +30,6 @@ from .spectral import (
     default_bandwidths,
     estimate_spectral_density,
     export_spectral_json,
-    kernel_eval,
     make_kernel,
     sample_autocovariance,
 )

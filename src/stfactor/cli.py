@@ -209,8 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--kernel", default="ep", help="ep | bartlett | trunc")
         p.add_argument("--bw", default=None, help="bandwidths B1,B2,B3")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("simulate", help="draw a synthetic panel")
     p.add_argument("--model", choices=["a", "b"], default="b")
@@ -240,6 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cgrid", default="0:0.0005:3", help="start:step:stop")
     p.add_argument("--subsamples", default=None, help="comma list of subsample sizes")
     p.add_argument("--c-manual", type=float, default=None, dest="c_manual")
+    p.add_argument("--seed", type=int, default=0)
     add_common(p)
     p.set_defaults(func=cmd_select_q)
 
@@ -270,6 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--trunc", default=None)
         p.add_argument("--region", choices=["all", "interior"], default="all")
         p.add_argument("--output", required=True, help="output prefix")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--threads", type=int, default=1)
         add_common(p)
         p.set_defaults(func=cmd_mc_study if study_default is None else cmd_compare_gdfm)
 

@@ -19,11 +19,20 @@ and kappa runs over per-axis ranges clipped near the lattice boundary:
 
 Note the clipped window is exactly "all lattice points within M_d of
 coord_d", so the boundary truncation is equivalent to running the full
-symmetric window over zero-padded data.  The production path exploits
-this together with the separability of e^{i<kappa,theta>} to apply the
-filter in the frequency domain with sliding-window sums, without ever
-materializing the coefficient tensor; the two forms are algebraically
-identical.  Truncation lags are capped at the bandwidths (M_d <= B_d)
+symmetric window over zero-padded data.  The production path never
+materializes the coefficient tensor.  Exchanging the finite sums gives
+
+    chi_hat = (1/G) sum_theta P(theta)^dagger W_theta[ P(theta) x ],
+
+where W_theta is the clipped window with phase e^{i kappa_d theta_d},
+applied one lattice axis at a time (e^{i<kappa,theta>} is separable).
+P(theta) acts on the series axis and W_theta on the lattice axes, so
+the two commute: the data are projected onto the q eigenvector rows
+first and only the q scores are windowed, by prefix sums, one row of
+the half grid (the points sharing theta_1, theta_2) per batch.  The
+lag-domain functions (``filter_coefficients``,
+``apply_filter_coefficients``) give the same numbers and are kept as
+the reference.  Truncation lags are capped at the bandwidths (M_d <= B_d)
 so that extracting lag-domain coefficients from the (2B_d+1)-point
 frequency grid is alias-free.
 """
@@ -244,73 +253,48 @@ def apply_filter_coefficients(fc: FilterCoefficients, values: np.ndarray) -> np.
     return out
 
 
-def _windowed_axis_transform(arr: np.ndarray, axis: int, m: int, theta: float) -> np.ndarray:
-    """Sliding sum w[s] = sum_{u in [s-m, s+m] cap lattice} e^{i(s-u)theta} x[u]."""
+def _window(z: np.ndarray, axis: int, m: int, thetas: np.ndarray) -> np.ndarray:
+    """w[s] = sum_{u in [s-m, s+m] cap lattice} e^{i(s-u)theta} z[u] along ``axis``,
+    by prefix sums, with one theta per index of the leading (grid point) axis."""
     if m == 0:
-        return arr.astype(np.complex128, copy=False)
-    x = np.moveaxis(arr, axis, -1)
-    extent = x.shape[-1]
+        return z
+    extent = z.shape[axis]
     pos = np.arange(extent)
-    rotated = x * np.exp(-1j * theta * pos)
-    csum = np.zeros(x.shape[:-1] + (extent + 1,), dtype=np.complex128)
-    np.cumsum(rotated, axis=-1, out=csum[..., 1:])
-    lo = np.maximum(0, pos - m)
-    hi = np.minimum(extent - 1, pos + m)
-    win = csum[..., hi + 1] - csum[..., lo]
-    win *= np.exp(1j * theta * pos)
-    return np.moveaxis(win, -1, axis)
+    shape = [1] * z.ndim
+    shape[0], shape[axis] = -1, extent
+    phase = np.exp(1j * np.outer(thetas, pos)).reshape(shape)
+    csum = np.cumsum(z * np.conj(phase), axis=axis)
+    csum = np.concatenate([np.zeros_like(csum.take([0], axis)), csum], axis=axis)
+    lo, hi = np.maximum(0, pos - m), np.minimum(extent, pos + m + 1)
+    return (csum.take(hi, axis) - csum.take(lo, axis)) * phase
 
 
 def _apply_projection_frequency(
     values: np.ndarray, system: DynamicEigenSystem, q: int, trunc
 ) -> np.ndarray:
-    """chi = (1/G) sum_theta P^dag P [windowed transform of x](theta).
+    """chi = (1/G) sum_theta P(theta)^dag W_theta[P(theta) x]: project, then window.
 
-    Equals the truncated lag-domain convolution exactly (finite sums
-    exchanged).  Only the non-negative half of the grid is visited;
-    negated frequencies contribute the complex conjugate, so each pair
-    adds twice the real part.
+    P(theta) acts on the series axis and the windowed transforms W_theta
+    on the lattice axes, so the two commute and only the q scores are
+    windowed; the result equals the truncated lag-domain convolution
+    exactly.  The half grid is visited one row (the points sharing
+    theta_1, theta_2) at a time; negated frequencies contribute the
+    complex conjugate, which ``pair_weights`` counts.
     """
     grid = system.grid
-    n = values.shape[0]
-    dims = values.shape[1:]
-    volume = dims[0] * dims[1] * dims[2]
-    shape = grid.shape
-    axis_thetas = [grid.axis_frequencies(d) for d in range(3)]
-    half = grid.half_count
-    chi = np.zeros((n, volume))
-    if q == 0:
-        return chi.reshape(values.shape)
-    # The per-axis transforms depend on one frequency component each, so
-    # stage them hierarchically; the time-axis transform acts on the
-    # lattice axes only and therefore commutes with the series-space
-    # projection, which lets it run on the q-dimensional factor scores
-    # instead of all n series.
-    for i1 in range(shape[0]):
-        if i1 * shape[1] * shape[2] >= half:
-            break
-        z1 = _windowed_axis_transform(values, 1, trunc[0], axis_thetas[0][i1])
-        for i2 in range(shape[1]):
-            base = (i1 * shape[1] + i2) * shape[2]
-            if base >= half:
-                break
-            z2 = _windowed_axis_transform(z1, 2, trunc[1], axis_thetas[1][i2]).reshape(n, volume)
-            count = min(shape[2], half - base)
-            rows = system.eigenvectors[base:base + count, :q, :]  # (count, q, n)
-            scores = np.einsum("fqn,nv->fqv", rows, z2, optimize=True)
-            scores = scores.reshape(count, q, dims[0], dims[1], dims[2])
-            for i3 in range(count):
-                scores[i3] = _windowed_axis_transform(
-                    scores[i3], 3, trunc[2], axis_thetas[2][i3]
-                )
-            weights = np.full(count, 2.0)
-            if base + count == half:
-                weights[-1] = 1.0
-            back = np.einsum(
-                "f,fqn,fqv->nv", weights, np.conj(rows), scores.reshape(count, q, volume),
-                optimize=True,
-            )
-            chi += back.real / grid.size
+    n, dims = values.shape[0], values.shape[1:]
+    x = values.reshape(n, -1)
+    chi = np.zeros_like(x)
+    points = grid.points
+    weights = grid.pair_weights / grid.size
+    for start in range(0, grid.half_count, grid.shape[2]):
+        batch = slice(start, min(start + grid.shape[2], grid.half_count))
+        rows = system.eigenvectors[batch, :q, :]
+        scores = (rows.reshape(-1, n) @ x).reshape(rows.shape[:2] + dims)
+        for axis in range(3):
+            scores = _window(scores, axis + 2, trunc[axis], points[batch, axis])
+        back = np.conj(rows) * weights[batch, None, None]
+        chi += (back.reshape(-1, n).T @ scores.reshape(-1, x.shape[1])).real
     return chi.reshape(values.shape)
 
 

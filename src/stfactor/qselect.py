@@ -103,11 +103,15 @@ def _tail_means(clamped_grid_means: np.ndarray, q_max: int) -> np.ndarray:
     return rev[: q_max + 1] / n
 
 
-def _ic_from_tails(tails: np.ndarray, pen: float) -> np.ndarray:
+def _ic_from_tails(tails: np.ndarray, pen) -> np.ndarray:
+    """IC(k) = log tails[k] + k * pen for k = 0..q_max.
+
+    ``pen`` is a scalar (result shape (q_max+1,)) or a vector of
+    penalties (result shape (len(pen), q_max+1), one row per penalty).
+    """
     if np.any(tails <= 0.0):
         raise NumericError("degenerate spectrum: eigenvalue tail sum is not positive")
-    ks = np.arange(tails.shape[0])
-    return np.log(tails) + ks * pen
+    return np.log(tails) + np.multiply.outer(pen, np.arange(tails.shape[0]))
 
 
 @dataclass(frozen=True)
@@ -281,13 +285,11 @@ def stability_scan(
     for j, m in enumerate(sizes):
         vals = np.linalg.eigvalsh(estimate.matrices[:half, :m, :m])[:, ::-1]
         means = (weights @ np.maximum(vals, 0.0)) / gsize
-        tails = _tail_means(means, q_max)
-        if np.any(tails <= 0.0):
-            raise NumericError(f"degenerate spectrum on subsample of size {m}")
-        base = np.log(tails)
         pen = penalty_value(m, field.dims, bw, smoothness)
-        ks = np.arange(q_max + 1)
-        scores = base[None, :] + np.outer(c_grid * pen, ks)
+        try:
+            scores = _ic_from_tails(_tail_means(means, q_max), c_grid * pen)
+        except NumericError as exc:
+            raise NumericError(f"{exc} on subsample of size {m}") from None
         qhat[:, j] = np.argmin(scores, axis=1)
 
     q_full = qhat[:, -1]

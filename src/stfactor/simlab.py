@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, DataError, NumericError
 from .field import (
     LatticeField,
     demean,
@@ -269,7 +269,7 @@ def _as_demeaned_field(values: np.ndarray) -> LatticeField:
     # pipelines fed with demeaned inputs reuse the identical values.
     try:
         return LatticeField(values, demeaned=True)
-    except Exception:
+    except DataError:
         return demean(LatticeField(values))
 
 

@@ -33,6 +33,7 @@ Sigma_hat(-theta) == conj(Sigma_hat(theta)) hold exactly as stored.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +44,6 @@ from .field import LatticeField
 __all__ = [
     "Kernel",
     "make_kernel",
-    "kernel_eval",
     "default_bandwidths",
     "validate_bandwidths",
     "FrequencyGrid",
@@ -92,11 +92,6 @@ def make_kernel(kind: str) -> Kernel:
     if canonical is None:
         raise ConfigError(f"unknown kernel {kind!r}; expected one of {sorted(set(_KERNEL_ALIASES))}")
     return Kernel(canonical, _KERNEL_SMOOTHNESS[canonical])
-
-
-def kernel_eval(kernel: Kernel, u) -> np.ndarray:
-    """Evaluate a kernel at scaled lag u (scalar or array)."""
-    return kernel(u)
 
 
 def resolve_kernels(kernels) -> tuple[Kernel, Kernel, Kernel]:
@@ -287,15 +282,23 @@ def _autocov_fft(values: np.ndarray, window) -> np.ndarray:
     volume = dims[0] * dims[1] * dims[2]
     grid = FrequencyGrid(tuple(window))
     pad = tuple(_next_fast_len(d + b + 1) for d, b in zip(dims, window))
-    spec = np.fft.rfftn(values, s=pad, axes=(1, 2, 3))
-    # positions of lags -B..B on the circular axes
-    sel = [np.arange(-b, b + 1) % p for b, p in zip(window, pad)]
+    # (P1, P2, P3 // 2 + 1, n): series last, so each axis below is one product
+    spec = np.moveaxis(np.fft.rfftn(values, s=pad, axes=(1, 2, 3)), 0, -1)
+    # inverse DFT rows for the lags -B..B only; the half-spectrum axis
+    # counts its interior frequencies twice and the real part is kept
+    e1, e2, e3 = (np.exp(2j * np.pi * np.outer(np.arange(-b, b + 1), np.arange(k)) / p)
+                  for b, k, p in zip(window, spec.shape[:3], pad))
+    k3 = np.arange(spec.shape[2])
+    e3 = e3 * np.where((k3 == 0) | (2 * k3 == pad[2]), 1.0, 2.0) / (volume * math.prod(pad))
     out = np.empty((grid.size, n, n))
     for i in range(n):
-        cross = spec[i][None, ...] * np.conj(spec)
-        corr = np.fft.irfftn(cross, s=pad, axes=(1, 2, 3))
-        box = corr[:, sel[0]][:, :, sel[1]][:, :, :, sel[2]] / volume
-        out[:, i, :] = box.reshape(n, -1).T
+        # pairs (j >= i, i): box[h] = Gamma_ji(h), and Gamma_ij(h) = Gamma_ji(-h)
+        cross = spec[..., i:] * np.conj(spec[..., i:i + 1])
+        y = (e1 @ cross.reshape(pad[0], -1)).reshape(len(e1), pad[1], -1)
+        y = (e2 @ y).reshape(-1, spec.shape[2], n - i)
+        box = (e3 @ y).real.reshape(grid.size, n - i)
+        out[:, i:, i] = box
+        out[:, i, i:] = box[::-1]
     # enforce the exact reversal symmetry by mirror-filling transposes
     half = grid.half_count
     center = grid.zero_index
@@ -384,22 +387,23 @@ def spectral_from_autocovariance(autocov: AutocovarianceSet, kernels) -> Spectra
     grid = FrequencyGrid(autocov.window)
     n = autocov.gammas.shape[1]
     w = kernel_lag_weights(kernels, autocov.window)
-    shape = grid.shape
-    gw = (autocov.gammas * w[:, None, None]).reshape(*shape, n, n)
-    # separable DFT, one small matrix product per axis
-    e1 = _dft_matrix(grid, 0, -1.0)
-    e2 = _dft_matrix(grid, 1, -1.0)
-    e3 = _dft_matrix(grid, 2, -1.0)
-    out = np.einsum("fa,abcij->fbcij", e1, gw, optimize=True)
-    out = np.einsum("gb,fbcij->fgcij", e2, out, optimize=True)
-    out = np.einsum("hc,fgcij->fghij", e3, out, optimize=True)
-    mats = out.reshape(grid.size, n, n)
-    # make Hermitianity and conjugate frequency symmetry exact
+    s1, s2, s3 = grid.shape
+    e1, e2, e3 = (_dft_matrix(grid, axis, -1.0) for axis in range(3))
     half = grid.half_count
-    top = 0.5 * (mats[:half] + np.conj(mats[:half].transpose(0, 2, 1)))
-    top[-1] = top[-1].real  # zero frequency is a real matrix
-    mats[:half] = top
-    mats[grid.size - half:] = np.conj(top[::-1])
+    mats = np.empty((grid.size, n, n), dtype=complex)
+    # separable DFT, one matrix product per axis; one matrix row at a time,
+    # so no scratch array is larger than one row over the grid
+    for i in range(n):
+        out = (e1 @ (autocov.gammas[:, i] * w[:, None]).reshape(s1, -1)).reshape(s1, s2, -1)
+        out = (e2 @ out).reshape(s1 * s2, s3, -1)
+        mats[:, i] = (e3 @ out).reshape(grid.size, n)
+    # make Hermitianity and conjugate frequency symmetry exact
+    for i in range(n):
+        row = 0.5 * (mats[:half, i, i:] + np.conj(mats[:half, i:, i]))
+        mats[:half, i:, i] = np.conj(row)
+        mats[:half, i, i:] = row
+    mats[half - 1].imag = 0.0  # zero frequency is a real matrix
+    np.conjugate(mats[:half - 1][::-1], out=mats[half:])
     return SpectralDensityEstimate(grid, mats, autocov, kernels)
 
 

@@ -2,6 +2,7 @@ import hashlib
 import json
 
 import numpy as np
+import pytest
 
 from stfactor import load_field
 from stfactor.cli import main
@@ -74,6 +75,12 @@ class TestEstimate:
         rc = main(["estimate", "--input", f"{tmp_path}/nope.stf", "--q", "1",
                    "--output", f"{tmp_path}/chi.stf"])
         assert rc == 3
+
+    def test_ignored_threads_flag_is_rejected(self, tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["estimate", "--input", f"{tmp_path}/x.stf", "--q", "1",
+                  "--output", f"{tmp_path}/chi.stf", "--threads", "2"])
+        assert excinfo.value.code == 2
 
     def test_oversized_q_is_config_error(self, tmp_path):
         main(["simulate", "--model", "b", "--n", "2", "--dims", "4,4,5", "--q", "1",

@@ -182,9 +182,18 @@ class TestCommonComponent:
             est = estimate_common_component(field, 1, "ep", (1, 1, 1))
         assert np.all(est.chi == 0.0)
 
-    def test_matches_materialized_convolution_everywhere(self):
-        field = random_field((3, 5, 4, 6), seed=58)
-        q, bw, trunc = 2, (2, 1, 2), (1, 1, 2)
+    @pytest.mark.parametrize(
+        "shape, q, bw, trunc",
+        [
+            ((3, 5, 4, 6), 2, (2, 1, 2), (1, 1, 2)),
+            ((3, 5, 5, 7), 2, (2, 2, 3), (0, 2, 1)),
+            ((3, 5, 4, 6), 3, (2, 1, 2), (2, 0, 0)),
+            ((6, 1, 1, 20), 1, (0, 0, 4), (0, 0, 4)),
+        ],
+        ids=["base", "zero_trunc_on_wide_axis", "full_rank", "stacked"],
+    )
+    def test_matches_materialized_convolution_everywhere(self, shape, q, bw, trunc):
+        field = random_field(shape, seed=58)
         est = estimate_common_component(field, q, "ep", bw, trunc)
         system = eigensystem_from_field(field, "ep", bw, q_keep=q)
         fc = filter_coefficients(projection_filter(system, q), trunc)

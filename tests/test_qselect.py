@@ -5,6 +5,7 @@ from stfactor import (
     ConfigError,
     DynamicEigenSystem,
     FrequencyGrid,
+    LatticeField,
     NoSecondIntervalError,
     NumericError,
     PenaltySpec,
@@ -204,6 +205,11 @@ class TestStabilityScan:
         assert len(rows) == len(c_grid) + 1
         payload = json.loads((tmp_path / "scan.json").read_text())
         assert payload["selected_q"] == scan.selected_q
+
+    def test_zero_field_names_subsample_size(self):
+        field = LatticeField(np.zeros((12, 6, 6, 6)), demeaned=True)
+        with pytest.raises(NumericError, match="degenerate spectrum.*subsample of size 7"):
+            stability_scan(field, 2, np.arange(0, 11) / 10.0, subsample_sizes=[7, 9], bw=(2, 2, 2))
 
     def test_validation_errors(self, panel):
         with pytest.raises(ConfigError):

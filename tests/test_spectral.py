@@ -9,7 +9,6 @@ from stfactor import (
     demean,
     estimate_spectral_density,
     export_spectral_json,
-    kernel_eval,
     make_kernel,
     sample_autocovariance,
 )
@@ -19,7 +18,7 @@ from conftest import random_field
 
 class TestKernels:
     def test_epanechnikov_at_zero(self):
-        assert kernel_eval(make_kernel("epanechnikov"), 0.0) == 1.0
+        assert make_kernel("epanechnikov")(0.0) == 1.0
 
     def test_epanechnikov_values(self):
         k = make_kernel("ep")
@@ -157,6 +156,18 @@ class TestAutocovariance:
         np.testing.assert_array_equal(
             fft.gammas[: half + 1][::-1].transpose(0, 2, 1), fft.gammas[half:]
         )
+
+    @pytest.mark.parametrize("dims, window", [
+        ((5, 4, 20), (2, 1, 4)),  # odd padded last axis: no Nyquist bin
+        ((9, 1, 1), (4, 0, 0)),   # two degenerate axes
+        ((1, 7, 3), (0, 3, 2)),
+    ], ids=["odd_pad", "two_degenerate_axes", "degenerate_first_axis"])
+    def test_fft_equals_direct_on_uneven_shapes(self, dims, window):
+        field = random_field((3, *dims), seed=8)
+        direct = sample_autocovariance(field, window, method="direct")
+        fft = sample_autocovariance(field, window, method="fft")
+        scale = np.abs(direct.gammas).max()
+        assert np.max(np.abs(direct.gammas - fft.gammas)) < 1e-12 * scale
 
 
 def brute_force_spectral(values, kernels, bw, theta):
