@@ -107,18 +107,18 @@ def cmd_select_q(args) -> int:
     sizes = None
     if args.subsamples:
         sizes = [int(s) for s in args.subsamples.split(",")]
+    failure = None
     try:
         scan = stability_scan(
             field, args.qmax, c_grid, subsample_sizes=sizes, kernels=args.kernel,
             bw=bw, seed=args.seed, c_manual=args.c_manual,
         )
     except NoSecondIntervalError as exc:
-        scan_to_csv(exc.scan, f"{args.output}.csv")
-        scan_summary_json(exc.scan, f"{args.output}.json")
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    if np.any(np.diff(scan.q_by_c) > 0):
-        raise NumericError("full-sample estimate is not non-increasing in c")
+        # the curve, the summary and the echo (selected_q/c null) are still written
+        scan, failure = exc.scan, exc
+    else:
+        if np.any(np.diff(scan.q_by_c) > 0):
+            raise NumericError("full-sample estimate is not non-increasing in c")
     scan_to_csv(scan, f"{args.output}.csv")
     scan_summary_json(scan, f"{args.output}.json")
     _write_settings(args.output, {
@@ -128,6 +128,9 @@ def cmd_select_q(args) -> int:
         "subsamples": scan.settings["subsample_sizes"],
         "selected_q": scan.selected_q, "selected_c": scan.selected_c,
     })
+    if failure is not None:
+        print(f"error: {failure}", file=sys.stderr)
+        return 4
     print(f"selected_q={scan.selected_q} at c={scan.selected_c}")
     return 0
 

@@ -28,9 +28,10 @@ where W_theta is the clipped window with phase e^{i kappa_d theta_d},
 applied one lattice axis at a time (e^{i<kappa,theta>} is separable).
 P(theta) acts on the series axis and W_theta on the lattice axes, so
 the two commute: the data are projected onto the q eigenvector rows
-first and only the q scores are windowed, by prefix sums, one row of
-the half grid (the points sharing theta_1, theta_2) per batch.  The
-lag-domain functions (``filter_coefficients``,
+first and only the q scores are windowed, by banded products with the
+clipped window matrices W_d[s, u] = e^{i(s-u)theta_d} 1{|s-u| <= M_d},
+one row of the half grid (the points sharing theta_1, theta_2) per
+batch.  The lag-domain functions (``filter_coefficients``,
 ``apply_filter_coefficients``) give the same numbers and are kept as
 the reference.  Truncation lags are capped at the bandwidths (M_d <= B_d)
 so that extracting lag-domain coefficients from the (2B_d+1)-point
@@ -253,20 +254,30 @@ def apply_filter_coefficients(fc: FilterCoefficients, values: np.ndarray) -> np.
     return out
 
 
-def _window(z: np.ndarray, axis: int, m: int, thetas: np.ndarray) -> np.ndarray:
-    """w[s] = sum_{u in [s-m, s+m] cap lattice} e^{i(s-u)theta} z[u] along ``axis``,
-    by prefix sums, with one theta per index of the leading (grid point) axis."""
+def _window(z: np.ndarray, m: int, thetas) -> np.ndarray:
+    """w[s] = sum_{u in [s-m, s+m] cap lattice} e^{i(s-u)theta} z[u] along axis -2.
+
+    A block-banded product, O(m) per element: the axis is cut into tiles
+    of b = 2m+1 points, and each output tile is one b x (b+2m) Toeplitz
+    block applied to its input tile and the m points either side, with
+    zeros past the ends doing the clipping.  An axis no longer than three
+    tiles is one dense tile, which is as fast there.  ``thetas``
+    broadcasts against the leading axes.
+    """
     if m == 0:
         return z
-    extent = z.shape[axis]
-    pos = np.arange(extent)
-    shape = [1] * z.ndim
-    shape[0], shape[axis] = -1, extent
-    phase = np.exp(1j * np.outer(thetas, pos)).reshape(shape)
-    csum = np.cumsum(z * np.conj(phase), axis=axis)
-    csum = np.concatenate([np.zeros_like(csum.take([0], axis)), csum], axis=axis)
-    lo, hi = np.maximum(0, pos - m), np.minimum(extent, pos + m + 1)
-    return (csum.take(hi, axis) - csum.take(lo, axis)) * phase
+    extent = z.shape[-2]
+    b = extent if extent <= 3 * (2 * m + 1) else 2 * m + 1
+    tiles = -(-extent // b)
+    lag = np.arange(b)[:, None] - np.arange(-m, b + m)
+    mat = np.exp(1j * np.multiply.outer(thetas, lag)) * (np.abs(lag) <= m)
+    if tiles == 1:
+        return mat[..., m:-m] @ z
+    padded = np.zeros(z.shape[:-2] + (tiles * b + 2 * m, z.shape[-1]), complex)
+    padded[..., m:m + extent, :] = z
+    windows = np.lib.stride_tricks.sliding_window_view(padded, b + 2 * m, axis=-2)[..., ::b, :, :]
+    out = mat[..., None, :, :] @ windows.swapaxes(-1, -2)
+    return out.reshape(z.shape[:-2] + (tiles * b, z.shape[-1]))[..., :extent, :]
 
 
 def _apply_projection_frequency(
@@ -278,11 +289,16 @@ def _apply_projection_frequency(
     on the lattice axes, so the two commute and only the q scores are
     windowed; the result equals the truncated lag-domain convolution
     exactly.  The half grid is visited one row (the points sharing
-    theta_1, theta_2) at a time; negated frequencies contribute the
-    complex conjugate, which ``pair_weights`` counts.
+    theta_1, theta_2) at a time.  Each window is applied to the last
+    lattice axis through a transposed view, which rotates that axis to
+    the front, so T (one theta_3 per point), S2 and S1 leave the scores
+    in their original order.  Both projections are real GEMMs with
+    [Re P; Im P]: the data are real, and negated frequencies contribute
+    the complex conjugate (counted by ``pair_weights``), so only the
+    real part of the back-projection is formed.
     """
     grid = system.grid
-    n, dims = values.shape[0], values.shape[1:]
+    n, (s1, s2, t) = values.shape[0], values.shape[1:]
     x = values.reshape(n, -1)
     chi = np.zeros_like(x)
     points = grid.points
@@ -290,11 +306,18 @@ def _apply_projection_frequency(
     for start in range(0, grid.half_count, grid.shape[2]):
         batch = slice(start, min(start + grid.shape[2], grid.half_count))
         rows = system.eigenvectors[batch, :q, :]
-        scores = (rows.reshape(-1, n) @ x).reshape(rows.shape[:2] + dims)
-        for axis in range(3):
-            scores = _window(scores, axis + 2, trunc[axis], points[batch, axis])
-        back = np.conj(rows) * weights[batch, None, None]
-        chi += (back.reshape(-1, n).T @ scores.reshape(-1, x.shape[1])).real
+        p = rows.shape[0]
+        proj = np.concatenate([rows.real, rows.imag])  # [Re P; Im P], (2p, q, n)
+        re, im = (proj.reshape(-1, n) @ x).reshape(2, p, q, s1 * s2, t)
+        scores = np.empty(re.shape, complex)
+        scores.real, scores.imag = re, im
+        theta1, theta2 = points[start, :2]
+        scores = _window(scores.swapaxes(-1, -2), trunc[2], points[batch, 2, None])
+        scores = _window(scores.reshape(p * q, t * s1, s2).swapaxes(-1, -2), trunc[1], theta2)
+        scores = _window(scores.reshape(p * q, s2 * t, s1).swapaxes(-1, -2), trunc[0], theta1)
+        # Re(P^dag S) = Re(P)^T Re(S) + Im(P)^T Im(S), weighted per frequency
+        back = (proj * np.tile(weights[batch], 2)[:, None, None]).reshape(-1, n)
+        chi += back.T @ np.stack([scores.real, scores.imag]).reshape(-1, x.shape[1])
     return chi.reshape(values.shape)
 
 

@@ -234,35 +234,6 @@ class AutocovarianceSet:
         return self.gammas[self.lag_index(h)]
 
 
-def _lag_slices(h: int, extent: int) -> tuple[slice, slice]:
-    # Index ranges such that both varsigma and varsigma - h stay in the
-    # lattice: the leading slice indexes x at varsigma, the trailing one
-    # at varsigma - h (0-based).
-    if h >= 0:
-        return slice(h, extent), slice(0, extent - h)
-    return slice(0, extent + h), slice(-h, extent)
-
-
-def _autocov_direct(values: np.ndarray, window) -> np.ndarray:
-    n = values.shape[0]
-    dims = values.shape[1:]
-    volume = dims[0] * dims[1] * dims[2]
-    grid = FrequencyGrid(tuple(window))
-    lags = grid.offsets
-    ncanon = grid.half_count
-    out = np.empty((grid.size, n, n))
-    for i in range(ncanon):
-        h = lags[i]
-        sl = [_lag_slices(int(h[d]), dims[d]) for d in range(3)]
-        lead = values[:, sl[0][0], sl[1][0], sl[2][0]].reshape(n, -1)
-        trail = values[:, sl[0][1], sl[1][1], sl[2][1]].reshape(n, -1)
-        out[i] = lead @ trail.T / volume
-        out[grid.size - 1 - i] = out[i].T
-    center = grid.zero_index
-    out[center] = 0.5 * (out[center] + out[center].T)
-    return out
-
-
 def _next_fast_len(target: int) -> int:
     # smallest 5-smooth integer >= target
     n = target
@@ -307,33 +278,20 @@ def _autocov_fft(values: np.ndarray, window) -> np.ndarray:
     return out
 
 
-def sample_autocovariance(field: LatticeField, window, method: str = "auto") -> AutocovarianceSet:
+def sample_autocovariance(field: LatticeField, window) -> AutocovarianceSet:
     """Sample autocovariances over the symmetric lag window.
 
     Gamma_hat(h) = (1/(S1 S2 T)) sum x_varsigma x_{varsigma-h}^T over
     all lattice points where both varsigma and varsigma - h are in
     range; the divisor is always the full lattice size (triangular /
     biased normalization).  Lags with empty overlap are exactly zero.
-
-    ``method`` selects the computation: "direct" (one matrix product
-    per lag), "fft" (cross-correlation via padded FFTs), or "auto".
-    Both produce the same values up to machine rounding; the reversal
-    invariant is exact for either.
+    Computed from zero-padded FFTs (cross-spectra inverted onto the lag
+    box only); the reversal invariant is exact.
     """
     if not field.demeaned:
         raise ConfigError("sample_autocovariance requires a demeaned field")
     window = validate_bandwidths(window, field.dims)
-    if method == "auto":
-        grid = FrequencyGrid(window)
-        direct_cost = grid.half_count * field.n * field.n * field.lattice_size
-        method = "fft" if direct_cost > 2e8 else "direct"
-    if method == "direct":
-        gammas = _autocov_direct(field.values, window)
-    elif method == "fft":
-        gammas = _autocov_fft(field.values, window)
-    else:
-        raise ConfigError(f"unknown autocovariance method {method!r}")
-    return AutocovarianceSet(window, gammas)
+    return AutocovarianceSet(window, _autocov_fft(field.values, window))
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +366,7 @@ def spectral_from_autocovariance(autocov: AutocovarianceSet, kernels) -> Spectra
 
 
 def estimate_spectral_density(
-    field: LatticeField, kernels="epanechnikov", bw=None, method: str = "auto"
+    field: LatticeField, kernels="epanechnikov", bw=None
 ) -> SpectralDensityEstimate:
     """Lag-window spectral density estimate of a demeaned field.
 
@@ -426,7 +384,7 @@ def estimate_spectral_density(
     if bw is None:
         bw = default_bandwidths(field.dims)
     bw = validate_bandwidths(bw, field.dims)
-    autocov = sample_autocovariance(field, bw, method=method)
+    autocov = sample_autocovariance(field, bw)
     return spectral_from_autocovariance(autocov, kernels)
 
 

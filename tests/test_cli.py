@@ -120,6 +120,9 @@ class TestSelectQ:
         assert (tmp_path / "scan.csv").exists()
         summary = json.loads((tmp_path / "scan.json").read_text())
         assert summary["selected_q"] is None
+        echo = json.loads((tmp_path / "scan.settings.json").read_text())
+        assert echo["command"] == "select-q"
+        assert echo["selected_q"] is None and echo["selected_c"] is None
 
 
 class TestEigengap:

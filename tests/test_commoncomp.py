@@ -189,8 +189,12 @@ class TestCommonComponent:
             ((3, 5, 5, 7), 2, (2, 2, 3), (0, 2, 1)),
             ((3, 5, 4, 6), 3, (2, 1, 2), (2, 0, 0)),
             ((6, 1, 1, 20), 1, (0, 0, 4), (0, 0, 4)),
+            ((3, 5, 6, 1), 2, (2, 2, 0), (2, 1, 0)),  # each batch is a single point
+            ((3, 4, 5, 6), 2, (3, 2, 3), (3, 2, 3)),  # M_1 = extent_1 - 1
+            ((3, 2, 2, 40), 1, (1, 1, 3), (1, 1, 3)),  # several tiles, a partial last one
         ],
-        ids=["base", "zero_trunc_on_wide_axis", "full_rank", "stacked"],
+        ids=["base", "zero_trunc_on_wide_axis", "full_rank", "stacked",
+             "spatial_only", "window_spans_axis", "long_axis_tiles"],
     )
     def test_matches_materialized_convolution_everywhere(self, shape, q, bw, trunc):
         field = random_field(shape, seed=58)
