@@ -35,9 +35,7 @@ from .spectral import (
 )
 from .dynpca import (
     DynamicEigenSystem,
-    averaged_eigenvalues,
     eigendecompose_all,
-    eigengap_curve,
     eigensystem_from_field,
     eigenvalue_curve_by_size,
 )
@@ -53,15 +51,8 @@ from .qselect import (
 )
 from .commoncomp import (
     CommonComponentEstimate,
-    FilterCoefficients,
-    ProjectionFilter,
-    apply_filter_coefficients,
     estimate_common_component,
-    filter_coefficients,
     interior_mask,
-    inverse_grid_transform,
-    projection_filter,
-    truncation_ranges,
 )
 from .simlab import (
     GdfmResult,

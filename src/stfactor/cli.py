@@ -17,13 +17,21 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, DataError, NumericError
-from .field import LatticeField, demean, load_field, store_field
+from .field import (
+    LatticeField,
+    demean,
+    load_field,
+    stack_to_time_series,
+    stacked_series_as_field,
+    store_field,
+)
 from .spectral import default_bandwidths, make_kernel
-from .dynpca import eigengap_curve, write_eigengap_csv, eigenvalue_curve_by_size
+from .dynpca import eigenvalue_curve_by_size, write_eigengap_csv
 from .commoncomp import estimate_common_component
 from .qselect import NoSecondIntervalError, scan_summary_json, scan_to_csv, stability_scan
 from .simlab import (
     SimConfig,
+    _as_demeaned_field,
     gdfm_baseline,
     run_mc_study,
     simulate_field,
@@ -144,19 +152,15 @@ def cmd_eigengap(args) -> int:
         m_values = list(range(step, field.n + 1, step))
     bw = _parse_triple(args.bw, "bw") if args.bw else None
     if args.gdfm:
-        from .field import stack_to_time_series, stacked_series_as_field
-        from .simlab import _as_demeaned_field
-
-        stacked = stack_to_time_series(field)
-        sfield = _as_demeaned_field(stacked_series_as_field(stacked).values)
-        bw_t = bw[2] if bw else default_bandwidths((1, 1, field.dims[2]))[2]
-        curve = eigenvalue_curve_by_size(
-            sfield, [min(m, sfield.n) for m in m_values], args.topk,
-            args.kernel, (0, 0, bw_t),
-        )
-        write_eigengap_csv(args.output, [min(m, sfield.n) for m in m_values], curve)
+        # the purely temporal variant: every (series, site) pair is one series
+        stacked = stacked_series_as_field(stack_to_time_series(field))
+        curve_field = _as_demeaned_field(stacked.values)
+        curve_bw = (0, 0, bw[2] if bw else default_bandwidths((1, 1, field.dims[2]))[2])
+        sizes = [min(m, curve_field.n) for m in m_values]
     else:
-        eigengap_curve(field, m_values, args.topk, args.kernel, bw, csv_path=args.output)
+        curve_field, curve_bw, sizes = field, bw, m_values
+    curve = eigenvalue_curve_by_size(curve_field, sizes, args.topk, args.kernel, curve_bw)
+    write_eigengap_csv(args.output, sizes, curve)
     _write_settings(args.output, {
         "command": "eigengap", "input": args.input, "m_values": m_values,
         "topk": args.topk, "kernel": make_kernel(args.kernel).kind,

@@ -31,9 +31,9 @@ the two commute: the data are projected onto the q eigenvector rows
 first and only the q scores are windowed, by banded products with the
 clipped window matrices W_d[s, u] = e^{i(s-u)theta_d} 1{|s-u| <= M_d},
 one row of the half grid (the points sharing theta_1, theta_2) per
-batch.  The lag-domain functions (``filter_coefficients``,
-``apply_filter_coefficients``) give the same numbers and are kept as
-the reference.  Truncation lags are capped at the bandwidths (M_d <= B_d)
+batch.  The lag-domain form (C(kappa) summed over the grid, then
+convolved) is kept only as the test oracle in ``tests/oracles.py``.
+Truncation lags are capped at the bandwidths (M_d <= B_d)
 so that extracting lag-domain coefficients from the (2B_d+1)-point
 frequency grid is alias-free.
 """
@@ -46,30 +46,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericError
+from .errors import ConfigError
 from .field import LatticeField
 from .dynpca import DynamicEigenSystem, eigensystem_from_field
-from .spectral import FrequencyGrid, default_bandwidths, resolve_kernels, validate_bandwidths
+from .spectral import default_bandwidths, resolve_kernels, validate_bandwidths
 
 __all__ = [
-    "ProjectionFilter",
-    "projection_filter",
-    "FilterCoefficients",
-    "filter_coefficients",
-    "apply_filter_coefficients",
-    "inverse_grid_transform",
-    "truncation_ranges",
     "default_truncation",
     "validate_truncation",
     "interior_mask",
     "CommonComponentEstimate",
     "estimate_common_component",
 ]
-
-# Imaginary parts of the inverse-transformed coefficients must be pure
-# rounding noise; anything above this ratio signals broken conjugate
-# symmetry upstream.
-COEFF_IMAG_RTOL = 1e-9
 
 
 def default_truncation(bw) -> tuple[int, int, int]:
@@ -91,21 +79,6 @@ def validate_truncation(trunc, bw, dims) -> tuple[int, int, int]:
     return trunc
 
 
-def truncation_ranges(point, dims, trunc) -> tuple[int, int, int, int, int, int]:
-    """Per-axis truncated lag ranges at a lattice point (1-based coords).
-
-    Returns (lo1, hi1, lo2, hi2, lo3, hi3) with
-    lo_d = max(coord_d - dim_d, -M_d) and hi_d = min(coord_d - 1, M_d).
-    """
-    out = []
-    for coord, dim, m in zip(point, dims, trunc):
-        if not 1 <= coord <= dim:
-            raise ConfigError(f"lattice point {tuple(point)} outside extents {tuple(dims)}")
-        out.append(max(coord - dim, -m))
-        out.append(min(coord - 1, m))
-    return tuple(out)
-
-
 def interior_mask(dims, trunc) -> np.ndarray:
     """Boolean (S1, S2, T) mask of points with the full symmetric window.
 
@@ -117,141 +90,6 @@ def interior_mask(dims, trunc) -> np.ndarray:
         coords = np.arange(1, dim + 1)
         masks.append((coords >= m + 1) & (coords <= dim - m))
     return masks[0][:, None, None] & masks[1][None, :, None] & masks[2][None, None, :]
-
-
-@dataclass(frozen=True)
-class ProjectionFilter:
-    """Rank-q frequency-domain projector K(theta) = P(theta)^dag P(theta).
-
-    Stored in factored form (the eigenvector rows); ``khat`` materializes
-    the n x n projector at one grid index, ``khat_stack`` at all of them
-    (mind the G*n^2 memory at large n).
-    """
-
-    grid: FrequencyGrid
-    eigenvector_rows: np.ndarray  # (G, q, n) complex
-    q: int
-
-    @property
-    def n(self) -> int:
-        return self.eigenvector_rows.shape[2]
-
-    def khat(self, g: int) -> np.ndarray:
-        rows = self.eigenvector_rows[g]
-        return np.conj(rows.T) @ rows
-
-    def khat_stack(self) -> np.ndarray:
-        rows = self.eigenvector_rows
-        return np.einsum("gqi,gqj->gij", np.conj(rows), rows, optimize=True)
-
-
-def projection_filter(system: DynamicEigenSystem, q: int) -> ProjectionFilter:
-    """Projector onto the span of the top-q eigenvector rows, per frequency."""
-    if q > system.q_keep:
-        raise ConfigError(f"q={q} exceeds the {system.q_keep} eigenvector rows kept")
-    if q < 0:
-        raise ConfigError("q must be >= 0")
-    return ProjectionFilter(system.grid, system.eigenvectors[:, :q, :].copy(), q)
-
-
-@dataclass(frozen=True)
-class FilterCoefficients:
-    """Real lag-domain coefficients of the truncated projection filter.
-
-    ``coeffs`` is (L, n, n) over lags |kappa_d| <= M_d in C order
-    (kappa_d + M_d per axis); imaginary parts are discarded only after
-    verifying they are rounding noise.
-    """
-
-    trunc: tuple[int, int, int]
-    coeffs: np.ndarray
-
-    @property
-    def lags(self) -> np.ndarray:
-        return FrequencyGrid(self.trunc).offsets
-
-    def coeff(self, kappa) -> np.ndarray:
-        m1, m2, m3 = self.trunc
-        k1, k2, k3 = kappa
-        if abs(k1) > m1 or abs(k2) > m2 or abs(k3) > m3:
-            raise ConfigError(f"lag {tuple(kappa)} outside truncation window {self.trunc}")
-        idx = ((k1 + m1) * (2 * m2 + 1) + (k2 + m2)) * (2 * m3 + 1) + (k3 + m3)
-        return self.coeffs[idx]
-
-
-def inverse_grid_transform(matrices: np.ndarray, grid: FrequencyGrid, trunc) -> np.ndarray:
-    """Lag coefficients (1/G) sum_theta A(theta) e^{i<kappa,theta>}.
-
-    ``matrices`` is a (G, n, n) frequency stack; the result is complex
-    of shape (2M1+1, 2M2+1, 2M3+1, n, n) over lags |kappa_d| <= M_d,
-    computed with one small separable transform per axis.
-    """
-    trunc = tuple(int(m) for m in trunc)
-    for m, b in zip(trunc, grid.bandwidths):
-        if m < 0 or m > b:
-            raise ConfigError(f"truncation {trunc} must satisfy 0 <= M_d <= B_d={grid.bandwidths}")
-    n = matrices.shape[-1]
-    out = matrices.reshape(*grid.shape, n, n)
-
-    def phase(axis: int) -> np.ndarray:
-        kappas = np.arange(-trunc[axis], trunc[axis] + 1)
-        return np.exp(1j * np.outer(kappas, grid.axis_frequencies(axis)))
-
-    out = np.einsum("kf,fbcij->kbcij", phase(0), out, optimize=True)
-    out = np.einsum("kf,afcij->akcij", phase(1), out, optimize=True)
-    out = np.einsum("kf,abfij->abkij", phase(2), out, optimize=True)
-    return out / grid.size
-
-
-def filter_coefficients(pf: ProjectionFilter, trunc=None) -> FilterCoefficients:
-    """Inverse grid transform of the projector onto the truncation window.
-
-    C(kappa) = (1/G) sum_theta K(theta) e^{i<kappa,theta>}.  Conjugate
-    symmetry of K across negated frequencies forces the result to be
-    real; the imaginary residue is checked against
-    :data:`COEFF_IMAG_RTOL` before being dropped.
-    """
-    grid = pf.grid
-    if trunc is None:
-        trunc = default_truncation(grid.bandwidths)
-    out = inverse_grid_transform(pf.khat_stack(), grid, trunc)
-    trunc = tuple(int(m) for m in trunc)
-    re, im = out.real, out.imag
-    scale = np.abs(re).max()
-    if scale > 0 and np.abs(im).max() > COEFF_IMAG_RTOL * scale:
-        raise NumericError(
-            "filter coefficients have non-negligible imaginary part; "
-            "conjugate frequency symmetry broken upstream"
-        )
-    coeffs = re.reshape(-1, pf.n, pf.n).copy()
-    return FilterCoefficients(trunc, coeffs)
-
-
-def apply_filter_coefficients(fc: FilterCoefficients, values: np.ndarray) -> np.ndarray:
-    """Convolve fixed lag coefficients over the lattice, clipped at edges.
-
-    chi[ell, s] = sum_{kappa in ranges(s)} [C(kappa) x_{s-kappa}]_ell;
-    the boundary clipping is realized by zero-padding, which drops
-    exactly the out-of-lattice terms.  Linear in ``values`` by
-    construction.
-    """
-    n = values.shape[0]
-    dims = values.shape[1:]
-    m1, m2, m3 = fc.trunc
-    padded = np.zeros((n, dims[0] + 2 * m1, dims[1] + 2 * m2, dims[2] + 2 * m3))
-    padded[:, m1:m1 + dims[0], m2:m2 + dims[1], m3:m3 + dims[2]] = values
-    out = np.zeros_like(values)
-    lags = fc.lags
-    for idx in range(fc.coeffs.shape[0]):
-        k1, k2, k3 = (int(k) for k in lags[idx])
-        shifted = padded[
-            :,
-            m1 - k1:m1 - k1 + dims[0],
-            m2 - k2:m2 - k2 + dims[1],
-            m3 - k3:m3 - k3 + dims[2],
-        ]
-        out += np.tensordot(fc.coeffs[idx], shifted, axes=(1, 0))
-    return out
 
 
 def _window(z: np.ndarray, m: int, thetas) -> np.ndarray:

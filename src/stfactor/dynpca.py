@@ -16,7 +16,7 @@ computing the non-negative half of the grid and mirror-filling.
 For stacked panels with more series than lattice points (n > S1*S2*T)
 the same eigenstructure is obtained from the small Gram matrix of the
 data instead of the huge n x n spectral matrix; see
-:func:`eigensystem_from_field`, which routes automatically.
+:func:`eigensystem_from_field`, which picks the route by shape.
 """
 
 from __future__ import annotations
@@ -41,9 +41,7 @@ __all__ = [
     "DynamicEigenSystem",
     "eigendecompose_all",
     "eigensystem_from_field",
-    "averaged_eigenvalues",
     "eigenvalue_curve_by_size",
-    "eigengap_curve",
     "write_eigengap_csv",
 ]
 
@@ -222,15 +220,14 @@ def _gram_eigensystem(x2d: np.ndarray, kernels, bw, dims, q_keep: int) -> Dynami
 
 
 def eigensystem_from_field(
-    field: LatticeField, kernels="epanechnikov", bw=None, q_keep: int = 0, route: str = "auto"
+    field: LatticeField, kernels="epanechnikov", bw=None, q_keep: int = 0
 ) -> DynamicEigenSystem:
     """Full pipeline from a demeaned field to its dynamic eigensystem.
 
-    ``route`` picks the computation: "standard" materializes the
-    spectral matrices and decomposes them; "gram" works with the
-    V x V Gram-side matrices (V = S1*S2*T) and is the right choice for
-    stacked panels where n >> V; "auto" selects by shape.  Both routes
-    return the same eigenvalues and the same eigenvector rows up to
+    Panels with more series than lattice points (n > S1*S2*T, such as
+    stacked panels) go through the V x V Gram-side matrices; all others
+    materialize the n x n spectral matrices and decompose them.  Both
+    give the same eigenvalues and the same eigenvector rows up to
     numerical rounding.
     """
     if not field.demeaned:
@@ -238,26 +235,15 @@ def eigensystem_from_field(
     if bw is None:
         bw = default_bandwidths(field.dims)
     bw = validate_bandwidths(bw, field.dims)
-    if route == "auto":
-        route = "gram" if field.lattice_size < field.n else "standard"
-    if route == "standard":
-        return eigendecompose_all(estimate_spectral_density(field, kernels, bw), q_keep)
-    if route == "gram":
+    if field.lattice_size < field.n:
         x2d = field.values.reshape(field.n, -1)
         return _gram_eigensystem(x2d, kernels, bw, field.dims, q_keep)
-    raise ConfigError(f"unknown eigensystem route {route!r}")
+    return eigendecompose_all(estimate_spectral_density(field, kernels, bw), q_keep)
 
 
 # ---------------------------------------------------------------------------
 # Averaged eigenvalue curves
 # ---------------------------------------------------------------------------
-
-
-def averaged_eigenvalues(system: DynamicEigenSystem, top_k: int) -> np.ndarray:
-    """Top ``top_k`` eigenvalues averaged over all grid frequencies."""
-    if not 1 <= top_k <= system.n:
-        raise ConfigError(f"top_k={top_k} out of range 1..{system.n}")
-    return system.eigenvalue_means()[:top_k]
 
 
 def eigenvalue_curve_by_size(
@@ -295,20 +281,6 @@ def eigenvalue_curve_by_size(
         vals = np.linalg.eigvalsh(estimate.matrices[:half, :m, :m])[:, ::-1]
         out[r] = (weights @ vals[:, :top_k]) / estimate.grid.size
     return out
-
-
-def eigengap_curve(
-    field: LatticeField, m_values, top_k: int, kernels="epanechnikov", bw=None, csv_path=None
-) -> np.ndarray:
-    """Eigen-gap diagnostic: averaged eigenvalues versus panel size.
-
-    Optionally writes a plot-ready CSV with columns
-    ``m, lambda_1, ..., lambda_<top_k>``.
-    """
-    curve = eigenvalue_curve_by_size(field, m_values, top_k, kernels, bw)
-    if csv_path is not None:
-        write_eigengap_csv(csv_path, m_values, curve)
-    return curve
 
 
 def write_eigengap_csv(path, m_values, curve: np.ndarray) -> None:

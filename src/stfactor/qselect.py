@@ -133,13 +133,13 @@ def information_criterion(system: DynamicEigenSystem, k: int, pen: PenaltySpec) 
 
 
 def select_q_fixed_c(
-    field: LatticeField, q_max: int, pen: PenaltySpec | None = None,
-    kernels="epanechnikov", bw=None, c: float = 1.0,
+    field: LatticeField, q_max: int, kernels="epanechnikov", bw=None, c: float = 1.0
 ) -> ICResult:
     """Estimate the factor count at one penalty scale.
 
     Full pipeline: spectral estimate, per-frequency eigenvalues, IC over
-    k = 0..q_max, arg-min (first index on ties).
+    k = 0..q_max, arg-min (first index on ties).  The penalty is c times
+    p(n, S1, S2, T) of this field, kernels and bandwidths.
     """
     if not 0 <= q_max < field.n:
         raise ConfigError(f"q_max={q_max} must satisfy 0 <= q_max < n={field.n}")
@@ -147,8 +147,7 @@ def select_q_fixed_c(
     if bw is None:
         bw = default_bandwidths(field.dims)
     bw = validate_bandwidths(bw, field.dims)
-    if pen is None:
-        pen = PenaltySpec(field.n, field.dims, bw, tuple(k.smoothness for k in kernels), c)
+    pen = PenaltySpec(field.n, field.dims, bw, tuple(k.smoothness for k in kernels), c)
     system = eigensystem_from_field(field, kernels, bw, q_keep=0)
     means = system.eigenvalue_means(clamp=True)
     tails = _tail_means(means, q_max)
@@ -198,6 +197,11 @@ class NoSecondIntervalError(NumericError):
         self.scan = scan
 
 
+# Stability runs shorter than this share of the c grid (or than two
+# points) are not candidates for the second interval.
+MIN_RUN_FRACTION = 0.005
+
+
 def _stable_runs(qhat_table: np.ndarray, q_full: np.ndarray):
     """Maximal index runs where all subsamples agree on one estimate.
 
@@ -228,7 +232,6 @@ def stability_scan(
     bw=None,
     seed: int = 0,
     c_manual: float | None = None,
-    min_run_fraction: float = 0.005,
 ) -> StabilityScan:
     """Calibrate the penalty scale and select the factor count.
 
@@ -243,8 +246,8 @@ def stability_scan(
     ``subsample_sizes`` defaults to n - 5j, j = 1..16 (clipped to stay
     above q_max + 2); the full size n is always included.  ``c_manual``
     bypasses interval detection and reads the estimate at the nearest
-    grid scale.  Runs shorter than ``min_run_fraction`` of the grid are
-    ignored when choosing the second interval (the reported interval
+    grid scale.  Runs shorter than :data:`MIN_RUN_FRACTION` of the grid
+    are ignored when choosing the second interval (the reported interval
     list is unfiltered).
     """
     n = field.n
@@ -316,7 +319,7 @@ def stability_scan(
         idx = int(np.argmin(np.abs(c_grid - c_manual)))
         return build(float(c_grid[idx]), int(q_full[idx]))
 
-    min_len = max(2, round(min_run_fraction * n_c))
+    min_len = max(2, round(MIN_RUN_FRACTION * n_c))
     candidates = [iv for iv in intervals if iv[1] - iv[0] + 1 >= min_len]
     if len(candidates) < 2:
         raise NoSecondIntervalError(

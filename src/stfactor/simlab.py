@@ -395,15 +395,19 @@ def run_mc_study(
     """
     if study not in ("accuracy", "comparison", "selection"):
         raise ConfigError(f"unknown study {study!r}")
+    if region not in ("all", "interior"):
+        raise ConfigError(f"unknown region {region!r}")
+    if region != "all" and study != "comparison":
+        raise ConfigError(f"region={region!r} applies to the comparison study only, not {study!r}")
+    if study == "selection" and (trunc is not None or q_fit is not None):
+        raise ConfigError("the selection study estimates q and filters nothing: "
+                          "it takes neither trunc nor q_fit")
     n_reps = cfg.n_reps if n_reps is None else int(n_reps)
     if n_reps < 1:
         raise ConfigError("n_reps must be >= 1")
     q_fit = cfg.q if q_fit is None else int(q_fit)
     if study == "selection" and c_grid is None:
         c_grid = np.arange(0, 6001) / 2000.0
-
-    if region not in ("all", "interior"):
-        raise ConfigError(f"unknown region {region!r}")
 
     def one(rep: int) -> dict:
         try:

@@ -145,6 +145,26 @@ class TestEigengap:
         lines = (tmp_path / "gap.csv").read_text().splitlines()
         assert lines[1].split(",")[0] == "36"
 
+    def test_stacked_variant_matches_library_curve(self, tmp_path):
+        from stfactor import (
+            demean, eigenvalue_curve_by_size, stack_to_time_series, stacked_series_as_field,
+        )
+
+        main(["simulate", "--model", "b", "--n", "4", "--dims", "3,3,16", "--q", "1",
+              "--seed", "9", "--output", f"{tmp_path}/x.stf"])
+        rc = main(["eigengap", "--input", f"{tmp_path}/x.stf", "--m-values", "20,50",
+                   "--topk", "3", "--bw", "1,1,3", "--gdfm", "--output", f"{tmp_path}/gap.csv"])
+        assert rc == 0
+        x = demean(load_field(tmp_path / "x.stf"))
+        stacked = demean(stacked_series_as_field(stack_to_time_series(x)))
+        expected = eigenvalue_curve_by_size(stacked, [20, 36], 3, "ep", (0, 0, 3))
+        rows = [line.split(",") for line in (tmp_path / "gap.csv").read_text().splitlines()[1:]]
+        assert [row[0] for row in rows] == ["20", "36"]  # 50 is clipped to the 36 stacked series
+        np.testing.assert_allclose([[float(v) for v in row[1:]] for row in rows], expected,
+                                   rtol=1e-12)
+        echo = json.loads((tmp_path / "gap.csv.settings.json").read_text())
+        assert echo["m_values"] == [20, 50] and echo["gdfm"] is True
+
 
 class TestMcStudy:
     def test_accuracy_smoke(self, tmp_path):
@@ -164,6 +184,17 @@ class TestMcStudy:
         assert rc == 0
         summary = json.loads((tmp_path / "mc.json").read_text())
         assert summary["settings"]["n"] == 6
+
+    @pytest.mark.parametrize("args", [
+        ["--study", "accuracy", "--region", "interior"],
+        ["--study", "selection", "--trunc", "1,1,1"],
+        ["--study", "selection", "--q-fit", "5"],
+    ], ids=["accuracy_region", "selection_trunc", "selection_q_fit"])
+    def test_flag_the_study_does_not_read_is_config_error(self, tmp_path, args):
+        rc = main(["mc-study", "--n", "12", "--dims", "5,5,6", "--q", "1", "--qmax", "3",
+                   "--reps", "1", "--bw", "2,2,2", "--output", f"{tmp_path}/mc"] + args)
+        assert rc == 2
+        assert not (tmp_path / "mc.json").exists()
 
     def test_compare_gdfm_alias(self, tmp_path):
         rc = main(["compare-gdfm", "--model", "b", "--n", "8", "--dims", "4,4,10",

@@ -6,20 +6,27 @@ import pytest
 
 from stfactor import (
     ConfigError,
+    DynamicEigenSystem,
     FrequencyGrid,
     LatticeField,
-    NumericError,
-    apply_filter_coefficients,
     demean,
     eigensystem_from_field,
     estimate_common_component,
-    filter_coefficients,
     interior_mask,
-    projection_filter,
-    truncation_ranges,
 )
-from stfactor.commoncomp import ProjectionFilter, inverse_grid_transform, validate_truncation
+from stfactor.commoncomp import validate_truncation
 from conftest import random_field
+from oracles import convolve_lags, lag_coefficients, projector_stack, truncation_ranges
+
+
+def rows_system(grid, rows):
+    """An eigensystem carrying the given (G, q, n) rows and zero eigenvalues."""
+    return DynamicEigenSystem(grid, np.zeros(rows.shape[::2]), rows, rows.shape[1])
+
+
+def at(coeffs, kappa):
+    """C(kappa) from the (2M1+1, 2M2+1, 2M3+1, n, n) coefficient array."""
+    return coeffs[tuple(k + (size - 1) // 2 for k, size in zip(kappa, coeffs.shape))]
 
 
 class TestTruncationRanges:
@@ -63,24 +70,23 @@ class TestProjectionFilter:
     def test_full_rank_is_identity(self):
         field = random_field((4, 5, 4, 6), seed=50)
         system = eigensystem_from_field(field, "ep", (1, 1, 2), q_keep=4)
-        pf = projection_filter(system, 4)
-        for g in (0, pf.grid.zero_index, pf.grid.size - 1):
-            assert np.abs(pf.khat(g) - np.eye(4)).max() <= 1e-12
+        stack = projector_stack(system, 4)
+        for g in (0, system.grid.zero_index, system.grid.size - 1):
+            assert np.abs(stack[g] - np.eye(4)).max() <= 1e-12
 
     def test_rank_one_constant_row(self):
         grid = FrequencyGrid((1, 1, 1))
         rows = np.zeros((grid.size, 1, 3), complex)
         rows[:, 0, 0] = 1.0
-        pf = ProjectionFilter(grid, rows, 1)
+        stack = projector_stack(rows_system(grid, rows), 1)
         expected = np.zeros((3, 3))
         expected[0, 0] = 1.0
-        assert np.abs(pf.khat(0) - expected).max() == 0.0
+        assert np.abs(stack[0] - expected).max() == 0.0
 
     def test_projector_algebra(self):
         field = random_field((5, 4, 4, 6), seed=51)
         system = eigensystem_from_field(field, "ep", (1, 1, 2), q_keep=2)
-        pf = projection_filter(system, 2)
-        stack = pf.khat_stack()
+        stack = projector_stack(system, 2)
         # idempotent, rank q, Hermitian, conjugate-symmetric
         sq = np.einsum("gij,gjk->gik", stack, stack)
         assert np.abs(sq - stack).max() <= 1e-8
@@ -93,61 +99,58 @@ class TestProjectionFilter:
         field = random_field((3, 4, 4, 4), seed=52)
         system = eigensystem_from_field(field, "ep", (1, 1, 1), q_keep=1)
         with pytest.raises(ConfigError):
-            projection_filter(system, 2)
+            projector_stack(system, 2)
 
 
 class TestFilterCoefficients:
     def test_identity_projector_gives_delta(self):
         field = random_field((3, 5, 5, 6), seed=53)
         system = eigensystem_from_field(field, "ep", (2, 2, 2), q_keep=3)
-        fc = filter_coefficients(projection_filter(system, 3), (2, 2, 2))
-        assert np.abs(fc.coeff((0, 0, 0)) - np.eye(3)).max() <= 1e-12
+        coeffs = lag_coefficients(system, 3, (2, 2, 2))
+        assert np.abs(at(coeffs, (0, 0, 0)) - np.eye(3)).max() <= 1e-12
         for kappa in [(1, 0, 0), (0, -1, 2), (2, 2, 2), (-1, -1, -1)]:
-            assert np.abs(fc.coeff(kappa)).max() <= 1e-12
+            assert np.abs(at(coeffs, kappa)).max() <= 1e-12
 
     def test_unit_time_shift_picks_single_lag(self):
-        # scalar transfer function e^{-i theta_3}: the inverse transform
-        # must place all mass on lag (0, 0, 1); oracle: direct DFT sum
+        # row p(theta) = (1, e^{-i theta_3}) / sqrt(2): the projector's
+        # (0, 1) entry is the transfer function e^{-i theta_3} / 2, whose
+        # inverse transform must place all mass on lag (0, 0, 1)
         grid = FrequencyGrid((1, 1, 2))
-        stack = np.exp(-1j * grid.points[:, 2])[:, None, None] * np.ones((1, 1))
-        out = inverse_grid_transform(stack, grid, (1, 1, 2))
-        oracle = np.array([
-            np.mean(np.exp(-1j * grid.points[:, 2]) * np.exp(1j * (grid.points @ kappa)))
-            for kappa in map(np.array, itertools.product((-1, 0, 1), (-1, 0, 1), (-2, -1, 0, 1, 2)))
-        ]).reshape(3, 3, 5)
-        np.testing.assert_allclose(out[..., 0, 0], oracle, atol=1e-12)
-        assert abs(out[1, 1, 3, 0, 0] - 1.0) <= 1e-12
+        rows = np.stack([np.ones(grid.size), np.exp(-1j * grid.points[:, 2])], axis=1)
+        out = lag_coefficients(rows_system(grid, rows[:, None, :] / np.sqrt(2.0)), 1, (1, 1, 2))
+        assert abs(out[1, 1, 3, 0, 1] - 0.5) <= 1e-12
         mask = np.ones((3, 3, 5), bool)
         mask[1, 1, 3] = False
-        assert np.abs(out[mask, 0, 0]).max() <= 1e-12
+        assert np.abs(out[mask, 0, 1]).max() <= 1e-12
+        # the transpose entry sits at the negated lag, the diagonal at lag 0
+        assert abs(out[1, 1, 1, 1, 0] - 0.5) <= 1e-12
+        np.testing.assert_allclose(out[1, 1, 2], 0.5 * np.eye(2), atol=1e-12)
 
     def test_round_trip_reproduces_projector(self):
         field = random_field((4, 5, 5, 6), seed=54)
         system = eigensystem_from_field(field, "ep", (2, 2, 2), q_keep=2)
-        pf = projection_filter(system, 2)
-        fc = filter_coefficients(pf)  # trunc = bw
-        grid = pf.grid
-        lags = FrequencyGrid(fc.trunc).offsets
+        coeffs = lag_coefficients(system, 2, (2, 2, 2))  # trunc = bw
+        grid = system.grid
+        lags = FrequencyGrid((2, 2, 2)).offsets
         phases = np.exp(-1j * lags @ grid.points.T)  # (L, G)
-        rebuilt = np.einsum("lij,lg->gij", fc.coeffs.astype(complex), phases)
-        stack = pf.khat_stack()
+        rebuilt = np.einsum("lij,lg->gij", coeffs.reshape(len(lags), 4, 4).astype(complex), phases)
+        stack = projector_stack(system, 2)
         assert np.abs(rebuilt - stack).max() <= 1e-9
 
     def test_coefficient_symmetry(self):
         field = random_field((4, 5, 4, 5), seed=55)
         system = eigensystem_from_field(field, "ep", (1, 1, 2), q_keep=2)
-        fc = filter_coefficients(projection_filter(system, 2), (1, 1, 2))
+        coeffs = lag_coefficients(system, 2, (1, 1, 2))
         for kappa in [(1, 0, 0), (0, 1, -2), (1, -1, 1)]:
             neg = tuple(-c for c in kappa)
-            assert np.abs(fc.coeff(neg) - fc.coeff(kappa).T).max() <= 1e-9
+            assert np.abs(at(coeffs, neg) - at(coeffs, kappa).T).max() <= 1e-9
 
     def test_broken_conjugate_symmetry_detected(self):
         grid = FrequencyGrid((1, 1, 1))
         rows = np.random.default_rng(0).standard_normal((grid.size, 1, 2)) + 1j
         rows /= np.linalg.norm(rows, axis=2, keepdims=True)
-        pf = ProjectionFilter(grid, rows, 1)
-        with pytest.raises(NumericError, match="conjugate"):
-            filter_coefficients(pf, (1, 1, 1))
+        with pytest.raises(AssertionError, match="conjugate"):
+            lag_coefficients(rows_system(grid, rows), 1, (1, 1, 1))
 
 
 def dense_convolution_oracle(coeffs, trunc, values, point):
@@ -160,7 +163,7 @@ def dense_convolution_oracle(coeffs, trunc, values, point):
         for k2 in range(lo2, hi2 + 1):
             for k3 in range(lo3, hi3 + 1):
                 src = (point[0] - k1 - 1, point[1] - k2 - 1, point[2] - k3 - 1)
-                out += coeffs.coeff((k1, k2, k3)) @ values[:, src[0], src[1], src[2]]
+                out += at(coeffs, (k1, k2, k3)) @ values[:, src[0], src[1], src[2]]
     return out
 
 
@@ -200,8 +203,7 @@ class TestCommonComponent:
         field = random_field(shape, seed=58)
         est = estimate_common_component(field, q, "ep", bw, trunc)
         system = eigensystem_from_field(field, "ep", bw, q_keep=q)
-        fc = filter_coefficients(projection_filter(system, q), trunc)
-        direct = apply_filter_coefficients(fc, field.values)
+        direct = convolve_lags(lag_coefficients(system, q, trunc), field.values)
         assert np.abs(est.chi - direct).max() <= 1e-11 * max(1.0, np.abs(direct).max())
 
     def test_matches_dense_oracle_on_sample_points(self):
@@ -209,9 +211,9 @@ class TestCommonComponent:
         q, bw, trunc = 1, (1, 1, 2), (1, 1, 1)
         est = estimate_common_component(field, q, "ep", bw, trunc)
         system = eigensystem_from_field(field, "ep", bw, q_keep=q)
-        fc = filter_coefficients(projection_filter(system, q), trunc)
+        coeffs = lag_coefficients(system, q, trunc)
         for point in [(1, 1, 1), (2, 3, 3), (4, 4, 5), (1, 4, 2), (3, 2, 4)]:
-            oracle = dense_convolution_oracle(fc, trunc, field.values, point)
+            oracle = dense_convolution_oracle(coeffs, trunc, field.values, point)
             got = est.chi[:, point[0] - 1, point[1] - 1, point[2] - 1]
             np.testing.assert_allclose(got, oracle, atol=1e-11)
 
@@ -219,28 +221,26 @@ class TestCommonComponent:
         field = random_field((2, 6, 6, 7), seed=60)
         q, bw, trunc = 1, (2, 2, 2), (1, 1, 1)
         system = eigensystem_from_field(field, "ep", bw, q_keep=q)
-        fc = filter_coefficients(projection_filter(system, q), trunc)
+        coeffs = lag_coefficients(system, q, trunc)
         est = estimate_common_component(field, q, "ep", bw, trunc)
         # plain dense convolution with no clipping, valid region only
-        lags = fc.lags
         dims = field.dims
         inner = np.zeros((2, dims[0] - 2, dims[1] - 2, dims[2] - 2))
-        for idx in range(len(lags)):
-            k1, k2, k3 = (int(v) for v in lags[idx])
+        for k1, k2, k3 in itertools.product((-1, 0, 1), repeat=3):
             block = field.values[:, 1 - k1:dims[0] - 1 - k1, 1 - k2:dims[1] - 1 - k2,
                                  1 - k3:dims[2] - 1 - k3]
-            inner += np.tensordot(fc.coeffs[idx], block, axes=(1, 0))
+            inner += np.tensordot(at(coeffs, (k1, k2, k3)), block, axes=(1, 0))
         interior = est.chi[:, 1:-1, 1:-1, 1:-1]
         np.testing.assert_allclose(interior, inner, atol=1e-11)
 
     def test_convolution_stage_linearity(self):
         field = random_field((3, 5, 5, 6), seed=61)
         system = eigensystem_from_field(field, "ep", (1, 1, 2), q_keep=2)
-        fc = filter_coefficients(projection_filter(system, 2), (1, 1, 1))
+        coeffs = lag_coefficients(system, 2, (1, 1, 1))
         x = np.random.default_rng(1).standard_normal(field.values.shape)
         y = np.random.default_rng(2).standard_normal(field.values.shape)
-        combo = apply_filter_coefficients(fc, 2.0 * x - 3.0 * y)
-        parts = 2.0 * apply_filter_coefficients(fc, x) - 3.0 * apply_filter_coefficients(fc, y)
+        combo = convolve_lags(coeffs, 2.0 * x - 3.0 * y)
+        parts = 2.0 * convolve_lags(coeffs, x) - 3.0 * convolve_lags(coeffs, y)
         scale = np.abs(parts).max()
         assert np.abs(combo - parts).max() <= 1e-12 * scale
 
@@ -257,9 +257,9 @@ class TestCommonComponent:
         values = values + 1e-3 * np.random.default_rng(4).standard_normal((n,) + dims)
         field = demean(LatticeField(values))
         system = eigensystem_from_field(field, "ep", b, q_keep=1)
-        fc = filter_coefficients(projection_filter(system, 1), b)
-        once = apply_filter_coefficients(fc, field.values)
-        twice = apply_filter_coefficients(fc, once)
+        coeffs = lag_coefficients(system, 1, b)
+        once = convolve_lags(coeffs, field.values)
+        twice = convolve_lags(coeffs, once)
         m = b[2]
         sl = slice(2 * m, dims[2] - 2 * m)
         scale = np.abs(once[..., sl]).max()

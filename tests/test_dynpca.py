@@ -8,15 +8,14 @@ from stfactor import (
     DynamicEigenSystem,
     FrequencyGrid,
     LatticeField,
-    averaged_eigenvalues,
     demean,
     eigendecompose_all,
     eigensystem_from_field,
     eigenvalue_curve_by_size,
-    eigengap_curve,
     estimate_spectral_density,
     subfield,
 )
+from stfactor.dynpca import write_eigengap_csv
 from stfactor.spectral import AutocovarianceSet, SpectralDensityEstimate, make_kernel
 from conftest import random_field
 
@@ -106,7 +105,7 @@ class TestAveragedEigenvalues:
     def test_constant_case(self):
         est = synthetic_estimate(lambda th: np.diag([3.0, 2.0, 1.0]))
         system = eigendecompose_all(est, 0)
-        np.testing.assert_allclose(averaged_eigenvalues(system, 3), [3.0, 2.0, 1.0], atol=1e-14)
+        np.testing.assert_allclose(system.eigenvalue_means()[:3], [3.0, 2.0, 1.0], atol=1e-14)
 
     def test_is_arithmetic_grid_mean(self):
         grid = FrequencyGrid((1, 1, 1))
@@ -114,23 +113,24 @@ class TestAveragedEigenvalues:
         vals.sort(axis=1)
         vals = vals[:, ::-1].copy()
         system = DynamicEigenSystem(grid, vals, np.zeros((grid.size, 0, 4), complex), 0)
-        np.testing.assert_allclose(averaged_eigenvalues(system, 4), vals.mean(axis=0), rtol=1e-15)
+        np.testing.assert_allclose(system.eigenvalue_means()[:4], vals.mean(axis=0), rtol=1e-15)
 
     def test_white_noise_band(self):
         # flat-spectrum oracle: population eigenvalues are all 1; the
         # lattice is sized so ordering bias stays inside the band
         field = random_field((4, 16, 16, 16), seed=24)
         system = eigensystem_from_field(field, "ep", (3, 3, 3))
-        avg = averaged_eigenvalues(system, 4)
+        avg = system.eigenvalue_means()[:4]
         assert np.all(avg >= 0.7) and np.all(avg <= 1.3)
 
 
 class TestGramRoute:
     def test_matches_standard_route(self):
-        # more series than lattice points: both routes must agree
+        # more series than lattice points: the Gram route that
+        # eigensystem_from_field takes must agree with the standard one
         field = random_field((12, 2, 2, 2), seed=25)
-        std = eigensystem_from_field(field, "ep", (1, 1, 1), q_keep=3, route="standard")
-        gram = eigensystem_from_field(field, "ep", (1, 1, 1), q_keep=3, route="gram")
+        std = eigendecompose_all(estimate_spectral_density(field, "ep", (1, 1, 1)), 3)
+        gram = eigensystem_from_field(field, "ep", (1, 1, 1), q_keep=3)
         rank = field.lattice_size
         scale = std.eigenvalues.max()
         assert np.abs(std.eigenvalues[:, :rank] - gram.eigenvalues[:, :rank]).max() <= 1e-8 * scale
@@ -142,12 +142,17 @@ class TestGramRoute:
     def test_auto_route_by_shape(self):
         tall = random_field((12, 2, 2, 2), seed=26)
         wide = random_field((3, 4, 4, 4), seed=27)
-        assert eigensystem_from_field(tall, "ep", (1, 1, 1)).n == 12
-        assert eigensystem_from_field(wide, "ep", (1, 1, 2)).n == 3
+        tall_system = eigensystem_from_field(tall, "ep", (1, 1, 1))
+        wide_system = eigensystem_from_field(wide, "ep", (1, 1, 2))
+        assert tall_system.n == 12 and wide_system.n == 3
+        # the Gram route fills the eigenvalues past rank V = 8 with exact zeros
+        assert np.all(tall_system.eigenvalues[:, tall.lattice_size:] == 0.0)
+        standard = eigendecompose_all(estimate_spectral_density(wide, "ep", (1, 1, 2)), 0)
+        assert np.array_equal(wide_system.eigenvalues, standard.eigenvalues)
 
     def test_gram_rows_orthonormal_and_paired(self):
         field = random_field((20, 2, 2, 3), seed=28)
-        system = eigensystem_from_field(field, "ep", (1, 1, 1), q_keep=4, route="gram")
+        system = eigensystem_from_field(field, "ep", (1, 1, 1), q_keep=4)  # Gram route
         gram = np.einsum("gqi,gpi->gqp", system.eigenvectors, np.conj(system.eigenvectors))
         assert np.abs(gram - np.eye(4)[None]).max() <= 1e-10
         assert np.array_equal(system.eigenvectors[::-1], np.conj(system.eigenvectors))
@@ -158,14 +163,14 @@ class TestEigengapCurve:
         field = random_field((3, 4, 4, 5), seed=29)
         curve = eigenvalue_curve_by_size(field, [1], 1, "ep", (1, 1, 2))
         solo = eigensystem_from_field(subfield(field, 1), "ep", (1, 1, 2))
-        np.testing.assert_allclose(curve[0, 0], averaged_eigenvalues(solo, 1)[0], rtol=1e-10)
+        np.testing.assert_allclose(curve[0, 0], solo.eigenvalue_means()[0], rtol=1e-10)
 
     def test_matches_direct_subfield_estimation(self):
         field = random_field((6, 4, 4, 5), seed=30)
         curve = eigenvalue_curve_by_size(field, [3, 6], 3, "ep", (1, 1, 2))
         for row, m in zip(curve, (3, 6)):
             sub = eigensystem_from_field(subfield(field, m), "ep", (1, 1, 2))
-            np.testing.assert_allclose(row, averaged_eigenvalues(sub, 3), rtol=1e-10)
+            np.testing.assert_allclose(row, sub.eigenvalue_means()[:3], rtol=1e-10)
 
     def test_interlacing_in_panel_size(self):
         field = random_field((8, 4, 4, 6), seed=31)
@@ -175,7 +180,8 @@ class TestEigengapCurve:
     def test_csv_output(self, tmp_path):
         field = random_field((4, 3, 3, 4), seed=32)
         path = tmp_path / "curve.csv"
-        curve = eigengap_curve(field, [2, 4], 2, "ep", (1, 1, 1), csv_path=path)
+        curve = eigenvalue_curve_by_size(field, [2, 4], 2, "ep", (1, 1, 1))
+        write_eigengap_csv(path, [2, 4], curve)
         with open(path) as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["m", "lambda_1", "lambda_2"]
