@@ -14,6 +14,7 @@ from .errors import ConfigError, DataError, NumericError
 from .field import (
     LatticeField,
     StackedSeries,
+    as_demeaned_field,
     demean,
     load_field,
     stack_to_time_series,
@@ -39,16 +40,7 @@ from .dynpca import (
     eigensystem_from_field,
     eigenvalue_curve_by_size,
 )
-from .qselect import (
-    ICResult,
-    NoSecondIntervalError,
-    PenaltySpec,
-    StabilityScan,
-    information_criterion,
-    penalty_value,
-    select_q_fixed_c,
-    stability_scan,
-)
+from .qselect import NoSecondIntervalError, StabilityScan, penalty_value, stability_scan
 from .commoncomp import (
     CommonComponentEstimate,
     estimate_common_component,
@@ -68,4 +60,19 @@ from .simlab import (
     substream,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "ConfigError", "DataError", "NumericError",
+    "LatticeField", "StackedSeries", "as_demeaned_field", "demean", "load_field",
+    "stack_to_time_series", "stacked_series_as_field", "store_field", "subfield",
+    "unstack_values",
+    "AutocovarianceSet", "FrequencyGrid", "Kernel", "SpectralDensityEstimate",
+    "default_bandwidths", "estimate_spectral_density", "export_spectral_json", "make_kernel",
+    "sample_autocovariance",
+    "DynamicEigenSystem", "eigendecompose_all", "eigensystem_from_field",
+    "eigenvalue_curve_by_size",
+    "NoSecondIntervalError", "StabilityScan", "penalty_value", "stability_scan",
+    "CommonComponentEstimate", "estimate_common_component", "interior_mask",
+    "GdfmResult", "MCResult", "SimConfig", "error_metrics", "gdfm_baseline", "run_mc_study",
+    "simulate_field", "simulate_idio_correlated", "simulate_model_a", "simulate_model_b",
+    "substream",
+]

@@ -19,6 +19,7 @@ from . import __version__
 from .errors import ConfigError, DataError, NumericError
 from .field import (
     LatticeField,
+    as_demeaned_field,
     demean,
     load_field,
     stack_to_time_series,
@@ -31,8 +32,6 @@ from .commoncomp import estimate_common_component
 from .qselect import NoSecondIntervalError, scan_summary_json, scan_to_csv, stability_scan
 from .simlab import (
     SimConfig,
-    _as_demeaned_field,
-    gdfm_baseline,
     run_mc_study,
     simulate_field,
     write_mc_csv,
@@ -154,7 +153,7 @@ def cmd_eigengap(args) -> int:
     if args.gdfm:
         # the purely temporal variant: every (series, site) pair is one series
         stacked = stacked_series_as_field(stack_to_time_series(field))
-        curve_field = _as_demeaned_field(stacked.values)
+        curve_field = as_demeaned_field(stacked.values)
         curve_bw = (0, 0, bw[2] if bw else default_bandwidths((1, 1, field.dims[2]))[2])
         sizes = [min(m, curve_field.n) for m in m_values]
     else:
@@ -170,20 +169,30 @@ def cmd_eigengap(args) -> int:
 
 
 def _mc_common(args, study: str) -> int:
-    overrides = {}
+    # the design from the flags; a --config JSON object may override any of it
+    design = {
+        "model": "model_a" if args.model == "a" else "model_b",
+        "n": args.n,
+        "dims": _parse_triple(args.dims, "dims"),
+        "q": args.q,
+        "idio": "correlated" if args.idio == "correlated" else "iid_gaussian",
+        "seed": args.seed,
+        "r_a": args.ra,
+        "n_reps": args.reps,
+    }
     if args.config:
-        with open(args.config, "r", encoding="ascii") as fh:
-            overrides = json.load(fh)
-    cfg = SimConfig(
-        model=overrides.get("model", "model_a" if args.model == "a" else "model_b"),
-        n=overrides.get("n", args.n),
-        dims=tuple(overrides.get("dims", _parse_triple(args.dims, "dims"))),
-        q=overrides.get("q", args.q),
-        idio=overrides.get("idio", "correlated" if args.idio == "correlated" else "iid_gaussian"),
-        seed=overrides.get("seed", args.seed),
-        r_a=overrides.get("r_a", args.ra),
-        n_reps=overrides.get("n_reps", args.reps),
-    )
+        try:
+            with open(args.config, "r", encoding="ascii") as fh:
+                overrides = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read --config {args.config}: {exc}") from None
+        if not isinstance(overrides, dict):
+            raise ConfigError("--config must hold a JSON object")
+        unknown = sorted(set(overrides) - set(design))
+        if unknown:
+            raise ConfigError(f"unknown --config keys {unknown}; known keys are {list(design)}")
+        design.update(overrides)
+    cfg = SimConfig(**{**design, "dims": tuple(design["dims"])})
     bw = _parse_triple(args.bw, "bw") if args.bw else None
     trunc = _parse_triple(args.trunc, "trunc") if args.trunc else None
     result = run_mc_study(
@@ -269,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--dims", default="20,20,20")
         p.add_argument("--q", type=int, default=2)
         p.add_argument("--q-fit", type=int, default=None, dest="q_fit")
-        p.add_argument("--qmax", type=int, default=10)
+        p.add_argument("--qmax", type=int, default=None, help="selection study only")
         p.add_argument("--idio", choices=["iid", "correlated"], default="iid")
         p.add_argument("--ra", type=int, default=40)
         p.add_argument("--reps", type=int, default=20)

@@ -49,20 +49,14 @@ import numpy as np
 from .errors import ConfigError
 from .field import LatticeField
 from .dynpca import DynamicEigenSystem, eigensystem_from_field
-from .spectral import default_bandwidths, resolve_kernels, validate_bandwidths
+from .spectral import resolve_kernels, validate_bandwidths
 
 __all__ = [
-    "default_truncation",
     "validate_truncation",
     "interior_mask",
     "CommonComponentEstimate",
     "estimate_common_component",
 ]
-
-
-def default_truncation(bw) -> tuple[int, int, int]:
-    """Default truncation M_d = B_d (maximal alias-free window)."""
-    return tuple(int(b) for b in bw)
 
 
 def validate_truncation(trunc, bw, dims) -> tuple[int, int, int]:
@@ -167,11 +161,6 @@ class CommonComponentEstimate:
     mask: np.ndarray
     settings: dict
 
-    @property
-    def interior(self) -> np.ndarray:
-        """chi restricted to interior points, shape (n, #interior)."""
-        return self.chi[:, self.mask]
-
     def energy_split(self, values: np.ndarray) -> dict:
         """Decomposition diagnostics of x = chi + residual.
 
@@ -212,12 +201,9 @@ def estimate_common_component(
     if not 0 <= q <= field.n:
         raise ConfigError(f"q={q} out of range 0..{field.n}")
     kernels = resolve_kernels(kernels)
-    if bw is None:
-        bw = default_bandwidths(field.dims)
     bw = validate_bandwidths(bw, field.dims)
-    if trunc is None:
-        trunc = default_truncation(bw)
-    trunc = validate_truncation(trunc, bw, field.dims)
+    # default truncation M_d = B_d, the widest alias-free window
+    trunc = validate_truncation(bw if trunc is None else trunc, bw, field.dims)
     system = eigensystem_from_field(field, kernels, bw, q_keep=q)
     top = system.eigenvalues[:, : max(q, 1)]
     if q > 0 and np.all(top <= 0):

@@ -31,7 +31,6 @@ from .field import LatticeField
 from .spectral import (
     FrequencyGrid,
     SpectralDensityEstimate,
-    default_bandwidths,
     estimate_spectral_density,
     resolve_kernels,
     validate_bandwidths,
@@ -65,12 +64,9 @@ class DynamicEigenSystem:
     def n(self) -> int:
         return self.eigenvalues.shape[1]
 
-    def eigenvalue_means(self, clamp: bool = False) -> np.ndarray:
+    def eigenvalue_means(self) -> np.ndarray:
         """Grid-averaged eigenvalues (1/G) sum_theta lambda_j(theta)."""
-        vals = self.eigenvalues
-        if clamp:
-            vals = np.maximum(vals, 0.0)
-        return vals.mean(axis=0)
+        return self.eigenvalues.mean(axis=0)
 
 
 def _fix_phases(rows: np.ndarray) -> np.ndarray:
@@ -232,8 +228,6 @@ def eigensystem_from_field(
     """
     if not field.demeaned:
         raise ConfigError("eigensystem_from_field requires a demeaned field")
-    if bw is None:
-        bw = default_bandwidths(field.dims)
     bw = validate_bandwidths(bw, field.dims)
     if field.lattice_size < field.n:
         x2d = field.values.reshape(field.n, -1)
@@ -264,8 +258,6 @@ def eigenvalue_curve_by_size(
         raise ConfigError(f"subpanel sizes must lie in 1..{field.n}")
     if top_k > min(m_values):
         raise ConfigError(f"top_k={top_k} exceeds smallest subpanel size {min(m_values)}")
-    if bw is None:
-        bw = default_bandwidths(field.dims)
     bw = validate_bandwidths(bw, field.dims)
     out = np.empty((len(m_values), top_k))
     if field.lattice_size < field.n:

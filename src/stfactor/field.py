@@ -36,6 +36,7 @@ __all__ = [
     "LatticeField",
     "StackedSeries",
     "demean",
+    "as_demeaned_field",
     "subfield",
     "stack_to_time_series",
     "stacked_series_as_field",
@@ -135,6 +136,19 @@ def demean(field: LatticeField) -> LatticeField:
     centered = field.values - means[:, None, None, None]
     centered -= centered.mean(axis=(1, 2, 3))[:, None, None, None]
     return LatticeField(centered, demeaned=True, series_means=means)
+
+
+def as_demeaned_field(values: np.ndarray) -> LatticeField:
+    """Demeaned field of ``values``, which are kept unchanged if already demeaned.
+
+    Values whose series means already pass the demeaned check are used
+    as they are, so pipelines fed with demeaned inputs reuse the
+    identical values; all others go through :func:`demean`.
+    """
+    try:
+        return LatticeField(values, demeaned=True)
+    except DataError:
+        return demean(LatticeField(values))
 
 
 def subfield(field: LatticeField, m: int) -> LatticeField:

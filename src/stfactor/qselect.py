@@ -7,11 +7,15 @@ tail after removing k components:
             + k * c * p(n, S1, S2, T),
 
 minimized over k = 0..q_max.  Negative estimated eigenvalues (possible
-under non-positive lag windows) are clamped to zero inside the tail
-sums.  The penalty scale c is calibrated by a stability scan: the
-estimate is repeated over nested cross-sectional subsamples (after one
-seeded random permutation of the series) and, for every c on a grid,
-the across-subsample variance
+under non-positive lag windows) count as zero inside the tail sums.
+The reference for the criterion is ``tests/oracles.py``, which
+evaluates it at fixed c from full-grid eigenvalues; the scan's
+full-sample estimate is checked against it.
+
+The penalty scale c is calibrated by a stability scan: the estimate is
+repeated over nested cross-sectional subsamples (after one seeded
+random permutation of the series) and, for every c on a grid, the
+across-subsample variance
 
     S_c = (1/J) sum_j ( qhat_c^(n_j) - mean_j qhat_c^(n_j) )^2
 
@@ -32,9 +36,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericError
 from .field import LatticeField
-from .dynpca import DynamicEigenSystem, eigensystem_from_field
 from .spectral import (
-    default_bandwidths,
     resolve_kernels,
     sample_autocovariance,
     spectral_from_autocovariance,
@@ -43,31 +45,13 @@ from .spectral import (
 )
 
 __all__ = [
-    "PenaltySpec",
     "penalty_value",
-    "information_criterion",
-    "ICResult",
-    "select_q_fixed_c",
     "StabilityScan",
     "stability_scan",
     "NoSecondIntervalError",
     "scan_to_csv",
     "scan_summary_json",
 ]
-
-
-@dataclass(frozen=True)
-class PenaltySpec:
-    """Inputs of the factor-count penalty p(n, S1, S2, T), times a scale c."""
-
-    n: int
-    dims: tuple[int, int, int]
-    bw: tuple[int, int, int]
-    smoothness: tuple[float, float, float] = (2.0, 2.0, 2.0)
-    c: float = 1.0
-
-    def value(self) -> float:
-        return self.c * penalty_value(self.n, self.dims, self.bw, self.smoothness)
 
 
 def penalty_value(n, dims, bw, smoothness=(2.0, 2.0, 2.0)) -> float:
@@ -96,63 +80,11 @@ def penalty_value(n, dims, bw, smoothness=(2.0, 2.0, 2.0)) -> float:
     return rate * math.log(level)
 
 
-def _tail_means(clamped_grid_means: np.ndarray, q_max: int) -> np.ndarray:
+def _tail_means(grid_means: np.ndarray, q_max: int) -> np.ndarray:
     """Bracketed IC averages (1/n) sum_{j>k} lambda_bar_j for k = 0..q_max."""
-    n = clamped_grid_means.shape[0]
-    rev = np.concatenate([[0.0], np.cumsum(clamped_grid_means[::-1])])[::-1]
+    n = grid_means.shape[0]
+    rev = np.concatenate([[0.0], np.cumsum(grid_means[::-1])])[::-1]
     return rev[: q_max + 1] / n
-
-
-def _ic_from_tails(tails: np.ndarray, pen) -> np.ndarray:
-    """IC(k) = log tails[k] + k * pen for k = 0..q_max.
-
-    ``pen`` is a scalar (result shape (q_max+1,)) or a vector of
-    penalties (result shape (len(pen), q_max+1), one row per penalty).
-    """
-    if np.any(tails <= 0.0):
-        raise NumericError("degenerate spectrum: eigenvalue tail sum is not positive")
-    return np.log(tails) + np.multiply.outer(pen, np.arange(tails.shape[0]))
-
-
-@dataclass(frozen=True)
-class ICResult:
-    """Information criterion values over k and the arg-min estimate."""
-
-    values: np.ndarray
-    q_hat: int
-    eigen_tail_sums: np.ndarray
-
-
-def information_criterion(system: DynamicEigenSystem, k: int, pen: PenaltySpec) -> float:
-    """IC(k) from a decomposed eigensystem (all n eigenvalues needed)."""
-    if not 0 <= k <= system.n:
-        raise ConfigError(f"k={k} out of range 0..{system.n}")
-    means = system.eigenvalue_means(clamp=True)
-    tails = _tail_means(means, k)
-    return float(_ic_from_tails(tails, pen.value())[k])
-
-
-def select_q_fixed_c(
-    field: LatticeField, q_max: int, kernels="epanechnikov", bw=None, c: float = 1.0
-) -> ICResult:
-    """Estimate the factor count at one penalty scale.
-
-    Full pipeline: spectral estimate, per-frequency eigenvalues, IC over
-    k = 0..q_max, arg-min (first index on ties).  The penalty is c times
-    p(n, S1, S2, T) of this field, kernels and bandwidths.
-    """
-    if not 0 <= q_max < field.n:
-        raise ConfigError(f"q_max={q_max} must satisfy 0 <= q_max < n={field.n}")
-    kernels = resolve_kernels(kernels)
-    if bw is None:
-        bw = default_bandwidths(field.dims)
-    bw = validate_bandwidths(bw, field.dims)
-    pen = PenaltySpec(field.n, field.dims, bw, tuple(k.smoothness for k in kernels), c)
-    system = eigensystem_from_field(field, kernels, bw, q_keep=0)
-    means = system.eigenvalue_means(clamp=True)
-    tails = _tail_means(means, q_max)
-    values = _ic_from_tails(tails, pen.value())
-    return ICResult(values, int(np.argmin(values)), tails)
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +191,6 @@ def stability_scan(
     if np.any(np.diff(c_grid) <= 0) or c_grid[0] < 0:
         raise ConfigError("c_grid must be non-negative and strictly increasing")
     kernels = resolve_kernels(kernels)
-    if bw is None:
-        bw = default_bandwidths(field.dims)
     bw = validate_bandwidths(bw, field.dims)
     if subsample_sizes is None:
         sizes = [n - 5 * j for j in range(1, 17) if n - 5 * j > max(q_max + 2, 2)]
@@ -289,10 +219,13 @@ def stability_scan(
         vals = np.linalg.eigvalsh(estimate.matrices[:half, :m, :m])[:, ::-1]
         means = (weights @ np.maximum(vals, 0.0)) / gsize
         pen = penalty_value(m, field.dims, bw, smoothness)
-        try:
-            scores = _ic_from_tails(_tail_means(means, q_max), c_grid * pen)
-        except NumericError as exc:
-            raise NumericError(f"{exc} on subsample of size {m}") from None
+        tails = _tail_means(means, q_max)
+        if np.any(tails <= 0.0):
+            raise NumericError(
+                f"degenerate spectrum: eigenvalue tail sum is not positive on subsample of size {m}"
+            )
+        # IC(k) = log tails[k] + k * c * pen, one row per c
+        scores = np.log(tails) + np.multiply.outer(c_grid * pen, np.arange(q_max + 1))
         qhat[:, j] = np.argmin(scores, axis=1)
 
     q_full = qhat[:, -1]

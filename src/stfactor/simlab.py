@@ -34,9 +34,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, NumericError
 from .field import (
     LatticeField,
+    as_demeaned_field,
     demean,
     stack_to_time_series,
     stacked_series_as_field,
@@ -264,15 +265,6 @@ class GdfmResult:
     mask: np.ndarray
 
 
-def _as_demeaned_field(values: np.ndarray) -> LatticeField:
-    # Accept data that is already (numerically) zero-mean unchanged, so
-    # pipelines fed with demeaned inputs reuse the identical values.
-    try:
-        return LatticeField(values, demeaned=True)
-    except DataError:
-        return demean(LatticeField(values))
-
-
 def gdfm_baseline(
     field: LatticeField, q: int, kernels="epanechnikov", bw_t=None, trunc_t=None
 ) -> GdfmResult:
@@ -286,7 +278,7 @@ def gdfm_baseline(
     truth.
     """
     stacked = stack_to_time_series(field)
-    sf = _as_demeaned_field(stacked_series_as_field(stacked).values)
+    sf = as_demeaned_field(stacked_series_as_field(stacked).values)
     t_extent = field.dims[2]
     if bw_t is None:
         bw_t = default_bandwidths((1, 1, t_extent))[2]
@@ -380,7 +372,7 @@ def run_mc_study(
     kernels="epanechnikov",
     bw=None,
     trunc=None,
-    q_max: int = 10,
+    q_max: int | None = None,
     c_grid=None,
     subsample_sizes=None,
     threads: int = 1,
@@ -391,7 +383,9 @@ def run_mc_study(
     Replication r draws every random object from substreams keyed by
     (cfg.seed, r), so the result is independent of execution order and
     of ``threads``; any failing replication aborts the study naming its
-    index and seed.
+    index and seed.  ``q_max`` (default 10), ``c_grid`` (default
+    0:0.0005:3) and ``subsample_sizes`` are read by the selection study
+    only; giving one to another study is an error.
     """
     if study not in ("accuracy", "comparison", "selection"):
         raise ConfigError(f"unknown study {study!r}")
@@ -402,12 +396,17 @@ def run_mc_study(
     if study == "selection" and (trunc is not None or q_fit is not None):
         raise ConfigError("the selection study estimates q and filters nothing: "
                           "it takes neither trunc nor q_fit")
+    scan_args = {"q_max": q_max, "c_grid": c_grid, "subsample_sizes": subsample_sizes}
+    unread = [name for name, value in scan_args.items() if value is not None]
+    if study != "selection" and unread:
+        raise ConfigError(f"{', '.join(unread)}: read by the selection study only, not {study!r}")
     n_reps = cfg.n_reps if n_reps is None else int(n_reps)
     if n_reps < 1:
         raise ConfigError("n_reps must be >= 1")
     q_fit = cfg.q if q_fit is None else int(q_fit)
-    if study == "selection" and c_grid is None:
-        c_grid = np.arange(0, 6001) / 2000.0
+    if study == "selection":
+        q_max = 10 if q_max is None else q_max
+        c_grid = np.arange(0, 6001) / 2000.0 if c_grid is None else c_grid
 
     def one(rep: int) -> dict:
         try:
@@ -430,7 +429,7 @@ def run_mc_study(
     settings = {
         "model": cfg.model, "n": cfg.n, "dims": list(cfg.dims), "q": cfg.q,
         "idio": cfg.idio, "r_a": cfg.r_a, "study": study, "q_fit": q_fit,
-        "q_max": q_max if study == "selection" else None,
+        "q_max": q_max,
         "kernels": kernels if isinstance(kernels, str) else "per-axis",
         "bw": None if bw is None else list(bw),
         "trunc": None if trunc is None else list(trunc),

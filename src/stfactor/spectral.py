@@ -122,6 +122,9 @@ def default_bandwidths(dims) -> tuple[int, int, int]:
 
 
 def validate_bandwidths(bw, dims) -> tuple[int, int, int]:
+    """Checked bandwidth triple; ``None`` selects :func:`default_bandwidths`."""
+    if bw is None:
+        bw = default_bandwidths(dims)
     bw = tuple(int(b) for b in bw)
     if len(bw) != 3:
         raise ConfigError("bandwidths must be a triple (B_S1, B_S2, B_T)")
@@ -167,9 +170,6 @@ class FrequencyGrid:
     def half_count(self) -> int:
         """Number of grid points in the non-redundant half (zero included)."""
         return self.zero_index + 1
-
-    def negation(self, g: int) -> int:
-        return self.size - 1 - g
 
     def axis_offsets(self, axis: int) -> np.ndarray:
         b = self.bandwidths[axis]
@@ -218,20 +218,13 @@ class AutocovarianceSet:
     window: tuple[int, int, int]
     gammas: np.ndarray
 
-    @property
-    def lags(self) -> np.ndarray:
-        return FrequencyGrid(self.window).offsets
-
-    def lag_index(self, h) -> int:
+    def gamma(self, h) -> np.ndarray:
+        """Gamma_hat(h) for one lag triple."""
         b1, b2, b3 = self.window
         h1, h2, h3 = h
         if abs(h1) > b1 or abs(h2) > b2 or abs(h3) > b3:
             raise ConfigError(f"lag {tuple(h)} outside window {self.window}")
-        return ((h1 + b1) * (2 * b2 + 1) + (h2 + b2)) * (2 * b3 + 1) + (h3 + b3)
-
-    def gamma(self, h) -> np.ndarray:
-        """Gamma_hat(h) for one lag triple."""
-        return self.gammas[self.lag_index(h)]
+        return self.gammas[((h1 + b1) * (2 * b2 + 1) + (h2 + b2)) * (2 * b3 + 1) + (h3 + b3)]
 
 
 def _next_fast_len(target: int) -> int:
@@ -317,9 +310,6 @@ class SpectralDensityEstimate:
     def n(self) -> int:
         return self.matrices.shape[1]
 
-    def at(self, g: int) -> np.ndarray:
-        return self.matrices[g]
-
 
 def kernel_lag_weights(kernels, window) -> np.ndarray:
     """Product kernel weights K1(h1/B1) K2(h2/B2) K3(h3/B3) per lag."""
@@ -381,11 +371,7 @@ def estimate_spectral_density(
     """
     if not field.demeaned:
         raise ConfigError("estimate_spectral_density requires a demeaned field")
-    if bw is None:
-        bw = default_bandwidths(field.dims)
-    bw = validate_bandwidths(bw, field.dims)
-    autocov = sample_autocovariance(field, bw)
-    return spectral_from_autocovariance(autocov, kernels)
+    return spectral_from_autocovariance(sample_autocovariance(field, bw), kernels)
 
 
 def export_spectral_json(estimate: SpectralDensityEstimate, target) -> None:

@@ -1,17 +1,25 @@
-"""Lag-domain reference for the common-component filter.
+"""Plain-function references for the common-component filter and the IC.
 
 The library filters in the frequency domain (project, then window).
-These functions compute the same estimate as the paper writes it: the
-real lag coefficients C(kappa) = (1/G) sum_theta P(theta)^dag P(theta)
-e^{i<kappa,theta>} as a direct sum over the grid, then their convolution
-over the lattice with the window clipped at the boundary.
+The filter functions below compute the same estimate as the paper
+writes it: the real lag coefficients C(kappa) = (1/G) sum_theta
+P(theta)^dag P(theta) e^{i<kappa,theta>} as a direct sum over the grid,
+then their convolution over the lattice with the window clipped at the
+boundary.
+
+The library selects the factor count by a stability scan that scores
+the information criterion on half-grid eigenvalues for a whole grid of
+penalty scales.  ``information_criterion`` and ``select_q_fixed_c``
+evaluate the criterion as the paper writes it, at fixed scales, from the
+full-grid eigenvalues of one eigensystem.
 """
 
 import itertools
 
 import numpy as np
 
-from stfactor import ConfigError, FrequencyGrid
+from stfactor import ConfigError, FrequencyGrid, NumericError, eigensystem_from_field, penalty_value
+from stfactor.spectral import resolve_kernels, validate_bandwidths
 
 # the imaginary part of C(kappa) must be rounding noise next to the real part
 COEFF_IMAG_RTOL = 1e-9
@@ -58,3 +66,30 @@ def truncation_ranges(point, dims, trunc):
             raise ConfigError(f"lattice point {tuple(point)} outside extents {tuple(dims)}")
         out += [max(coord - dim, -m), min(coord - 1, m)]
     return tuple(out)
+
+
+def information_criterion(eigenvalues, q_max, pen):
+    """IC(k) for k = 0..q_max from (G, n) eigenvalues on the full grid.
+
+    IC(k) = log[(1/n) sum_{j>k} mean_theta max(lambda_j(theta), 0)] + k * pen,
+    with the tail sums taken directly; ``pen`` is one penalty or a vector
+    of them (then one row of IC per penalty).
+    """
+    n = eigenvalues.shape[1]
+    if not 0 <= q_max < n:
+        raise ConfigError(f"q_max={q_max} must satisfy 0 <= q_max < n={n}")
+    means = np.maximum(eigenvalues, 0.0).mean(axis=0)
+    tails = np.array([means[k:].sum() / n for k in range(q_max + 1)])
+    if np.any(tails <= 0.0):
+        raise NumericError("degenerate spectrum: eigenvalue tail sum is not positive")
+    return np.log(tails) + np.multiply.outer(pen, np.arange(q_max + 1))
+
+
+def select_q_fixed_c(field, q_max, kernels="epanechnikov", bw=None, c=1.0):
+    """(IC values, arg-min) at penalty c * penalty_value, c a scale or a vector."""
+    kernels = resolve_kernels(kernels)
+    bw = validate_bandwidths(bw, field.dims)
+    pen = penalty_value(field.n, field.dims, bw, tuple(k.smoothness for k in kernels))
+    system = eigensystem_from_field(field, kernels, bw)
+    values = information_criterion(system.eigenvalues, q_max, np.multiply(c, pen))
+    return values, np.argmin(values, axis=-1)

@@ -14,6 +14,7 @@ import pytest
 from stfactor import (
     LatticeField,
     SimConfig,
+    as_demeaned_field,
     demean,
     eigensystem_from_field,
     eigenvalue_curve_by_size,
@@ -29,7 +30,6 @@ from stfactor import (
     stacked_series_as_field,
     substream,
 )
-from stfactor.simlab import _as_demeaned_field
 
 pytestmark = pytest.mark.acceptance
 
@@ -78,7 +78,7 @@ def test_criterion_2_no_gap_for_stacked_baseline(eigengap_panel):
     xd, curve, _ = eigengap_panel
     panel_gap = curve[-1, 1] / curve[-1, 2]
     stacked = stack_to_time_series(xd)
-    sfield = _as_demeaned_field(stacked_series_as_field(stacked).values)
+    sfield = as_demeaned_field(stacked_series_as_field(stacked).values)
     top = eigenvalue_curve_by_size(sfield, [sfield.n], 10, "ep", (0, 0, 7))[0]
     ratios = top[1:-1] / top[2:]
     ok = bool(np.all(ratios <= panel_gap))

@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stfactor
 from stfactor import load_field
 from stfactor.cli import main
 
@@ -70,6 +75,26 @@ class TestEstimate:
         assert np.abs(chi.values - x.values).max() <= 1e-9
         sidecar = json.loads((tmp_path / "chi.stf.json").read_text())
         assert sidecar["q"] == 3
+
+    def test_chi_bit_identical_across_blas_threads(self, tmp_path):
+        # the settings echo promises bit-exact reproduction; hold it to
+        # that across BLAS thread counts, each run in its own interpreter
+        src = str(Path(stfactor.__file__).resolve().parents[1])
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       MKL_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            out = tmp_path / f"threads{threads}"
+            out.mkdir()
+            for args in (["simulate", "--model", "b", "--n", "24", "--dims", "10,10,16", "--q", "2",
+                          "--seed", "13", "--output", f"{out}/x.stf"],
+                         ["estimate", "--input", f"{out}/x.stf", "--q", "2",
+                          "--output", f"{out}/chi.stf"]):
+                subprocess.run([sys.executable, "-m", "stfactor.cli"] + args, env=env, check=True,
+                               timeout=120)
+            digests.append(sha256(out / "chi.stf"))
+        assert digests[0] == digests[1]
 
     def test_missing_input_is_data_error(self, tmp_path):
         rc = main(["estimate", "--input", f"{tmp_path}/nope.stf", "--q", "1",
@@ -185,11 +210,31 @@ class TestMcStudy:
         summary = json.loads((tmp_path / "mc.json").read_text())
         assert summary["settings"]["n"] == 6
 
+    def test_unknown_config_key_is_config_error(self, tmp_path, capsys):
+        cfg = {"model": "model_b", "n": 6, "dims": [5, 5, 6], "q": 1, "reps": 1, "bw": [1, 1, 1]}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        rc = main(["mc-study", "--study", "accuracy", "--config", f"{tmp_path}/cfg.json",
+                   "--bw", "1,1,1", "--output", f"{tmp_path}/mc"])
+        assert rc == 2
+        assert "['bw', 'reps']" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
+    @pytest.mark.parametrize("text", [None, '{"n": 6,', "[6]"], ids=["missing", "malformed", "list"])
+    def test_unreadable_config_is_config_error(self, tmp_path, text):
+        if text is not None:
+            (tmp_path / "cfg.json").write_text(text)
+        rc = main(["mc-study", "--config", f"{tmp_path}/cfg.json", "--output", f"{tmp_path}/mc"])
+        assert rc == 2
+        assert not (tmp_path / "mc.json").exists()
+
     @pytest.mark.parametrize("args", [
         ["--study", "accuracy", "--region", "interior"],
         ["--study", "selection", "--trunc", "1,1,1"],
         ["--study", "selection", "--q-fit", "5"],
-    ], ids=["accuracy_region", "selection_trunc", "selection_q_fit"])
+        ["--study", "accuracy"],
+        ["--study", "comparison"],
+    ], ids=["accuracy_region", "selection_trunc", "selection_q_fit", "accuracy_qmax",
+            "comparison_qmax"])
     def test_flag_the_study_does_not_read_is_config_error(self, tmp_path, args):
         rc = main(["mc-study", "--n", "12", "--dims", "5,5,6", "--q", "1", "--qmax", "3",
                    "--reps", "1", "--bw", "2,2,2", "--output", f"{tmp_path}/mc"] + args)
@@ -203,3 +248,9 @@ class TestMcStudy:
         assert rc == 0
         summary = json.loads((tmp_path / "cmp.json").read_text())
         assert "E1_gdfm" in summary["means"]
+
+    def test_compare_gdfm_rejects_qmax(self, tmp_path):
+        rc = main(["compare-gdfm", "--n", "8", "--dims", "4,4,10", "--q", "1", "--qmax", "3",
+                   "--reps", "1", "--bw", "1,1,2", "--output", f"{tmp_path}/cmp"])
+        assert rc == 2
+        assert not (tmp_path / "cmp.json").exists()

@@ -7,6 +7,7 @@ from stfactor import (
     ConfigError,
     DataError,
     LatticeField,
+    as_demeaned_field,
     demean,
     load_field,
     stack_to_time_series,
@@ -72,6 +73,18 @@ class TestDemean:
         field = demean(LatticeField(np.random.default_rng(0).standard_normal((1, 2, 2, 2))))
         with pytest.raises(ConfigError):
             demean(field)
+
+
+class TestAsDemeanedField:
+    def test_demeaned_values_kept_bit_identical(self):
+        values = random_field((3, 4, 4, 5), seed=6).values
+        out = as_demeaned_field(values)
+        assert out.demeaned and np.array_equal(out.values, values)
+
+    def test_other_values_demeaned(self):
+        values = random_field((3, 4, 4, 5), seed=7, demeaned=False).values + 2.5
+        out = as_demeaned_field(values)
+        assert np.array_equal(out.values, demean(LatticeField(values)).values)
 
 
 class TestSubfield:

@@ -8,16 +8,14 @@ from stfactor import (
     LatticeField,
     NoSecondIntervalError,
     NumericError,
-    PenaltySpec,
-    information_criterion,
     penalty_value,
-    select_q_fixed_c,
     stability_scan,
 )
 from stfactor.qselect import _stable_runs, _tail_means, scan_summary_json, scan_to_csv
 from stfactor.simlab import SimConfig, simulate_field
 from stfactor import demean
 from conftest import random_field
+from oracles import information_criterion, select_q_fixed_c
 
 # frozen by an independent scalar evaluation of the penalty formula at
 # n=100, dims (25,25,25), B=(4,4,4), smoothness (2,2,2)
@@ -36,9 +34,11 @@ class TestPenalty:
         assert abs(value - PENALTY_REFERENCE) <= 1e-12 * PENALTY_REFERENCE
 
     def test_linear_in_scale(self):
-        spec1 = PenaltySpec(100, (25, 25, 25), (4, 4, 4), c=1.0)
-        spec2 = PenaltySpec(100, (25, 25, 25), (4, 4, 4), c=2.0)
-        assert abs(spec2.value() - 2.0 * spec1.value()) <= 1e-15
+        # the criterion's penalty term is k * c * p: doubling c doubles it
+        p = penalty_value(100, (25, 25, 25), (4, 4, 4))
+        vals = flat_eigensystem(8).eigenvalues
+        free, one, two = information_criterion(vals, 3, np.array([0.0, p, 2.0 * p]))
+        assert np.abs((two - free) - 2.0 * (one - free)).max() <= 1e-15
 
     def test_min_argument_dominance(self):
         # with n the smallest of the five arguments the log factor is log n
@@ -59,30 +59,30 @@ class TestInformationCriterion:
     def test_identity_spectrum_closed_form(self):
         n = 8
         system = flat_eigensystem(n)
-        pen = PenaltySpec(n, (25, 25, 25), (4, 4, 4), c=1.0)
+        pen = penalty_value(n, (25, 25, 25), (4, 4, 4))
+        values = information_criterion(system.eigenvalues, 4, pen)
         for k in range(5):
-            expected = np.log((n - k) / n) + k * pen.value()
-            assert abs(information_criterion(system, k, pen) - expected) <= 1e-12
+            expected = np.log((n - k) / n) + k * pen
+            assert abs(values[k] - expected) <= 1e-12
 
     def test_zero_k_has_no_penalty(self):
         system = flat_eigensystem(5, value=2.0)
-        pen = PenaltySpec(5, (25, 25, 25), (4, 4, 4), c=123.0)
-        assert abs(information_criterion(system, 0, pen) - np.log(2.0)) <= 1e-12
+        pen = 123.0 * penalty_value(5, (25, 25, 25), (4, 4, 4))
+        assert abs(information_criterion(system.eigenvalues, 0, pen)[0] - np.log(2.0)) <= 1e-12
 
     def test_degenerate_spectrum_rejected(self):
         system = flat_eigensystem(4, value=0.0)
-        pen = PenaltySpec(4, (25, 25, 25), (4, 4, 4))
+        pen = penalty_value(4, (25, 25, 25), (4, 4, 4))
         with pytest.raises(NumericError, match="degenerate"):
-            information_criterion(system, 1, pen)
+            information_criterion(system.eigenvalues, 1, pen)
 
     def test_negative_eigenvalues_clamped(self):
         grid = FrequencyGrid((1, 1, 1))
         vals = np.tile(np.array([2.0, 1.0, -0.5]), (grid.size, 1))
         system = DynamicEigenSystem(grid, vals, np.zeros((grid.size, 0, 3), complex), 0)
-        pen = PenaltySpec(3, (25, 25, 25), (4, 4, 4), c=0.0)
         # the negative eigenvalue contributes zero, not -0.5
         expected = np.log(1.0 / 3.0)
-        assert abs(information_criterion(system, 1, pen) - expected) <= 1e-12
+        assert abs(information_criterion(system.eigenvalues, 1, 0.0)[1] - expected) <= 1e-12
 
     def test_tail_means_match_direct_sum(self):
         means = np.array([5.0, 3.0, 1.0, 0.5])
@@ -92,29 +92,29 @@ class TestInformationCriterion:
 
     def test_unpenalized_ic_non_increasing(self):
         field = random_field((10, 6, 6, 8), seed=40)
-        res = select_q_fixed_c(field, 5, kernels="ep", bw=(2, 2, 2), c=0.0)
-        assert np.all(np.diff(res.values) <= 1e-12)
+        values, _ = select_q_fixed_c(field, 5, kernels="ep", bw=(2, 2, 2), c=0.0)
+        assert np.all(np.diff(values) <= 1e-12)
 
 
 class TestSelectQFixedC:
     def test_white_noise_selects_zero(self):
         field = random_field((60, 15, 15, 15), seed=41)
-        res = select_q_fixed_c(field, 8, kernels="ep", bw=(3, 3, 3), c=1.0)
-        assert res.q_hat == 0
+        _, q_hat = select_q_fixed_c(field, 8, kernels="ep", bw=(3, 3, 3), c=1.0)
+        assert q_hat == 0
 
     def test_factor_panel_selects_truth(self):
         # c chosen inside the stability region of this design (the scan
         # tests below calibrate it from scratch)
         cfg = SimConfig(model="model_b", n=40, dims=(15, 15, 15), q=2, seed=42)
         x, _ = simulate_field(cfg)
-        res = select_q_fixed_c(demean(x), 8, kernels="ep", bw=(3, 3, 3), c=0.6)
-        assert res.q_hat == 2
+        _, q_hat = select_q_fixed_c(demean(x), 8, kernels="ep", bw=(3, 3, 3), c=0.6)
+        assert q_hat == 2
 
     def test_huge_scale_forces_zero(self):
         cfg = SimConfig(model="model_b", n=30, dims=(12, 12, 12), q=3, seed=43)
         x, _ = simulate_field(cfg)
-        res = select_q_fixed_c(demean(x), 8, kernels="ep", bw=(3, 3, 3), c=1e3)
-        assert res.q_hat == 0
+        _, q_hat = select_q_fixed_c(demean(x), 8, kernels="ep", bw=(3, 3, 3), c=1e3)
+        assert q_hat == 0
 
     def test_qmax_validation(self):
         field = random_field((4, 6, 6, 6), seed=44)
@@ -210,6 +210,22 @@ class TestStabilityScan:
         field = LatticeField(np.zeros((12, 6, 6, 6)), demeaned=True)
         with pytest.raises(NumericError, match="degenerate spectrum.*subsample of size 7"):
             stability_scan(field, 2, np.arange(0, 11) / 10.0, subsample_sizes=[7, 9], bw=(2, 2, 2))
+
+    @pytest.mark.parametrize("design", ["model_b", "model_a", "white_noise"])
+    def test_q_by_c_matches_fixed_c_oracle(self, design):
+        # the scan scores the criterion on half-grid eigenvalues of the
+        # permuted panel; the oracle on the full grid of the original one
+        if design == "white_noise":
+            field = random_field((30, 12, 12, 12), seed=46)
+        else:
+            x, _ = simulate_field(SimConfig(model=design, n=30, dims=(12, 12, 12), q=2, seed=47))
+            field = demean(x)
+        c_grid = np.arange(0, 301) / 50.0
+        # c_manual skips the interval search, which white noise may not pass
+        scan = stability_scan(field, 6, c_grid, subsample_sizes=[25], bw=(2, 2, 2), seed=8,
+                              c_manual=0.0)
+        _, q_hat = select_q_fixed_c(field, 6, bw=(2, 2, 2), c=c_grid)
+        assert np.array_equal(scan.q_by_c, q_hat)
 
     def test_validation_errors(self, panel):
         with pytest.raises(ConfigError):

@@ -231,6 +231,21 @@ class TestRunMcStudy:
             run_mc_study(cfg, "selection", q_max=3, bw=(2, 2, 2),
                          c_grid=np.array([0.0, 1e-6]), subsample_sizes=[8, 9])
 
+    @pytest.mark.parametrize("study", ["accuracy", "comparison"])
+    @pytest.mark.parametrize("scan_arg", [{"q_max": 3}, {"c_grid": np.array([0.0, 1.0])},
+                                          {"subsample_sizes": [8, 9]}],
+                             ids=["q_max", "c_grid", "subsample_sizes"])
+    def test_scan_arguments_outside_selection_rejected(self, study, scan_arg):
+        cfg = SimConfig(model="model_b", n=10, dims=(5, 5, 8), q=1, seed=46)
+        with pytest.raises(ConfigError, match="selection study only"):
+            run_mc_study(cfg, study, bw=(2, 2, 2), **scan_arg)
+
+    def test_selection_records_resolved_q_max(self):
+        cfg = SimConfig(model="model_b", n=20, dims=(8, 8, 8), q=1, seed=46)
+        out = run_mc_study(cfg, "selection", bw=(2, 2, 2))
+        assert out.settings["q_max"] == 10
+        assert run_mc_study(cfg, "accuracy", bw=(2, 2, 2)).settings["q_max"] is None
+
     def test_csv_and_summary_outputs(self, tmp_path):
         cfg = SimConfig(model="model_b", n=8, dims=(5, 5, 8), q=1, seed=45, n_reps=2)
         out = run_mc_study(cfg, "accuracy", bw=(2, 2, 2))
