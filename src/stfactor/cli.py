@@ -26,7 +26,7 @@ from .field import (
     stacked_series_as_field,
     store_field,
 )
-from .spectral import default_bandwidths, make_kernel
+from .spectral import make_kernel
 from .dynpca import eigenvalue_curve_by_size, write_eigengap_csv
 from .commoncomp import estimate_common_component
 from .qselect import NoSecondIntervalError, scan_summary_json, scan_to_csv, stability_scan
@@ -39,13 +39,17 @@ from .simlab import (
 )
 
 
-def _parse_triple(text: str, name: str) -> tuple[int, int, int]:
+def _parse_ints(text: str | None, flag: str, count: int | None = 3) -> tuple[int, ...] | None:
+    """Comma-separated integers of ``--flag`` (None if unset); ``count=None`` takes any length."""
+    if text is None:
+        return None
     try:
         parts = tuple(int(p) for p in text.split(","))
     except ValueError:
-        raise ConfigError(f"--{name} expects three comma-separated integers, got {text!r}")
-    if len(parts) != 3:
-        raise ConfigError(f"--{name} expects three comma-separated integers, got {text!r}")
+        parts = ()
+    if not parts or count not in (None, len(parts)):
+        what = "comma-separated integers" if count is None else f"{count} comma-separated integers"
+        raise ConfigError(f"--{flag} expects {what}, got {text!r}")
     return parts
 
 
@@ -68,15 +72,10 @@ def _write_settings(path_prefix: str, payload: dict) -> None:
         json.dump(payload, fh, indent=2, default=str)
 
 
-def _demeaned_input(path: str) -> LatticeField:
-    field = load_field(path)
-    return demean(field)
-
-
 def cmd_simulate(args) -> int:
     cfg = SimConfig(
         model="model_a" if args.model in ("a", "model_a") else "model_b",
-        n=args.n, dims=_parse_triple(args.dims, "dims"), q=args.q,
+        n=args.n, dims=_parse_ints(args.dims, "dims"), q=args.q,
         idio="correlated" if args.idio == "correlated" else "iid_gaussian",
         seed=args.seed, r_a=args.ra,
     )
@@ -92,33 +91,29 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    field = _demeaned_input(args.input)
-    bw = _parse_triple(args.bw, "bw") if args.bw else default_bandwidths(field.dims)
-    trunc = _parse_triple(args.trunc, "trunc") if args.trunc else None
+    field = demean(load_field(args.input))
+    bw, trunc = _parse_ints(args.bw, "bw"), _parse_ints(args.trunc, "trunc")
     est = estimate_common_component(field, args.q, args.kernel, bw, trunc)
     store_field(LatticeField(est.chi), args.output)
     est.to_json_sidecar(f"{args.output}.json")
     _write_settings(args.output, {
         "command": "estimate", "input": args.input, "q": args.q,
         "kernel": make_kernel(args.kernel).kind,
-        "bw": list(bw), "trunc": est.settings["trunc"], "n": field.n,
+        "bw": est.settings["bw"], "trunc": est.settings["trunc"], "n": field.n,
         "dims": list(field.dims),
     })
     return 0
 
 
 def cmd_select_q(args) -> int:
-    field = _demeaned_input(args.input)
-    bw = _parse_triple(args.bw, "bw") if args.bw else default_bandwidths(field.dims)
+    field = demean(load_field(args.input))
     c_grid = _parse_cgrid(args.cgrid)
-    sizes = None
-    if args.subsamples:
-        sizes = [int(s) for s in args.subsamples.split(",")]
+    sizes = _parse_ints(args.subsamples, "subsamples", count=None)
     failure = None
     try:
         scan = stability_scan(
             field, args.qmax, c_grid, subsample_sizes=sizes, kernels=args.kernel,
-            bw=bw, seed=args.seed, c_manual=args.c_manual,
+            bw=_parse_ints(args.bw, "bw"), seed=args.seed, c_manual=args.c_manual,
         )
     except NoSecondIntervalError as exc:
         # the curve, the summary and the echo (selected_q/c null) are still written
@@ -130,7 +125,7 @@ def cmd_select_q(args) -> int:
     scan_summary_json(scan, f"{args.output}.json")
     _write_settings(args.output, {
         "command": "select-q", "input": args.input, "qmax": args.qmax,
-        "kernel": make_kernel(args.kernel).kind, "bw": list(bw),
+        "kernel": make_kernel(args.kernel).kind, "bw": scan.settings["bw"],
         "cgrid": args.cgrid, "seed": args.seed, "c_manual": args.c_manual,
         "subsamples": scan.settings["subsample_sizes"],
         "selected_q": scan.selected_q, "selected_c": scan.selected_c,
@@ -143,18 +138,19 @@ def cmd_select_q(args) -> int:
 
 
 def cmd_eigengap(args) -> int:
-    field = _demeaned_input(args.input)
-    if args.m_values:
-        m_values = [int(m) for m in args.m_values.split(",")]
-    else:
+    field = demean(load_field(args.input))
+    m_values = _parse_ints(args.m_values, "m-values", count=None)
+    if m_values is None:
         step = max(1, field.n // 10)
-        m_values = list(range(step, field.n + 1, step))
-    bw = _parse_triple(args.bw, "bw") if args.bw else None
+        m_values = range(step, field.n + 1, step)
+    m_values = list(m_values)
+    bw = _parse_ints(args.bw, "bw")
     if args.gdfm:
         # the purely temporal variant: every (series, site) pair is one series
         stacked = stacked_series_as_field(stack_to_time_series(field))
         curve_field = as_demeaned_field(stacked.values)
-        curve_bw = (0, 0, bw[2] if bw else default_bandwidths((1, 1, field.dims[2]))[2])
+        # unset: the (1, 1, T) stacked lattice defaults to (0, 0, B_T)
+        curve_bw = (0, 0, bw[2]) if bw else None
         sizes = [min(m, curve_field.n) for m in m_values]
     else:
         curve_field, curve_bw, sizes = field, bw, m_values
@@ -168,12 +164,12 @@ def cmd_eigengap(args) -> int:
     return 0
 
 
-def _mc_common(args, study: str) -> int:
+def cmd_mc_study(args) -> int:
     # the design from the flags; a --config JSON object may override any of it
     design = {
         "model": "model_a" if args.model == "a" else "model_b",
         "n": args.n,
-        "dims": _parse_triple(args.dims, "dims"),
+        "dims": _parse_ints(args.dims, "dims"),
         "q": args.q,
         "idio": "correlated" if args.idio == "correlated" else "iid_gaussian",
         "seed": args.seed,
@@ -192,27 +188,18 @@ def _mc_common(args, study: str) -> int:
         if unknown:
             raise ConfigError(f"unknown --config keys {unknown}; known keys are {list(design)}")
         design.update(overrides)
-    cfg = SimConfig(**{**design, "dims": tuple(design["dims"])})
-    bw = _parse_triple(args.bw, "bw") if args.bw else None
-    trunc = _parse_triple(args.trunc, "trunc") if args.trunc else None
+    cfg = SimConfig(**design)
     result = run_mc_study(
-        cfg, study=study, q_fit=args.q_fit, kernels=args.kernel, bw=bw, trunc=trunc,
+        cfg, study=args.study, q_fit=args.q_fit, kernels=args.kernel,
+        bw=_parse_ints(args.bw, "bw"), trunc=_parse_ints(args.trunc, "trunc"),
         q_max=args.qmax, threads=args.threads, region=args.region,
     )
     write_mc_csv(result, f"{args.output}.csv")
     write_mc_summary_json(result, f"{args.output}.json")
-    _write_settings(args.output, {"command": study, **result.settings, "seed": cfg.seed})
+    _write_settings(args.output, {"command": args.study, **result.settings, "seed": cfg.seed})
     for name in result.metrics:
         print(f"{name}: mean={result.mean(name):.6g} se={result.standard_error(name):.3g}")
     return 0
-
-
-def cmd_mc_study(args) -> int:
-    return _mc_common(args, args.study)
-
-
-def cmd_compare_gdfm(args) -> int:
-    return _mc_common(args, "comparison")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -272,6 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
         if study_default is None:
             p.add_argument("--study", choices=["accuracy", "comparison", "selection"],
                            default="accuracy")
+        else:
+            p.set_defaults(study=study_default)
         p.add_argument("--config", default=None, help="JSON config file")
         p.add_argument("--model", choices=["a", "b"], default="b")
         p.add_argument("--n", type=int, default=40)
@@ -288,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--threads", type=int, default=1)
         add_common(p)
-        p.set_defaults(func=cmd_mc_study if study_default is None else cmd_compare_gdfm)
+        p.set_defaults(func=cmd_mc_study)
 
     return parser
 

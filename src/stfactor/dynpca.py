@@ -16,7 +16,8 @@ computing the non-negative half of the grid and mirror-filling.
 For stacked panels with more series than lattice points (n > S1*S2*T)
 the same eigenstructure is obtained from the small Gram matrix of the
 data instead of the huge n x n spectral matrix; see
-:func:`eigensystem_from_field`, which picks the route by shape.
+:func:`eigensystem_from_field`, which picks the route by shape.  Both
+routes share one half-grid eigen solver; eigenvalue curves need top_k >= 1.
 """
 
 from __future__ import annotations
@@ -95,6 +96,31 @@ def _mirror_system(
     return DynamicEigenSystem(grid, eigenvalues, eigenvectors, q_keep)
 
 
+def _half_grid_eigh(mats: np.ndarray):
+    """Descending (vals, vecs) of (half, m, m) Hermitian matrices, vecs[g, :, j] for vals[g, j].
+
+    The last matrix, at the zero frequency, is decomposed in real
+    arithmetic so its eigenvectors are exactly real.
+    """
+    bad = ~np.isfinite(mats).all(axis=(1, 2))
+    if bad.any():
+        raise NumericError(f"eigendecomposition failed at grid index {int(np.argmax(bad))}")
+    try:
+        vals, vecs = np.linalg.eigh(mats)
+    except np.linalg.LinAlgError as exc:
+        for g in range(len(mats)):
+            try:
+                np.linalg.eigh(mats[g])
+            except np.linalg.LinAlgError:
+                raise NumericError(f"eigendecomposition failed at grid index {g}") from exc
+        raise NumericError("eigendecomposition failed") from exc
+    bad = ~np.isfinite(vals).all(axis=1)
+    if bad.any():
+        raise NumericError(f"eigendecomposition failed at grid index {int(np.argmax(bad))}")
+    vals[-1], vecs[-1] = np.linalg.eigh(mats[-1].real)
+    return vals[:, ::-1], vecs[:, :, ::-1]
+
+
 def eigendecompose_all(estimate: SpectralDensityEstimate, q_keep: int) -> DynamicEigenSystem:
     """Hermitian eigendecomposition at every grid frequency.
 
@@ -108,32 +134,9 @@ def eigendecompose_all(estimate: SpectralDensityEstimate, q_keep: int) -> Dynami
     if not 0 <= q_keep <= n:
         raise ConfigError(f"q_keep={q_keep} out of range 0..{n}")
     grid = estimate.grid
-    half = grid.half_count
-    sub = estimate.matrices[:half]
-    finite = np.isfinite(sub.real) & np.isfinite(sub.imag)
-    if not finite.all():
-        g = int(np.flatnonzero(~finite.all(axis=(1, 2)))[0])
-        raise NumericError(f"eigendecomposition failed at grid index {g}")
-    try:
-        vals, vecs = np.linalg.eigh(sub)
-    except np.linalg.LinAlgError as exc:
-        for g in range(half):
-            try:
-                np.linalg.eigh(sub[g])
-            except np.linalg.LinAlgError:
-                raise NumericError(f"eigendecomposition failed at grid index {g}") from exc
-        raise NumericError("eigendecomposition failed") from exc
-    if not np.isfinite(vals).all():
-        g = int(np.flatnonzero(~np.isfinite(vals).all(axis=1))[0])
-        raise NumericError(f"eigendecomposition failed at grid index {g}")
-    # zero frequency: real symmetric decomposition for exactly real rows
-    vals0, vecs0 = np.linalg.eigh(sub[-1].real)
-    vals[-1] = vals0
-    vecs[-1] = vecs0
-    half_vals = vals[:, ::-1]
-    rows = np.conj(np.transpose(vecs, (0, 2, 1)))[:, ::-1, :][:, :q_keep, :]
-    rows = _fix_phases(np.ascontiguousarray(rows))
-    return _mirror_system(grid, half_vals, rows, q_keep)
+    half_vals, vecs = _half_grid_eigh(estimate.matrices[:grid.half_count])
+    rows = np.conj(np.transpose(vecs[:, :, :q_keep], (0, 2, 1)))
+    return _mirror_system(grid, half_vals, _fix_phases(np.ascontiguousarray(rows)), q_keep)
 
 
 # ---------------------------------------------------------------------------
@@ -193,20 +196,16 @@ def _gram_eigensystem(x2d: np.ndarray, kernels, bw, dims, q_keep: int) -> Dynami
     n, volume = x2d.shape
     grid, hs, g_invhalf = _gram_half_matrices(x2d, kernels, bw, dims)
     half = grid.half_count
-    mu, z = np.linalg.eigh(hs)
-    mu0, z0 = np.linalg.eigh(hs[-1].real)
-    mu[-1] = mu0
-    z[-1] = z0
+    mu, z = _half_grid_eigh(hs)
     half_vals = np.zeros((half, n))
-    half_vals[:, : min(n, volume)] = mu[:, ::-1][:, : min(n, volume)]
+    half_vals[:, : min(n, volume)] = mu[:, : min(n, volume)]
     rows = np.zeros((half, q_keep, n), dtype=np.complex128)
     if q_keep > 0:
         if q_keep > min(n, volume):
             raise ConfigError(
                 f"q_keep={q_keep} exceeds the rank bound min(n, S1*S2*T)={min(n, volume)}"
             )
-        ztop = z[:, :, ::-1][:, :, :q_keep]
-        cols = np.einsum("nv,gvq->gnq", x2d @ g_invhalf / np.sqrt(volume), ztop)
+        cols = np.einsum("nv,gvq->gnq", x2d @ g_invhalf / np.sqrt(volume), z[:, :, :q_keep])
         norms = np.linalg.norm(cols, axis=1, keepdims=True)
         if np.any(norms == 0):
             raise NumericError("degenerate eigenvector in Gram route")
@@ -256,8 +255,8 @@ def eigenvalue_curve_by_size(
     m_values = [int(m) for m in m_values]
     if min(m_values) < 1 or max(m_values) > field.n:
         raise ConfigError(f"subpanel sizes must lie in 1..{field.n}")
-    if top_k > min(m_values):
-        raise ConfigError(f"top_k={top_k} exceeds smallest subpanel size {min(m_values)}")
+    if not 1 <= top_k <= min(m_values):
+        raise ConfigError(f"top_k={top_k} must lie in 1..{min(m_values)} (smallest subpanel size)")
     bw = validate_bandwidths(bw, field.dims)
     out = np.empty((len(m_values), top_k))
     if field.lattice_size < field.n:

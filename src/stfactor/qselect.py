@@ -13,9 +13,10 @@ evaluates it at fixed c from full-grid eigenvalues; the scan's
 full-sample estimate is checked against it.
 
 The penalty scale c is calibrated by a stability scan: the estimate is
-repeated over nested cross-sectional subsamples (after one seeded
-random permutation of the series) and, for every c on a grid, the
-across-subsample variance
+repeated over nested cross-sectional subsamples (the leading principal
+submatrices of the spectral estimate of the panel, estimated once after
+one seeded random permutation of its series) and, for every c on a
+grid, the across-subsample variance
 
     S_c = (1/J) sum_j ( qhat_c^(n_j) - mean_j qhat_c^(n_j) )^2
 
@@ -41,7 +42,6 @@ from .spectral import (
     sample_autocovariance,
     spectral_from_autocovariance,
     validate_bandwidths,
-    AutocovarianceSet,
 )
 
 __all__ = [
@@ -171,9 +171,10 @@ def stability_scan(
     penalty scale in ``c_grid`` and every leading subsample of the
     permuted panel the factor count is estimated, and the selected
     answer is the common full-sample estimate on the second stability
-    interval of c -> S_c.  The spectral estimate is assembled once at
-    full n; subsample estimates use its leading principal submatrices,
-    which is what re-estimation on the subsample would produce anyway.
+    interval of c -> S_c.  The spectral estimate of the permuted panel
+    is assembled once at full n; subsample estimates use its leading
+    principal submatrices, which is what re-estimation on the subsample
+    would produce anyway.
 
     ``subsample_sizes`` defaults to n - 5j, j = 1..16 (clipped to stay
     above q_max + 2); the full size n is always included.  ``c_manual``
@@ -205,9 +206,8 @@ def stability_scan(
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     perm = rng.permutation(n)
 
-    autocov = sample_autocovariance(field, bw)
-    permuted = AutocovarianceSet(autocov.window, autocov.gammas[:, perm][:, :, perm])
-    estimate = spectral_from_autocovariance(permuted, kernels)
+    permuted = LatticeField(field.values[perm], demeaned=field.demeaned)
+    estimate = spectral_from_autocovariance(sample_autocovariance(permuted, bw), kernels)
     half = estimate.grid.half_count
     weights = estimate.grid.pair_weights
     gsize = estimate.grid.size

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, DataError, NumericError
 from .field import (
     LatticeField,
     as_demeaned_field,
@@ -44,7 +44,6 @@ from .field import (
     unstack_values,
 )
 from .commoncomp import CommonComponentEstimate, estimate_common_component, interior_mask
-from .spectral import default_bandwidths
 from .qselect import stability_scan
 
 __all__ = [
@@ -87,6 +86,14 @@ class SimConfig:
     n_reps: int = 1
 
     def __post_init__(self):
+        if not isinstance(self.dims, (tuple, list)) or len(self.dims) != 3:
+            raise ConfigError(f"dims must hold three extents (S1, S2, T), got {self.dims!r}")
+        ints = [("n", self.n), ("q", self.q), ("seed", self.seed), ("r_a", self.r_a),
+                ("n_reps", self.n_reps)] + [("dims", d) for d in self.dims]
+        for name, value in ints:
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{name} must hold integers, got {value!r}")
+        object.__setattr__(self, "dims", tuple(self.dims))
         if self.model not in ("model_a", "model_b"):
             raise ConfigError(f"unknown model {self.model!r}")
         if self.idio not in ("iid_gaussian", "correlated"):
@@ -279,15 +286,12 @@ def gdfm_baseline(
     """
     stacked = stack_to_time_series(field)
     sf = as_demeaned_field(stacked_series_as_field(stacked).values)
-    t_extent = field.dims[2]
-    if bw_t is None:
-        bw_t = default_bandwidths((1, 1, t_extent))[2]
-    if trunc_t is None:
-        trunc_t = bw_t
-    est = estimate_common_component(sf, q, kernels, bw=(0, 0, int(bw_t)), trunc=(0, 0, int(trunc_t)))
+    # unset values resolve on the stacked (1, 1, T) lattice: B_T by default, M_T = B_T
+    bw = None if bw_t is None else (0, 0, int(bw_t))
+    trunc = None if trunc_t is None else (0, 0, int(trunc_t))
+    est = estimate_common_component(sf, q, kernels, bw, trunc)
     chi = unstack_values(stacked, est.chi[:, 0, 0, :])
-    mask = interior_mask(field.dims, (0, 0, int(trunc_t)))
-    return GdfmResult(est, chi, mask)
+    return GdfmResult(est, chi, interior_mask(field.dims, est.settings["trunc"]))
 
 
 # ---------------------------------------------------------------------------
@@ -383,9 +387,10 @@ def run_mc_study(
     Replication r draws every random object from substreams keyed by
     (cfg.seed, r), so the result is independent of execution order and
     of ``threads``; any failing replication aborts the study naming its
-    index and seed.  ``q_max`` (default 10), ``c_grid`` (default
-    0:0.0005:3) and ``subsample_sizes`` are read by the selection study
-    only; giving one to another study is an error.
+    index and seed, except that a configuration or data error propagates
+    unchanged.  ``q_max`` (default 10), ``c_grid`` (default 0:0.0005:3)
+    and ``subsample_sizes`` are read by the selection study only; giving
+    one to another study is an error.
     """
     if study not in ("accuracy", "comparison", "selection"):
         raise ConfigError(f"unknown study {study!r}")
@@ -403,6 +408,8 @@ def run_mc_study(
     n_reps = cfg.n_reps if n_reps is None else int(n_reps)
     if n_reps < 1:
         raise ConfigError("n_reps must be >= 1")
+    if threads < 1:
+        raise ConfigError(f"threads={threads} must be >= 1")
     q_fit = cfg.q if q_fit is None else int(q_fit)
     if study == "selection":
         q_max = 10 if q_max is None else q_max
@@ -415,6 +422,8 @@ def run_mc_study(
             if study == "comparison":
                 return _comparison_rep(cfg, rep, q_fit, kernels, bw, trunc, region)
             return _selection_rep(cfg, rep, q_max, kernels, bw, c_grid, subsample_sizes)
+        except (ConfigError, DataError):
+            raise  # bad settings or data: the same in every replication
         except Exception as exc:
             raise NumericError(f"replication {rep} (seed {cfg.seed}) failed: {exc}") from exc
 

@@ -241,6 +241,27 @@ class TestMcStudy:
         assert rc == 2
         assert not (tmp_path / "mc.json").exists()
 
+    @pytest.mark.parametrize("args", [
+        ["mc-study", "--bw", "9,9,9"],
+        ["mc-study", "--bw", "1,1,1", "--kernel", "foo"],
+        ["compare-gdfm", "--bw", "1,1,1", "--trunc", "3,3,3"],
+    ], ids=["bw", "kernel", "trunc"])
+    def test_config_error_inside_replication_exits_2(self, tmp_path, capsys, args):
+        # each setting is only checked once a replication estimates
+        rc = main(args + ["--n", "6", "--dims", "5,5,6", "--reps", "1",
+                          "--output", f"{tmp_path}/mc"])
+        assert rc == 2
+        assert "replication" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("design", [{"dims": [5, 5]}, {"q": 1.5}, {"n": "40"}],
+                             ids=["dims_pair", "q_float", "n_string"])
+    def test_config_value_of_wrong_type_is_config_error(self, tmp_path, design):
+        (tmp_path / "cfg.json").write_text(json.dumps(design))
+        rc = main(["mc-study", "--config", f"{tmp_path}/cfg.json", "--n", "6", "--dims", "5,5,6",
+                   "--reps", "1", "--bw", "1,1,1", "--output", f"{tmp_path}/mc"])
+        assert rc == 2
+        assert not (tmp_path / "mc.json").exists()
+
     def test_compare_gdfm_alias(self, tmp_path):
         rc = main(["compare-gdfm", "--model", "b", "--n", "8", "--dims", "4,4,10",
                    "--q", "1", "--reps", "2", "--bw", "1,1,2", "--seed", "12",
@@ -254,3 +275,18 @@ class TestMcStudy:
                    "--reps", "1", "--bw", "1,1,2", "--output", f"{tmp_path}/cmp"])
         assert rc == 2
         assert not (tmp_path / "cmp.json").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["select-q", "--subsamples", "4,x"],
+    ["eigengap", "--m-values", "2,x"],
+    ["eigengap", "--topk", "-1"],
+    ["mc-study", "--threads", "0", "--n", "6", "--dims", "5,5,6", "--reps", "1", "--bw", "1,1,1"],
+], ids=["subsamples", "m_values", "topk", "threads"])
+def test_malformed_list_or_count_flag_exits_2(tmp_path, args):
+    main(["simulate", "--n", "6", "--dims", "5,5,6", "--q", "1", "--output", f"{tmp_path}/x.stf"])
+    if args[0] != "mc-study":
+        args = args + ["--input", f"{tmp_path}/x.stf", "--bw", "1,1,1"]
+    rc = main(args + ["--output", f"{tmp_path}/out"])
+    assert rc == 2
+    assert not any(tmp_path.glob("out*"))

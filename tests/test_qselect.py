@@ -13,7 +13,7 @@ from stfactor import (
 )
 from stfactor.qselect import _stable_runs, _tail_means, scan_summary_json, scan_to_csv
 from stfactor.simlab import SimConfig, simulate_field
-from stfactor import demean
+from stfactor import demean, subfield
 from conftest import random_field
 from oracles import information_criterion, select_q_fixed_c
 
@@ -222,10 +222,20 @@ class TestStabilityScan:
             field = demean(x)
         c_grid = np.arange(0, 301) / 50.0
         # c_manual skips the interval search, which white noise may not pass
-        scan = stability_scan(field, 6, c_grid, subsample_sizes=[25], bw=(2, 2, 2), seed=8,
+        scan = stability_scan(field, 6, c_grid, subsample_sizes=[20, 25], bw=(2, 2, 2), seed=8,
                               c_manual=0.0)
         _, q_hat = select_q_fixed_c(field, 6, bw=(2, 2, 2), c=c_grid)
         assert np.array_equal(scan.q_by_c, q_hat)
+        # column j scores the leading m_j series of the permuted panel
+        permuted = LatticeField(field.values[scan.permutation], demeaned=True)
+        for j, m in enumerate(scan.subsample_sizes):
+            _, q_sub = select_q_fixed_c(subfield(permuted, m), 6, bw=(2, 2, 2), c=c_grid)
+            assert np.array_equal(scan.qhat_table[:, j], q_sub), f"column of m={m}"
+
+    def test_non_demeaned_field_is_config_error(self, panel):
+        raw = LatticeField(panel.values + 1.0)
+        with pytest.raises(ConfigError, match="demeaned"):
+            stability_scan(raw, 3, np.arange(0, 10) / 10.0, subsample_sizes=[27], bw=(2, 2, 2))
 
     def test_validation_errors(self, panel):
         with pytest.raises(ConfigError):

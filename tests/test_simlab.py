@@ -21,6 +21,15 @@ from stfactor import (
 from stfactor.simlab import _model_a_chi, write_mc_csv, write_mc_summary_json
 
 
+class TestSimConfig:
+    def test_rejects_non_integer_values(self):
+        for bad in ({"dims": (5, 5)}, {"dims": (5, 5, 6.0)}, {"q": 1.5}, {"n": "40"},
+                    {"seed": True}):
+            with pytest.raises(ConfigError):
+                SimConfig(**bad)
+        assert SimConfig(n=np.int64(6), dims=[5, 5, 6]).dims == (5, 5, 6)
+
+
 class TestModelA:
     def test_zero_factors_gives_pure_noise(self):
         cfg = SimConfig(model="model_a", n=3, dims=(4, 4, 6), q=0, seed=1)
