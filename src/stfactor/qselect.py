@@ -186,6 +186,8 @@ def stability_scan(
     n = field.n
     if not 0 <= q_max < n:
         raise ConfigError(f"q_max={q_max} must satisfy 0 <= q_max < n={n}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     c_grid = np.asarray(list(c_grid), dtype=np.float64)
     if c_grid.ndim != 1 or len(c_grid) < 2:
         raise ConfigError("c_grid must contain at least two scales")

@@ -1,4 +1,4 @@
-"""Plain-function references for the common-component filter and the IC.
+"""Plain-function references for the simulator, the filter and the IC.
 
 The library filters in the frequency domain (project, then window).
 The filter functions below compute the same estimate as the paper
@@ -12,6 +12,11 @@ the information criterion on half-grid eigenvalues for a whole grid of
 penalty scales.  ``information_criterion`` and ``select_q_fixed_c``
 evaluate the criterion as the paper writes it, at fixed scales, from the
 full-grid eigenvalues of one eigensystem.
+
+The library simulates by applying the n filters of one factor to its
+shock field together, in blocks of series.
+``separable_convolution_reference`` applies one (series, factor) pair's
+filter at a time, one banded matrix product per axis.
 """
 
 import itertools
@@ -93,3 +98,37 @@ def select_q_fixed_c(field, q_max, kernels="epanechnikov", bw=None, c=1.0):
     system = eigensystem_from_field(field, kernels, bw)
     values = information_criterion(system.eigenvalues, q_max, np.multiply(c, pen))
     return values, np.argmin(values, axis=-1)
+
+
+def band_matrix(out_extent, pad, weights):
+    """(out_extent, out_extent + 2*pad) matrix applying lag weights.
+
+    Row s (0-based) places weights[kappa + radius] at padded column
+    s + pad - kappa, so multiplying contracts sum_kappa w(kappa)
+    u[s - kappa] with u indexed on the padded axis.
+    """
+    radius = (len(weights) - 1) // 2
+    cols = np.arange(out_extent + 2 * pad)
+    kappa = (np.arange(out_extent)[:, None] + pad) - cols[None, :]
+    w = np.zeros((out_extent, out_extent + 2 * pad))
+    inside = np.abs(kappa) <= radius
+    w[inside] = weights[kappa[inside] + radius]
+    return w
+
+
+def separable_convolution_reference(loadings, weights, shocks, dims):
+    """chi[ell] = sum_j a[ell, j] (w_1 x w_2 x w_3)(ell, j) * u_j, one pair at a time.
+
+    ``weights(ell, j)`` gives the three per-axis lag-weight vectors of
+    the pair; ``shocks`` (q, P1, P2, P3) is padded symmetrically.
+    """
+    n, q = loadings.shape
+    pads = [(shocks.shape[1 + d] - dims[d]) // 2 for d in range(3)]
+    chi = np.zeros((n,) + tuple(dims))
+    for ell in range(n):
+        for j in range(q):
+            mats = [band_matrix(dims[d], pads[d], w) for d, w in enumerate(weights(ell, j))]
+            out = np.einsum("ap,pqr->aqr", mats[0], shocks[j], optimize=True)
+            out = np.einsum("bq,aqr->abr", mats[1], out, optimize=True)
+            chi[ell] += loadings[ell, j] * np.einsum("cr,abr->abc", mats[2], out, optimize=True)
+    return chi

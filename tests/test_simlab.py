@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from oracles import separable_convolution_reference
 from stfactor import (
     ConfigError,
     LatticeField,
@@ -18,7 +21,22 @@ from stfactor import (
     simulate_model_b,
     substream,
 )
+from stfactor import simlab
 from stfactor.simlab import _model_a_chi, write_mc_csv, write_mc_summary_json
+
+# blocked products reorder the sums of the per-series contractions
+CONV_RTOL = 1e-13
+
+
+def model_a_inputs(n, dims, q, radius, seed=0):
+    a = substream(seed, 0, "loadings_a").standard_normal((n, q))
+    b = substream(seed, 0, "decay_b").uniform(0.5, 0.8, size=(n, q))
+    padded = tuple(d + 2 * radius for d in dims)
+    return a, b, substream(seed, 0, "shocks").standard_normal((q,) + padded)
+
+
+def assert_matches_reference(chi, ref):
+    assert np.abs(chi - ref).max() <= CONV_RTOL * np.abs(ref).max()
 
 
 class TestSimConfig:
@@ -63,6 +81,37 @@ class TestModelA:
         with pytest.raises(ConfigError):
             simulate_model_a(SimConfig(model="model_b", n=2, dims=(3, 3, 3), q=1))
 
+    # golden: the CLI golden file's shape; ragged: n=30 is 23 + 7 series
+    # per block; budget: a two-series budget gives blocks of 2, 2, 2, 1
+    @pytest.mark.parametrize("n,dims,q,radius,budget_filters", [
+        (3, (4, 4, 5), 1, 15, None),
+        (30, (10, 10, 16), 2, 40, None),
+        (7, (5, 6, 7), 2, 6, 2),
+    ], ids=["golden", "ragged", "budget"])
+    def test_convolution_matches_per_series_reference(self, monkeypatch, n, dims, q, radius,
+                                                      budget_filters):
+        a, b, shocks = model_a_inputs(n, dims, q, radius, seed=9)
+        if budget_filters is not None:
+            (s1, s2, t), (p1, p2, p3) = dims, shocks.shape[1:]
+            per_filter = 8 * (s1 * p2 * p3 + s1 * p1 + s2 * p2 + t * p3)
+            monkeypatch.setattr(simlab, "_CONV_BUDGET_BYTES", budget_filters * per_filter)
+        lags = np.abs(np.arange(-radius, radius + 1))
+        ref = separable_convolution_reference(a, lambda ell, j: [b[ell, j] ** lags] * 3,
+                                              shocks, dims)
+        assert_matches_reference(_model_a_chi(a, b, shocks, radius, dims), ref)
+
+    @pytest.mark.parametrize("n,dims", [(100, (10, 10, 100)), (100, (25, 25, 25))],
+                             ids=["eigengap", "cube"])
+    def test_convolution_scratch_stays_within_budget(self, n, dims):
+        a, b, shocks = model_a_inputs(n, dims, 2, 40)
+        tracemalloc.start()
+        try:
+            chi = _model_a_chi(a, b, shocks, 40, dims)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - chi.nbytes <= 3 * simlab._CONV_BUDGET_BYTES
+
 
 class TestModelB:
     def test_conditional_variance_formula(self):
@@ -84,6 +133,16 @@ class TestModelB:
         x1, _ = simulate_model_b(cfg)
         x2, _ = simulate_model_b(cfg)
         assert np.array_equal(x1.values, x2.values)
+
+    def test_chi_matches_per_series_reference(self):
+        cfg = SimConfig(model="model_b", n=6, dims=(5, 6, 7), q=2, seed=12)
+        _, chi = simulate_model_b(cfg)
+        a = substream(cfg.seed, 0, "loadings_a").standard_normal((cfg.n, cfg.q))
+        shocks = substream(cfg.seed, 0, "shocks").standard_normal((cfg.q, 7, 8, 9))
+        spatial, temporal = np.array([0.5, 1.0, 0.5]), np.array([0.0, 1.0, 0.5])
+        ref = separable_convolution_reference(a, lambda ell, j: (spatial, spatial, temporal),
+                                              shocks, cfg.dims)
+        assert_matches_reference(chi.values, ref)
 
     def test_temporal_support_is_one_sided(self):
         # weights act on shocks at t and t-1 only: chi at t=1 must not
