@@ -26,7 +26,7 @@ from .field import (
     stacked_series_as_field,
     store_field,
 )
-from .spectral import make_kernel
+from .spectral import make_kernel, validate_bandwidths
 from .dynpca import eigenvalue_curve_by_size, write_eigengap_csv
 from .commoncomp import estimate_common_component
 from .qselect import NoSecondIntervalError, scan_summary_json, scan_to_csv, stability_scan
@@ -149,17 +149,19 @@ def cmd_eigengap(args) -> int:
         # the purely temporal variant: every (series, site) pair is one series
         stacked = stacked_series_as_field(stack_to_time_series(field))
         curve_field = as_demeaned_field(stacked.values)
-        # unset: the (1, 1, T) stacked lattice defaults to (0, 0, B_T)
+        # the (1, 1, T) stacked lattice keeps only the time bandwidth
         curve_bw = (0, 0, bw[2]) if bw else None
         sizes = [min(m, curve_field.n) for m in m_values]
     else:
         curve_field, curve_bw, sizes = field, bw, m_values
-    curve = eigenvalue_curve_by_size(curve_field, sizes, args.topk, args.kernel, curve_bw)
+    curve_bw = validate_bandwidths(curve_bw, curve_field.dims)
+    topk = min(10, min(sizes)) if args.topk is None else args.topk
+    curve = eigenvalue_curve_by_size(curve_field, sizes, topk, args.kernel, curve_bw)
     write_eigengap_csv(args.output, sizes, curve)
     _write_settings(args.output, {
         "command": "eigengap", "input": args.input, "m_values": m_values,
-        "topk": args.topk, "kernel": make_kernel(args.kernel).kind,
-        "bw": list(bw) if bw else "default", "gdfm": bool(args.gdfm),
+        "topk": topk, "kernel": make_kernel(args.kernel).kind,
+        "bw": list(curve_bw), "gdfm": bool(args.gdfm),
     })
     return 0
 
@@ -249,7 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True, help="CSV path")
     p.add_argument("--m-values", default=None, help="comma list of panel sizes")
-    p.add_argument("--topk", type=int, default=10)
+    p.add_argument("--topk", type=int, default=None,
+                   help="eigenvalues per size (default: 10, at most the smallest size)")
     p.add_argument("--gdfm", action="store_true", help="stacked purely-temporal variant")
     add_common(p)
     p.set_defaults(func=cmd_eigengap)

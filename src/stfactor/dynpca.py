@@ -133,10 +133,9 @@ def eigendecompose_all(estimate: SpectralDensityEstimate, q_keep: int) -> Dynami
     n = estimate.n
     if not 0 <= q_keep <= n:
         raise ConfigError(f"q_keep={q_keep} out of range 0..{n}")
-    grid = estimate.grid
-    half_vals, vecs = _half_grid_eigh(estimate.matrices[:grid.half_count])
+    half_vals, vecs = _half_grid_eigh(estimate.matrices)
     rows = np.conj(np.transpose(vecs[:, :, :q_keep], (0, 2, 1)))
-    return _mirror_system(grid, half_vals, _fix_phases(np.ascontiguousarray(rows)), q_keep)
+    return _mirror_system(estimate.grid, half_vals, _fix_phases(np.ascontiguousarray(rows)), q_keep)
 
 
 # ---------------------------------------------------------------------------
@@ -266,12 +265,22 @@ def eigenvalue_curve_by_size(
             out[r] = sub.eigenvalue_means()[:top_k]
         return out
     estimate = estimate_spectral_density(field, kernels, bw)
-    half = estimate.grid.half_count
-    weights = estimate.grid.pair_weights
     for r, m in enumerate(m_values):
-        vals = np.linalg.eigvalsh(estimate.matrices[:half, :m, :m])[:, ::-1]
-        out[r] = (weights @ vals[:, :top_k]) / estimate.grid.size
+        out[r] = weighted_submatrix_eigenvalues(estimate, m)[:, :top_k].sum(axis=0)
     return out
+
+
+def weighted_submatrix_eigenvalues(estimate: SpectralDensityEstimate, m: int) -> np.ndarray:
+    """Descending eigenvalues of the leading m x m submatrices, weighted for grid means.
+
+    Row g holds the eigenvalues at stored half-grid point g times its
+    pair weight over the grid size, so a column sum is the full-grid
+    mean (1/G) sum_theta lambda_j(theta).  The weights are positive, so
+    clamping the weighted values at zero clamps the eigenvalues.
+    """
+    grid = estimate.grid
+    vals = np.linalg.eigvalsh(estimate.matrices[:, :m, :m])[:, ::-1]
+    return vals * (grid.pair_weights / grid.size)[:, None]
 
 
 def write_eigengap_csv(path, m_values, curve: np.ndarray) -> None:

@@ -35,6 +35,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from .dynpca import weighted_submatrix_eigenvalues
 from .errors import ConfigError, NumericError
 from .field import LatticeField
 from .spectral import (
@@ -210,16 +211,12 @@ def stability_scan(
 
     permuted = LatticeField(field.values[perm], demeaned=field.demeaned)
     estimate = spectral_from_autocovariance(sample_autocovariance(permuted, bw), kernels)
-    half = estimate.grid.half_count
-    weights = estimate.grid.pair_weights
-    gsize = estimate.grid.size
     smoothness = tuple(k.smoothness for k in kernels)
 
     n_c, n_j = len(c_grid), len(sizes)
     qhat = np.empty((n_c, n_j), dtype=np.int64)
     for j, m in enumerate(sizes):
-        vals = np.linalg.eigvalsh(estimate.matrices[:half, :m, :m])[:, ::-1]
-        means = (weights @ np.maximum(vals, 0.0)) / gsize
+        means = np.maximum(weighted_submatrix_eigenvalues(estimate, m), 0.0).sum(axis=0)
         pen = penalty_value(m, field.dims, bw, smoothness)
         tails = _tail_means(means, q_max)
         if np.any(tails <= 0.0):

@@ -25,15 +25,25 @@ spacing makes those quadratures exact for the lag window at hand: any
 lag polynomial of degree up to 2*B_d is integrated exactly, so the
 grid mean of the estimate recovers Gamma_hat(0) identically.
 
-All estimates are Hermitian-symmetrized and mirror-filled so that
-Sigma_hat(theta)^dagger == Sigma_hat(theta) and
-Sigma_hat(-theta) == conj(Sigma_hat(theta)) hold exactly as stored.
+For a real field Sigma_hat(-theta) == conj(Sigma_hat(theta)), so only
+the non-redundant half of the grid (the first G // 2 + 1 points, zero
+frequency last) is computed and stored.  Each stored matrix is formed
+on and above its diagonal and conjugated below it, so
+Sigma_hat(theta)^dagger == Sigma_hat(theta) holds exactly, with a real
+diagonal and a real zero-frequency matrix;
+:meth:`SpectralDensityEstimate.full_matrices` rebuilds the whole grid
+by conjugation.
+
+The spectral step is the largest allocation of the pipeline; its bytes
+are estimated from the shapes and checked against physical memory
+before the first array is allocated.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -240,12 +250,32 @@ def _next_fast_len(target: int) -> int:
         n += 1
 
 
+def _padded_lengths(dims, window) -> tuple[int, int, int]:
+    # zero padding past d + B keeps every lag |h| <= B free of wrap-around
+    return tuple(_next_fast_len(d + b + 1) for d, b in zip(dims, window))
+
+
+def _physical_memory_bytes() -> int:
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def _spectral_step_bytes(n: int, dims, window) -> int:
+    """Bytes held at once by the spectral step, from the shapes alone.
+
+    The real autocovariances on the lag box, the complex half-grid
+    estimate, and the complex padded half-spectrum of the field.
+    """
+    grid = FrequencyGrid(tuple(window))
+    p1, p2, p3 = _padded_lengths(dims, window)
+    return n * n * (grid.size * 8 + grid.half_count * 16) + p1 * p2 * (p3 // 2 + 1) * n * 16
+
+
 def _autocov_fft(values: np.ndarray, window) -> np.ndarray:
     n = values.shape[0]
     dims = values.shape[1:]
     volume = dims[0] * dims[1] * dims[2]
     grid = FrequencyGrid(tuple(window))
-    pad = tuple(_next_fast_len(d + b + 1) for d, b in zip(dims, window))
+    pad = _padded_lengths(dims, window)
     # (P1, P2, P3 // 2 + 1, n): series last, so each axis below is one product
     spec = np.moveaxis(np.fft.rfftn(values, s=pad, axes=(1, 2, 3)), 0, -1)
     # inverse DFT rows for the lags -B..B only; the half-spectrum axis
@@ -257,7 +287,8 @@ def _autocov_fft(values: np.ndarray, window) -> np.ndarray:
     out = np.empty((grid.size, n, n))
     for i in range(n):
         # pairs (j >= i, i): box[h] = Gamma_ji(h), and Gamma_ij(h) = Gamma_ji(-h)
-        cross = spec[..., i:] * np.conj(spec[..., i:i + 1])
+        # C order, so the reshape below is a view and not a second copy
+        cross = np.multiply(spec[..., i:], np.conj(spec[..., i:i + 1]), order="C")
         y = (e1 @ cross.reshape(pad[0], -1)).reshape(len(e1), pad[1], -1)
         y = (e2 @ y).reshape(-1, spec.shape[2], n - i)
         box = (e3 @ y).real.reshape(grid.size, n - i)
@@ -279,11 +310,21 @@ def sample_autocovariance(field: LatticeField, window) -> AutocovarianceSet:
     range; the divisor is always the full lattice size (triangular /
     biased normalization).  Lags with empty overlap are exactly zero.
     Computed from zero-padded FFTs (cross-spectra inverted onto the lag
-    box only); the reversal invariant is exact.
+    box only); the reversal invariant is exact.  Raises ConfigError
+    before allocating when the spectral step (these autocovariances,
+    the half-grid estimate assembled from them and the padded FFT)
+    would not fit in physical memory.
     """
     if not field.demeaned:
         raise ConfigError("sample_autocovariance requires a demeaned field")
     window = validate_bandwidths(window, field.dims)
+    need = _spectral_step_bytes(field.n, field.dims, window)
+    have = _physical_memory_bytes()
+    if need > have:
+        raise ConfigError(
+            f"the spectral step for n={field.n}, dims={tuple(field.dims)}, bandwidths={window} "
+            f"needs {need} bytes, more than the {have} bytes of physical memory"
+        )
     return AutocovarianceSet(window, _autocov_fft(field.values, window))
 
 
@@ -294,21 +335,36 @@ def sample_autocovariance(field: LatticeField, window) -> AutocovarianceSet:
 
 @dataclass(frozen=True)
 class SpectralDensityEstimate:
-    """Kernel-smoothed spectral density matrices on the frequency grid.
+    """Kernel-smoothed spectral density matrices on the non-redundant half grid.
 
-    ``matrices`` is (G, n, n) complex in grid order.  Stored matrices
-    are exactly Hermitian and exactly conjugate-symmetric across
-    negated frequencies (the negative half is mirror-filled).
+    ``matrices`` is (grid.half_count, n, n) complex: the first half of
+    the grid in grid order, the zero frequency last.  The other half is
+    its conjugate, Sigma(-theta) = conj(Sigma(theta)), and is rebuilt by
+    :meth:`full_matrices`.  Stored matrices are exactly Hermitian, with
+    a real diagonal; the zero-frequency matrix is real.
     """
 
     grid: FrequencyGrid
     matrices: np.ndarray
-    source_autocov: AutocovarianceSet
     kernels: tuple[Kernel, Kernel, Kernel]
+
+    def __post_init__(self):
+        if self.matrices.shape[0] != self.grid.half_count:
+            raise ConfigError(
+                f"expected {self.grid.half_count} half-grid matrices, got {self.matrices.shape[0]}"
+            )
 
     @property
     def n(self) -> int:
         return self.matrices.shape[1]
+
+    def full_matrices(self) -> np.ndarray:
+        """(G, n, n) matrices on the whole grid, the negated half by conjugation."""
+        half = self.grid.half_count
+        out = np.empty((self.grid.size,) + self.matrices.shape[1:], dtype=self.matrices.dtype)
+        out[:half] = self.matrices
+        np.conjugate(self.matrices[:-1][::-1], out=out[half:])
+        return out
 
 
 def kernel_lag_weights(kernels, window) -> np.ndarray:
@@ -330,29 +386,29 @@ def _dft_matrix(grid: FrequencyGrid, axis: int, sign: float) -> np.ndarray:
 
 
 def spectral_from_autocovariance(autocov: AutocovarianceSet, kernels) -> SpectralDensityEstimate:
-    """Assemble the spectral estimate from stored autocovariances."""
+    """Assemble the half-grid spectral estimate from stored autocovariances."""
     kernels = resolve_kernels(kernels)
     grid = FrequencyGrid(autocov.window)
     n = autocov.gammas.shape[1]
     w = kernel_lag_weights(kernels, autocov.window)
     s1, s2, s3 = grid.shape
     e1, e2, e3 = (_dft_matrix(grid, axis, -1.0) for axis in range(3))
+    # the half grid lies in the first-axis rows theta_1 <= 0
+    r1 = grid.bandwidths[0] + 1
+    e1 = e1[:r1]
     half = grid.half_count
-    mats = np.empty((grid.size, n, n), dtype=complex)
-    # separable DFT, one matrix product per axis; one matrix row at a time,
-    # so no scratch array is larger than one row over the grid
+    mats = np.empty((half, n, n), dtype=complex)
+    # separable DFT, one matrix product per axis, for row i on and right of
+    # the diagonal; the column below it is its conjugate
     for i in range(n):
-        out = (e1 @ (autocov.gammas[:, i] * w[:, None]).reshape(s1, -1)).reshape(s1, s2, -1)
-        out = (e2 @ out).reshape(s1 * s2, s3, -1)
-        mats[:, i] = (e3 @ out).reshape(grid.size, n)
-    # make Hermitianity and conjugate frequency symmetry exact
-    for i in range(n):
-        row = 0.5 * (mats[:half, i, i:] + np.conj(mats[:half, i:, i]))
-        mats[:half, i:, i] = np.conj(row)
-        mats[:half, i, i:] = row
-    mats[half - 1].imag = 0.0  # zero frequency is a real matrix
-    np.conjugate(mats[:half - 1][::-1], out=mats[half:])
-    return SpectralDensityEstimate(grid, mats, autocov, kernels)
+        out = (e1 @ (autocov.gammas[:, i, i:] * w[:, None]).reshape(s1, -1)).reshape(r1, s2, -1)
+        out = (e2 @ out).reshape(r1 * s2, s3, -1)
+        row = (e3 @ out).reshape(-1, n - i)[:half]
+        mats[:, i, i:] = row
+        mats[:, i + 1:, i] = np.conj(row[:, 1:])
+        mats[:, i, i].imag = 0.0
+    mats[-1].imag = 0.0  # zero frequency is a real matrix
+    return SpectralDensityEstimate(grid, mats, kernels)
 
 
 def estimate_spectral_density(
@@ -379,6 +435,7 @@ def export_spectral_json(estimate: SpectralDensityEstimate, target) -> None:
 
     Not a stability-guaranteed archive format.
     """
+    full = estimate.full_matrices()
     payload = {
         "n": estimate.n,
         "bandwidths": list(estimate.grid.bandwidths),
@@ -386,8 +443,8 @@ def export_spectral_json(estimate: SpectralDensityEstimate, target) -> None:
         "grid_size": estimate.grid.size,
         "kernels": [k.kind for k in estimate.kernels],
         "theta": estimate.grid.points.tolist(),
-        "re": estimate.matrices.real.ravel().tolist(),
-        "im": estimate.matrices.imag.ravel().tolist(),
+        "re": full.real.ravel().tolist(),
+        "im": full.imag.ravel().tolist(),
     }
     if isinstance(target, (str, bytes)) or hasattr(target, "__fspath__"):
         with open(target, "w", encoding="ascii") as fh:

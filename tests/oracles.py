@@ -17,6 +17,11 @@ The library simulates by applying the n filters of one factor to its
 shock field together, in blocks of series.
 ``separable_convolution_reference`` applies one (series, factor) pair's
 filter at a time, one banded matrix product per axis.
+
+The library assembles the spectral estimate on the non-redundant half
+grid only, one upper-triangle row at a time.  ``spectral_full_reference``
+transforms every row on the whole grid, averages the two triangles into
+an exactly Hermitian matrix and mirror-fills the negated half.
 """
 
 import itertools
@@ -24,7 +29,7 @@ import itertools
 import numpy as np
 
 from stfactor import ConfigError, FrequencyGrid, NumericError, eigensystem_from_field, penalty_value
-from stfactor.spectral import resolve_kernels, validate_bandwidths
+from stfactor.spectral import kernel_lag_weights, resolve_kernels, validate_bandwidths
 
 # the imaginary part of C(kappa) must be rounding noise next to the real part
 COEFF_IMAG_RTOL = 1e-9
@@ -132,3 +137,25 @@ def separable_convolution_reference(loadings, weights, shocks, dims):
             out = np.einsum("bq,aqr->abr", mats[1], out, optimize=True)
             chi[ell] += loadings[ell, j] * np.einsum("cr,abr->abc", mats[2], out, optimize=True)
     return chi
+
+
+def spectral_full_reference(autocov, kernels):
+    """(G, n, n) spectral matrices on the whole grid, symmetrized and mirror-filled."""
+    grid = FrequencyGrid(autocov.window)
+    n, half = autocov.gammas.shape[1], grid.half_count
+    w = kernel_lag_weights(resolve_kernels(kernels), autocov.window)
+    s1, s2, s3 = grid.shape
+    e1, e2, e3 = (np.exp(-1j * np.outer(grid.axis_frequencies(d), grid.axis_offsets(d)))
+                  for d in range(3))
+    mats = np.empty((grid.size, n, n), dtype=complex)
+    for i in range(n):
+        out = (e1 @ (autocov.gammas[:, i] * w[:, None]).reshape(s1, -1)).reshape(s1, s2, -1)
+        out = (e2 @ out).reshape(s1 * s2, s3, -1)
+        mats[:, i] = (e3 @ out).reshape(grid.size, n)
+    for i in range(n):
+        row = 0.5 * (mats[:half, i, i:] + np.conj(mats[:half, i:, i]))
+        mats[:half, i:, i] = np.conj(row)
+        mats[:half, i, i:] = row
+    mats[half - 1].imag = 0.0
+    np.conjugate(mats[:half - 1][::-1], out=mats[half:])
+    return mats

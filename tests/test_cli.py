@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import stfactor
-from stfactor import load_field
+from stfactor import eigenvalue_curve_by_size, load_field
 from stfactor.cli import main
 
 # golden digests of fixed-seed simulation outputs, frozen from the
@@ -176,9 +176,7 @@ class TestEigengap:
         assert lines[1].split(",")[0] == "36"
 
     def test_stacked_variant_matches_library_curve(self, tmp_path):
-        from stfactor import (
-            demean, eigenvalue_curve_by_size, stack_to_time_series, stacked_series_as_field,
-        )
+        from stfactor import demean, stack_to_time_series, stacked_series_as_field
 
         main(["simulate", "--model", "b", "--n", "4", "--dims", "3,3,16", "--q", "1",
               "--seed", "9", "--output", f"{tmp_path}/x.stf"])
@@ -194,6 +192,42 @@ class TestEigengap:
                                    rtol=1e-12)
         echo = json.loads((tmp_path / "gap.csv.settings.json").read_text())
         assert echo["m_values"] == [20, 50] and echo["gdfm"] is True
+
+    def test_default_topk_fits_smallest_size(self, tmp_path, capsys):
+        main(["simulate", "--n", "40", "--dims", "8,8,20", "--q", "2", "--seed", "11",
+              "--output", f"{tmp_path}/x.stf"])
+        rc = main(["eigengap", "--input", f"{tmp_path}/x.stf", "--output", f"{tmp_path}/gap.csv"])
+        assert rc == 0
+        header = (tmp_path / "gap.csv").read_text().splitlines()[0]
+        assert header == "m,lambda_1,lambda_2,lambda_3,lambda_4"
+        echo = json.loads((tmp_path / "gap.csv.settings.json").read_text())
+        assert echo["topk"] == 4
+        capsys.readouterr()
+        rc = main(["eigengap", "--input", f"{tmp_path}/x.stf", "--topk", "5",
+                   "--output", f"{tmp_path}/gap5.csv"])
+        assert rc == 2
+        assert "top_k=5 must lie in 1..4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra, expected", [
+        ([], (2, 2, 2)),  # the defaults for a 5 x 5 x 6 lattice
+        (["--gdfm", "--bw", "2,2,5"], (0, 0, 5)),  # the stacked (1, 1, 6) lattice
+    ], ids=["default_bw", "gdfm"])
+    def test_echo_records_bandwidths_used(self, tmp_path, monkeypatch, extra, expected):
+        used = []
+
+        def recording_curve(field, sizes, top_k, kernels, bw):
+            used.append(bw)
+            return eigenvalue_curve_by_size(field, sizes, top_k, kernels, bw)
+
+        monkeypatch.setattr("stfactor.cli.eigenvalue_curve_by_size", recording_curve)
+        main(["simulate", "--n", "6", "--dims", "5,5,6", "--q", "1",
+              "--output", f"{tmp_path}/x.stf"])
+        rc = main(["eigengap", "--input", f"{tmp_path}/x.stf", "--m-values", "6", "--topk", "2",
+                   *extra, "--output", f"{tmp_path}/gap.csv"])
+        assert rc == 0
+        echo = json.loads((tmp_path / "gap.csv.settings.json").read_text())
+        assert used == [expected]
+        assert echo["bw"] == list(expected)
 
 
 class TestMcStudy:

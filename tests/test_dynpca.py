@@ -16,7 +16,7 @@ from stfactor import (
     subfield,
 )
 from stfactor.dynpca import write_eigengap_csv
-from stfactor.spectral import AutocovarianceSet, SpectralDensityEstimate, make_kernel
+from stfactor.spectral import SpectralDensityEstimate, make_kernel
 from conftest import random_field
 
 
@@ -24,9 +24,8 @@ def synthetic_estimate(matrix_fn, bw=(1, 1, 1), n=None):
     """SpectralDensityEstimate with matrices produced by matrix_fn(theta)."""
     grid = FrequencyGrid(bw)
     mats = np.stack([matrix_fn(theta) for theta in grid.points])
-    n = mats.shape[1]
-    dummy = AutocovarianceSet(bw, np.zeros((grid.size, n, n)))
-    return SpectralDensityEstimate(grid, mats.astype(np.complex128), dummy, (make_kernel("ep"),) * 3)
+    return SpectralDensityEstimate(grid, mats[: grid.half_count].astype(np.complex128),
+                                   (make_kernel("ep"),) * 3)
 
 
 class TestEigendecomposeAll:
@@ -35,9 +34,10 @@ class TestEigendecomposeAll:
         system = eigendecompose_all(est, 3)
         np.testing.assert_allclose(system.eigenvalues, 1.0, atol=1e-14)
         # rows satisfy the eigen-relation within the residual tolerance
+        full = est.full_matrices()
         for g in range(est.grid.size):
             rows = system.eigenvectors[g]
-            resid = rows @ est.matrices[g] - system.eigenvalues[g][:, None] * rows
+            resid = rows @ full[g] - system.eigenvalues[g][:, None] * rows
             assert np.abs(resid).max() <= 1e-8 * 2
 
     def test_constant_diagonal_spectrum(self):
@@ -57,7 +57,8 @@ class TestEigendecomposeAll:
         rebuilt = np.einsum(
             "gj,gji,gjk->gik", system.eigenvalues, np.conj(system.eigenvectors), system.eigenvectors
         )
-        assert np.abs(rebuilt - est.matrices).max() <= 1e-8 * np.abs(est.matrices).max()
+        full = est.full_matrices()
+        assert np.abs(rebuilt - full).max() <= 1e-8 * np.abs(full).max()
 
     def test_invariants(self):
         field = random_field((5, 5, 5, 6), seed=22)
@@ -67,13 +68,14 @@ class TestEigendecomposeAll:
         assert np.all(np.diff(vals, axis=1) <= 1e-12)
         gram = np.einsum("gqi,gpi->gqp", vecs, np.conj(vecs))
         assert np.abs(gram - np.eye(5)[None]).max() <= 1e-10
-        resid = np.einsum("gqi,gij->gqj", vecs, est.matrices) - vals[:, :, None] * vecs
+        full = est.full_matrices()
+        resid = np.einsum("gqi,gij->gqj", vecs, full) - vals[:, :, None] * vecs
         bound = 1e-8 * (1.0 + np.abs(vals))[:, :, None]
         assert np.all(np.abs(resid) <= bound)
         # conjugate pairing is exact as stored
         assert np.array_equal(vecs[::-1], np.conj(vecs))
         # eigenvalue sum equals the trace at every frequency
-        traces = np.trace(est.matrices, axis1=1, axis2=2).real
+        traces = np.trace(full, axis1=1, axis2=2).real
         np.testing.assert_allclose(vals.sum(axis=1), traces, rtol=1e-9)
 
     def test_q_keep_out_of_range(self):
@@ -95,9 +97,10 @@ class TestEigendecomposeAll:
     def test_interlacing_per_frequency(self):
         field = random_field((6, 4, 4, 5), seed=23)
         est = estimate_spectral_density(field, "ep", (1, 1, 2))
-        full = np.linalg.eigvalsh(est.matrices)[:, ::-1]
+        mats = est.full_matrices()
+        full = np.linalg.eigvalsh(mats)[:, ::-1]
         for m in (2, 4):
-            sub = np.linalg.eigvalsh(est.matrices[:, :m, :m])[:, ::-1]
+            sub = np.linalg.eigvalsh(mats[:, :m, :m])[:, ::-1]
             assert np.all(sub <= full[:, :m] + 1e-10)
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,15 +8,20 @@ from stfactor import (
     ConfigError,
     FrequencyGrid,
     LatticeField,
+    SpectralDensityEstimate,
     default_bandwidths,
     demean,
     estimate_spectral_density,
     export_spectral_json,
     make_kernel,
     sample_autocovariance,
+    store_field,
 )
+from stfactor import spectral
+from stfactor.cli import main
 from stfactor.spectral import validate_bandwidths
 from conftest import random_field
+from oracles import spectral_full_reference
 
 
 class TestKernels:
@@ -214,44 +220,52 @@ class TestSpectralDensity:
         kernel = make_kernel(kind)
         bw = (2, 1, 2)
         est = estimate_spectral_density(field, kind, bw)
-        scale = np.abs(est.matrices).max()
+        full = est.full_matrices()
+        scale = np.abs(full).max()
         for g in range(est.grid.size):
             oracle = brute_force_spectral(field.values, (kernel,) * 3, bw, est.grid.points[g])
-            assert np.max(np.abs(est.matrices[g] - oracle)) < 1e-10 * scale
+            assert np.max(np.abs(full[g] - oracle)) < 1e-10 * scale
 
     def test_hermitian_and_conjugate_symmetry_exact(self):
         est = estimate_spectral_density(random_field((4, 5, 5, 6), seed=8), "ep", (2, 2, 2))
         m = est.matrices
+        assert m.shape == (est.grid.half_count, 4, 4)
         assert np.max(np.abs(m - np.conj(m.transpose(0, 2, 1)))) == 0.0
-        assert np.array_equal(m[::-1], np.conj(m))
+        assert np.all(np.diagonal(m, axis1=1, axis2=2).imag == 0.0)
+        assert np.all(m[-1].imag == 0.0)
+        full = est.full_matrices()
+        assert np.array_equal(full[::-1], np.conj(full))
+        assert np.array_equal(full[: est.grid.half_count], m)
 
     def test_inverse_dft_identity(self):
-        est = estimate_spectral_density(random_field((3, 6, 4, 8), seed=9), "ep", (2, 1, 3))
-        grid_mean = est.matrices.mean(axis=0)
-        gamma0 = est.source_autocov.gamma((0, 0, 0))
+        field = random_field((3, 6, 4, 8), seed=9)
+        est = estimate_spectral_density(field, "ep", (2, 1, 3))
+        grid_mean = est.full_matrices().mean(axis=0)
+        gamma0 = sample_autocovariance(field, (2, 1, 3)).gamma((0, 0, 0))
         assert np.max(np.abs(grid_mean - gamma0)) <= 1e-10 * np.abs(gamma0).max()
         assert np.max(np.abs(grid_mean.imag)) <= 1e-12 * np.abs(gamma0).max()
 
     def test_bartlett_positive_semidefinite(self):
         est = estimate_spectral_density(random_field((4, 6, 6, 8), seed=10), "bartlett", (2, 2, 3))
+        full = est.full_matrices()
         for g in range(est.grid.size):
-            eigs = np.linalg.eigvalsh(est.matrices[g])
-            assert eigs.min() >= -1e-10 * np.trace(est.matrices[g]).real
+            eigs = np.linalg.eigvalsh(full[g])
+            assert eigs.min() >= -1e-10 * np.trace(full[g]).real
 
     def test_scaling_equivariance(self):
         base = random_field((3, 5, 5, 6), seed=11)
         scaled = LatticeField(2.5 * base.values, demeaned=True)
-        e1 = estimate_spectral_density(base, "ep", (2, 2, 2))
-        e2 = estimate_spectral_density(scaled, "ep", (2, 2, 2))
-        np.testing.assert_allclose(e2.matrices, 2.5**2 * e1.matrices,
-                                   rtol=1e-12, atol=1e-12 * np.abs(e1.matrices).max())
+        e1 = estimate_spectral_density(base, "ep", (2, 2, 2)).full_matrices()
+        e2 = estimate_spectral_density(scaled, "ep", (2, 2, 2)).full_matrices()
+        np.testing.assert_allclose(e2, 2.5**2 * e1, rtol=1e-12, atol=1e-12 * np.abs(e1).max())
 
     def test_white_noise_flat_spectrum(self):
         field = random_field((4, 12, 12, 12), seed=12)
         est = estimate_spectral_density(field, "ep", (3, 3, 3))
-        diag = np.diagonal(est.matrices.real, axis1=1, axis2=2)
+        full = est.full_matrices()
+        diag = np.diagonal(full.real, axis1=1, axis2=2)
         assert 0.7 <= diag.mean() <= 1.3
-        off = est.matrices.copy()
+        off = full.copy()
         for i in range(4):
             off[:, i, i] = 0.0
         assert abs(off.real.mean()) <= 0.15
@@ -265,7 +279,7 @@ class TestSpectralDensity:
         values = np.cos(theta_star * t)[None, None, None, :]
         field = demean(LatticeField(values))
         est = estimate_spectral_density(field, "ep", (0, 0, b_t))
-        power = np.abs(est.matrices[:, 0, 0])
+        power = np.abs(est.full_matrices()[:, 0, 0])
         peaks = set(np.argsort(power)[-2:])
         expected = {grid.zero_index + 1, grid.zero_index - 1}
         assert peaks == expected
@@ -286,3 +300,70 @@ class TestSpectralDensity:
         assert payload["n"] == 2
         assert payload["grid_size"] == est.grid.size
         assert len(payload["re"]) == est.grid.size * 4
+        np.testing.assert_array_equal(
+            np.reshape(payload["re"], (-1, 2, 2)) + 1j * np.reshape(payload["im"], (-1, 2, 2)),
+            est.full_matrices(),
+        )
+
+    @pytest.mark.parametrize("shape, bw", [
+        ((4, 1, 1, 16), (0, 0, 5)),  # B1 = 0: one first-axis row
+        ((5, 5, 6, 7), (2, 2, 3)),   # odd n
+        ((4, 6, 9, 16), (2, 3, 5)),  # uneven extents and bandwidths
+    ], ids=["b1_zero", "odd_n", "uneven"])
+    def test_full_matrices_match_full_grid_reference(self, shape, bw):
+        field = random_field(shape, seed=14)
+        est = estimate_spectral_density(field, "ep", bw)
+        oracle = spectral_full_reference(sample_autocovariance(field, bw), "ep")
+        full = est.full_matrices()
+        assert full.shape == oracle.shape
+        assert np.max(np.abs(full - oracle)) <= 1e-14 * np.abs(oracle).max()
+
+    def test_constructor_rejects_full_grid(self):
+        field = random_field((3, 4, 4, 5), seed=15)
+        est = estimate_spectral_density(field, "ep", (1, 1, 2))
+        with pytest.raises(ConfigError, match=f"expected {est.grid.half_count} half-grid"):
+            SpectralDensityEstimate(est.grid, est.full_matrices(), est.kernels)
+
+
+class TestMemoryBound:
+    @pytest.fixture
+    def tiny_memory(self, monkeypatch):
+        def no_fft(*args, **kwargs):
+            raise AssertionError("FFT ran before the memory check")
+
+        # the 6 x 5 x 5 x 6 field below needs about 100 kB for its spectral step
+        monkeypatch.setattr(spectral, "_physical_memory_bytes", lambda: 16 * 1024)
+        monkeypatch.setattr(np.fft, "rfftn", no_fft)
+
+    def test_raises_before_fft(self, tiny_memory):
+        field = random_field((6, 5, 5, 6), seed=16)
+        need = spectral._spectral_step_bytes(6, (5, 5, 6), default_bandwidths((5, 5, 6)))
+        with pytest.raises(ConfigError, match=f"needs {need} bytes, more than the 16384 bytes"):
+            estimate_spectral_density(field)
+
+    @pytest.mark.parametrize("command", [
+        ["estimate", "--q", "1"],
+        ["select-q", "--qmax", "2"],
+        ["eigengap", "--m-values", "6", "--topk", "1"],
+    ], ids=["estimate", "select_q", "eigengap"])
+    def test_cli_exits_2(self, tmp_path, capsys, tiny_memory, command):
+        store_field(random_field((6, 5, 5, 6), seed=16, demeaned=False), tmp_path / "x.stf")
+        rc = main(command + ["--input", f"{tmp_path}/x.stf", "--output", f"{tmp_path}/out"])
+        assert rc == 2
+        assert "bytes of physical memory" in capsys.readouterr().err
+
+    def test_traced_memory_pinned_to_estimate(self):
+        # tracemalloc sees numpy's data buffers; the bound is the step's own estimate
+        field = random_field((60, 8, 8, 40), seed=17)
+        bw = (2, 2, 5)
+        need = spectral._spectral_step_bytes(60, (8, 8, 40), bw)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            est = estimate_spectral_density(field, "ep", bw)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - base <= 1.1 * need
+        # the estimate keeps its matrices and nothing grid-sized besides
+        assert held - base <= 1.05 * est.matrices.nbytes
