@@ -20,7 +20,6 @@ from .field import (
     stack_to_time_series,
     stacked_series_as_field,
     store_field,
-    subfield,
     unstack_values,
 )
 from .spectral import (
@@ -30,7 +29,6 @@ from .spectral import (
     SpectralDensityEstimate,
     default_bandwidths,
     estimate_spectral_density,
-    export_spectral_json,
     make_kernel,
     sample_autocovariance,
 )
@@ -63,11 +61,10 @@ from .simlab import (
 __all__ = [
     "ConfigError", "DataError", "NumericError",
     "LatticeField", "StackedSeries", "as_demeaned_field", "demean", "load_field",
-    "stack_to_time_series", "stacked_series_as_field", "store_field", "subfield",
+    "stack_to_time_series", "stacked_series_as_field", "store_field",
     "unstack_values",
     "AutocovarianceSet", "FrequencyGrid", "Kernel", "SpectralDensityEstimate",
-    "default_bandwidths", "estimate_spectral_density", "export_spectral_json", "make_kernel",
-    "sample_autocovariance",
+    "default_bandwidths", "estimate_spectral_density", "make_kernel", "sample_autocovariance",
     "DynamicEigenSystem", "eigendecompose_all", "eigensystem_from_field",
     "eigenvalue_curve_by_size",
     "NoSecondIntervalError", "StabilityScan", "penalty_value", "stability_scan",

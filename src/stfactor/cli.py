@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -64,6 +65,30 @@ def _parse_cgrid(text: str) -> np.ndarray:
     return start + step * np.arange(count)
 
 
+def _design(args) -> dict:
+    """The SimConfig fields set by the design flags of simulate and the studies."""
+    return {
+        "model": "model_a" if args.model == "a" else "model_b",
+        "n": args.n, "dims": _parse_ints(args.dims, "dims"), "q": args.q,
+        "idio": "correlated" if args.idio == "correlated" else "iid_gaussian",
+        "seed": args.seed, "r_a": args.ra,
+    }
+
+
+def _sim_config(args, design: dict) -> SimConfig:
+    """The design's SimConfig: an unset r_a takes the default, and --ra needs model_a."""
+    if args.ra is not None and design["model"] != "model_a":
+        raise ConfigError(f"--ra sets the model_a truncation radius; {design['model']} has none")
+    return SimConfig(**{k: v for k, v in design.items() if k != "r_a" or v is not None})
+
+
+def _check_output_dirs(args) -> None:
+    for flag in ("output", "truth_output"):
+        path = getattr(args, flag, None)
+        if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+            raise ConfigError(f"--{flag.replace('_', '-')} {path}: its directory does not exist")
+
+
 def _write_settings(path_prefix: str, payload: dict) -> None:
     payload = dict(payload)
     payload["version"] = __version__
@@ -73,12 +98,7 @@ def _write_settings(path_prefix: str, payload: dict) -> None:
 
 
 def cmd_simulate(args) -> int:
-    cfg = SimConfig(
-        model="model_a" if args.model in ("a", "model_a") else "model_b",
-        n=args.n, dims=_parse_ints(args.dims, "dims"), q=args.q,
-        idio="correlated" if args.idio == "correlated" else "iid_gaussian",
-        seed=args.seed, r_a=args.ra,
-    )
+    cfg = _sim_config(args, _design(args))
     x, chi = simulate_field(cfg, rep=args.rep)
     store_field(x, args.output)
     if args.truth_output:
@@ -96,12 +116,7 @@ def cmd_estimate(args) -> int:
     est = estimate_common_component(field, args.q, args.kernel, bw, trunc)
     store_field(LatticeField(est.chi), args.output)
     est.to_json_sidecar(f"{args.output}.json")
-    _write_settings(args.output, {
-        "command": "estimate", "input": args.input, "q": args.q,
-        "kernel": make_kernel(args.kernel).kind,
-        "bw": est.settings["bw"], "trunc": est.settings["trunc"], "n": field.n,
-        "dims": list(field.dims),
-    })
+    _write_settings(args.output, {"command": "estimate", "input": args.input, **est.settings})
     return 0
 
 
@@ -124,11 +139,8 @@ def cmd_select_q(args) -> int:
     scan_to_csv(scan, f"{args.output}.csv")
     scan_summary_json(scan, f"{args.output}.json")
     _write_settings(args.output, {
-        "command": "select-q", "input": args.input, "qmax": args.qmax,
-        "kernel": make_kernel(args.kernel).kind, "bw": scan.settings["bw"],
-        "cgrid": args.cgrid, "seed": args.seed, "c_manual": args.c_manual,
-        "subsamples": scan.settings["subsample_sizes"],
-        "selected_q": scan.selected_q, "selected_c": scan.selected_c,
+        "command": "select-q", "input": args.input, **scan.settings, "cgrid": args.cgrid,
+        "c_manual": args.c_manual, "selected_q": scan.selected_q, "selected_c": scan.selected_c,
     })
     if failure is not None:
         print(f"error: {failure}", file=sys.stderr)
@@ -142,8 +154,8 @@ def cmd_eigengap(args) -> int:
     m_values = _parse_ints(args.m_values, "m-values", count=None)
     if m_values is None:
         step = max(1, field.n // 10)
-        m_values = range(step, field.n + 1, step)
-    m_values = list(m_values)
+        # ten steps, ending at the full panel even when step does not divide n
+        m_values = sorted(set(range(step, field.n + 1, step)) | {field.n})
     bw = _parse_ints(args.bw, "bw")
     if args.gdfm:
         # the purely temporal variant: every (series, site) pair is one series
@@ -168,16 +180,7 @@ def cmd_eigengap(args) -> int:
 
 def cmd_mc_study(args) -> int:
     # the design from the flags; a --config JSON object may override any of it
-    design = {
-        "model": "model_a" if args.model == "a" else "model_b",
-        "n": args.n,
-        "dims": _parse_ints(args.dims, "dims"),
-        "q": args.q,
-        "idio": "correlated" if args.idio == "correlated" else "iid_gaussian",
-        "seed": args.seed,
-        "r_a": args.ra,
-        "n_reps": args.reps,
-    }
+    design = {**_design(args), "n_reps": args.reps}
     if args.config:
         try:
             with open(args.config, "r", encoding="ascii") as fh:
@@ -190,7 +193,7 @@ def cmd_mc_study(args) -> int:
         if unknown:
             raise ConfigError(f"unknown --config keys {unknown}; known keys are {list(design)}")
         design.update(overrides)
-    cfg = SimConfig(**design)
+    cfg = _sim_config(args, design)
     result = run_mc_study(
         cfg, study=args.study, q_fit=args.q_fit, kernels=args.kernel,
         bw=_parse_ints(args.bw, "bw"), trunc=_parse_ints(args.trunc, "trunc"),
@@ -221,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", required=True, help="S1,S2,T")
     p.add_argument("--q", type=int, default=2)
     p.add_argument("--idio", choices=["iid", "correlated"], default="iid")
-    p.add_argument("--ra", type=int, default=40)
+    p.add_argument("--ra", type=int, default=None, help="model_a truncation radius (default 40)")
     p.add_argument("--rep", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", required=True)
@@ -272,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--q-fit", type=int, default=None, dest="q_fit")
         p.add_argument("--qmax", type=int, default=None, help="selection study only")
         p.add_argument("--idio", choices=["iid", "correlated"], default="iid")
-        p.add_argument("--ra", type=int, default=40)
+        p.add_argument("--ra", type=int, default=None, help="model_a only (default 40)")
         p.add_argument("--reps", type=int, default=20)
         p.add_argument("--trunc", default=None)
         p.add_argument("--region", choices=["all", "interior"], default="all")
@@ -289,6 +292,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_output_dirs(args)
         return args.func(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -60,7 +60,8 @@ __all__ = [
 
 
 def validate_truncation(trunc, bw, dims) -> tuple[int, int, int]:
-    trunc = tuple(int(m) for m in trunc)
+    """Checked truncation triple; ``None`` selects M_d = B_d, the widest alias-free window."""
+    trunc = tuple(int(m) for m in (bw if trunc is None else trunc))
     if len(trunc) != 3:
         raise ConfigError("truncation must be a triple (M_S1, M_S2, M_T)")
     for m, b, d, name in zip(trunc, bw, dims, ("S1", "S2", "T")):
@@ -120,14 +121,15 @@ def _apply_projection_frequency(
     P(theta) acts on the series axis and the windowed transforms W_theta
     on the lattice axes, so the two commute and only the q scores are
     windowed; the result equals the truncated lag-domain convolution
-    exactly.  The half grid is visited one row (the points sharing
-    theta_1, theta_2) at a time.  Each window is applied to the last
-    lattice axis through a transposed view, which rotates that axis to
-    the front, so T (one theta_3 per point), S2 and S1 leave the scores
-    in their original order.  Both projections are real GEMMs with
-    [Re P; Im P]: the data are real, and negated frequencies contribute
-    the complex conjugate (counted by ``pair_weights``), so only the
-    real part of the back-projection is formed.
+    exactly.  The half grid that the eigensystem stores is visited one
+    row (the points sharing theta_1, theta_2) at a time.  Each window is
+    applied to the last lattice axis through a transposed view, which
+    rotates that axis to the front, so T (one theta_3 per point), S2 and
+    S1 leave the scores in their original order.  Both projections are
+    real GEMMs with [Re P; Im P]: the data are real, and negated
+    frequencies contribute the complex conjugate (counted by
+    ``pair_weights``), so only the real part of the back-projection is
+    formed.
     """
     grid = system.grid
     n, (s1, s2, t) = values.shape[0], values.shape[1:]
@@ -161,21 +163,6 @@ class CommonComponentEstimate:
     mask: np.ndarray
     settings: dict
 
-    def energy_split(self, values: np.ndarray) -> dict:
-        """Decomposition diagnostics of x = chi + residual.
-
-        In finite samples chi and the residual are not exactly
-        orthogonal, so the split is reported with its cross term rather
-        than asserted to be exact.
-        """
-        resid = values - self.chi
-        return {
-            "total_energy": float(np.sum(values**2)),
-            "common_energy": float(np.sum(self.chi**2)),
-            "residual_energy": float(np.sum(resid**2)),
-            "cross_term": float(np.sum(self.chi * resid)),
-        }
-
     def to_json_sidecar(self, target) -> None:
         payload = dict(self.settings)
         payload["interior_lower"] = [int(m) + 1 for m in self.settings["trunc"]]
@@ -202,8 +189,7 @@ def estimate_common_component(
         raise ConfigError(f"q={q} out of range 0..{field.n}")
     kernels = resolve_kernels(kernels)
     bw = validate_bandwidths(bw, field.dims)
-    # default truncation M_d = B_d, the widest alias-free window
-    trunc = validate_truncation(bw if trunc is None else trunc, bw, field.dims)
+    trunc = validate_truncation(trunc, bw, field.dims)
     system = eigensystem_from_field(field, kernels, bw, q_keep=q)
     top = system.eigenvalues[:, : max(q, 1)]
     if q > 0 and np.all(top <= 0):

@@ -10,8 +10,10 @@ averaged eigenvalues grow with the cross-sectional dimension while the
 Eigenvector phases are not identifiable; each row is rotated so its
 largest-modulus entry is real-positive, which makes output
 deterministic without affecting any projector built from the rows.
-Conjugate pairing p_j(-theta) = conj(p_j(theta)) is imposed exactly by
-computing the non-negative half of the grid and mirror-filling.
+Like the spectral estimate, the eigensystem lives on the non-redundant
+half of the grid (zero frequency last): for a real field the rows at a
+negated frequency are the conjugates, p_j(-theta) = conj(p_j(theta)),
+and the eigenvalues are equal, so the other half is never formed.
 
 For stacked panels with more series than lattice points (n > S1*S2*T)
 the same eigenstructure is obtained from the small Gram matrix of the
@@ -48,12 +50,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DynamicEigenSystem:
-    """Per-frequency eigenvalues and leading eigenvector rows.
+    """Per-frequency eigenvalues and leading eigenvector rows on the half grid.
 
-    ``eigenvalues`` is (G, n) with descending order at every grid point;
-    ``eigenvectors`` is (G, q_keep, n) whose rows p_j(theta) are unit
-    norm and satisfy p_j(theta) Sigma(theta) = lambda_j(theta)
-    p_j(theta).  Rows at negated frequencies are exact conjugates.
+    ``eigenvalues`` is (grid.half_count, n), descending at every point;
+    ``eigenvectors`` is (grid.half_count, q_keep, n) whose rows
+    p_j(theta) are unit norm and satisfy p_j(theta) Sigma(theta) =
+    lambda_j(theta) p_j(theta).  Both are in grid order with the zero
+    frequency last, like ``SpectralDensityEstimate.matrices``.
     """
 
     grid: FrequencyGrid
@@ -61,13 +64,19 @@ class DynamicEigenSystem:
     eigenvectors: np.ndarray
     q_keep: int
 
+    def __post_init__(self):
+        if self.eigenvalues.shape[0] != self.grid.half_count:
+            raise ConfigError(
+                f"expected {self.grid.half_count} half-grid points, got {self.eigenvalues.shape[0]}"
+            )
+
     @property
     def n(self) -> int:
         return self.eigenvalues.shape[1]
 
     def eigenvalue_means(self) -> np.ndarray:
-        """Grid-averaged eigenvalues (1/G) sum_theta lambda_j(theta)."""
-        return self.eigenvalues.mean(axis=0)
+        """Grid-averaged eigenvalues (1/G) sum_theta lambda_j(theta) over the whole grid."""
+        return self.grid.pair_weights @ self.eigenvalues / self.grid.size
 
 
 def _fix_phases(rows: np.ndarray) -> np.ndarray:
@@ -80,20 +89,6 @@ def _fix_phases(rows: np.ndarray) -> np.ndarray:
     if np.any(mod == 0):
         raise NumericError("zero eigenvector row encountered during phase normalization")
     return rows * (np.conj(pivot) / mod)[..., None]
-
-
-def _mirror_system(
-    grid: FrequencyGrid, half_vals: np.ndarray, half_rows: np.ndarray, q_keep: int
-) -> DynamicEigenSystem:
-    size, half = grid.size, grid.half_count
-    n = half_vals.shape[1]
-    eigenvalues = np.empty((size, n))
-    eigenvalues[:half] = half_vals
-    eigenvalues[size - half:] = half_vals[::-1]
-    eigenvectors = np.empty((size, q_keep, n), dtype=np.complex128)
-    eigenvectors[:half] = half_rows
-    eigenvectors[size - half:] = np.conj(half_rows[::-1])
-    return DynamicEigenSystem(grid, eigenvalues, eigenvectors, q_keep)
 
 
 def _half_grid_eigh(mats: np.ndarray):
@@ -122,20 +117,19 @@ def _half_grid_eigh(mats: np.ndarray):
 
 
 def eigendecompose_all(estimate: SpectralDensityEstimate, q_keep: int) -> DynamicEigenSystem:
-    """Hermitian eigendecomposition at every grid frequency.
+    """Hermitian eigendecomposition at every stored (half-grid) frequency.
 
     All n eigenvalues are returned per frequency; eigenvector rows are
-    kept for the top ``q_keep`` only.  Only the non-negative half of
-    the grid is decomposed; the other half is mirror-filled by
-    conjugation.  At the zero frequency the (real symmetric) matrix is
-    decomposed in real arithmetic so its eigenvectors are exactly real.
+    kept for the top ``q_keep`` only.  At the zero frequency the (real
+    symmetric) matrix is decomposed in real arithmetic so its
+    eigenvectors are exactly real.
     """
     n = estimate.n
     if not 0 <= q_keep <= n:
         raise ConfigError(f"q_keep={q_keep} out of range 0..{n}")
-    half_vals, vecs = _half_grid_eigh(estimate.matrices)
+    vals, vecs = _half_grid_eigh(estimate.matrices)
     rows = np.conj(np.transpose(vecs[:, :, :q_keep], (0, 2, 1)))
-    return _mirror_system(estimate.grid, half_vals, _fix_phases(np.ascontiguousarray(rows)), q_keep)
+    return DynamicEigenSystem(estimate.grid, vals, _fix_phases(np.ascontiguousarray(rows)), q_keep)
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +190,8 @@ def _gram_eigensystem(x2d: np.ndarray, kernels, bw, dims, q_keep: int) -> Dynami
     grid, hs, g_invhalf = _gram_half_matrices(x2d, kernels, bw, dims)
     half = grid.half_count
     mu, z = _half_grid_eigh(hs)
-    half_vals = np.zeros((half, n))
-    half_vals[:, : min(n, volume)] = mu[:, : min(n, volume)]
+    vals = np.zeros((half, n))
+    vals[:, : min(n, volume)] = mu[:, : min(n, volume)]
     rows = np.zeros((half, q_keep, n), dtype=np.complex128)
     if q_keep > 0:
         if q_keep > min(n, volume):
@@ -210,7 +204,7 @@ def _gram_eigensystem(x2d: np.ndarray, kernels, bw, dims, q_keep: int) -> Dynami
             raise NumericError("degenerate eigenvector in Gram route")
         # rows are conjugate transposes of the column eigenvectors
         rows = _fix_phases(np.conj(np.transpose(cols / norms, (0, 2, 1))).copy())
-    return _mirror_system(grid, half_vals, rows, q_keep)
+    return DynamicEigenSystem(grid, vals, rows, q_keep)
 
 
 def eigensystem_from_field(

@@ -37,7 +37,6 @@ __all__ = [
     "StackedSeries",
     "demean",
     "as_demeaned_field",
-    "subfield",
     "stack_to_time_series",
     "stacked_series_as_field",
     "unstack_values",
@@ -151,14 +150,6 @@ def as_demeaned_field(values: np.ndarray) -> LatticeField:
         return demean(LatticeField(values))
 
 
-def subfield(field: LatticeField, m: int) -> LatticeField:
-    """First ``m`` series of the field, same lattice dimensions."""
-    if not 1 <= m <= field.n:
-        raise ConfigError(f"subfield size m={m} out of range 1..{field.n}")
-    means = None if field.series_means is None else field.series_means[:m].copy()
-    return LatticeField(field.values[:m].copy(), demeaned=field.demeaned, series_means=means)
-
-
 @dataclass(frozen=True)
 class StackedSeries:
     """The field rearranged as one long vector time series.
@@ -173,38 +164,21 @@ class StackedSeries:
     values: np.ndarray
     index_map: np.ndarray
     source_dims: tuple[int, int, int] = dc_field(default=(0, 0, 0))
-    order: str = "ell-major"
-
-    @property
-    def N(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def T(self) -> int:
-        return self.values.shape[1]
 
 
-def stack_to_time_series(field: LatticeField, order: str = "ell-major") -> StackedSeries:
+def stack_to_time_series(field: LatticeField) -> StackedSeries:
     """Stack the field into an (N, T) series, N = n*S1*S2.
 
-    ``order`` controls which index varies slowest: ``"ell-major"``
-    (default) keeps all locations of series 1 first; ``"space-major"``
-    keeps all series at location (1, 1) first.  The choice is
-    immaterial for spectral analysis of the stacked vector.
+    The series index varies slowest: all locations of series 1 come
+    first, each in (s1, s2) C order.
     """
     n, (s1n, s2n, tn) = field.n, field.dims
-    if order not in ("ell-major", "space-major"):
-        raise ConfigError(f"unknown stacking order {order!r}")
     ells, s1s, s2s = np.meshgrid(
         np.arange(1, n + 1), np.arange(1, s1n + 1), np.arange(1, s2n + 1), indexing="ij"
     )
     triples = np.stack([ells.ravel(), s1s.ravel(), s2s.ravel()], axis=1)
-    if order == "space-major":
-        # reorder so (s1, s2) varies slowest, ell fastest
-        perm = np.lexsort((triples[:, 0], triples[:, 2], triples[:, 1]))
-        triples = triples[perm]
     rows = field.values[triples[:, 0] - 1, triples[:, 1] - 1, triples[:, 2] - 1, :]
-    return StackedSeries(rows, triples, source_dims=(n, s1n, s2n), order=order)
+    return StackedSeries(rows, triples, source_dims=(n, s1n, s2n))
 
 
 def stacked_series_as_field(stacked: StackedSeries) -> LatticeField:

@@ -57,8 +57,14 @@ from .field import (
     stacked_series_as_field,
     unstack_values,
 )
-from .commoncomp import CommonComponentEstimate, estimate_common_component, interior_mask
+from .commoncomp import (
+    CommonComponentEstimate,
+    estimate_common_component,
+    interior_mask,
+    validate_truncation,
+)
 from .qselect import stability_scan
+from .spectral import resolve_kernels, validate_bandwidths
 
 __all__ = [
     "SimConfig",
@@ -433,9 +439,14 @@ def run_mc_study(
     if threads < 1:
         raise ConfigError(f"threads={threads} must be >= 1")
     q_fit = cfg.q if q_fit is None else int(q_fit)
+    # resolved once, so every replication and the echo use the same values
+    kernels = resolve_kernels(kernels)
+    bw = validate_bandwidths(bw, cfg.dims)
     if study == "selection":
         q_max = 10 if q_max is None else q_max
         c_grid = np.arange(0, 6001) / 2000.0 if c_grid is None else c_grid
+    else:
+        trunc = validate_truncation(trunc, bw, cfg.dims)
 
     def one(rep: int) -> dict:
         try:
@@ -461,8 +472,8 @@ def run_mc_study(
         "model": cfg.model, "n": cfg.n, "dims": list(cfg.dims), "q": cfg.q,
         "idio": cfg.idio, "r_a": cfg.r_a, "study": study, "q_fit": q_fit,
         "q_max": q_max,
-        "kernels": kernels if isinstance(kernels, str) else "per-axis",
-        "bw": None if bw is None else list(bw),
+        "kernels": [k.kind for k in kernels],
+        "bw": list(bw),
         "trunc": None if trunc is None else list(trunc),
         "threads": threads,
         "region": region,

@@ -30,9 +30,8 @@ the non-redundant half of the grid (the first G // 2 + 1 points, zero
 frequency last) is computed and stored.  Each stored matrix is formed
 on and above its diagonal and conjugated below it, so
 Sigma_hat(theta)^dagger == Sigma_hat(theta) holds exactly, with a real
-diagonal and a real zero-frequency matrix;
-:meth:`SpectralDensityEstimate.full_matrices` rebuilds the whole grid
-by conjugation.
+diagonal and a real zero-frequency matrix.  Every later layer reads
+only this half, weighting each point by :attr:`FrequencyGrid.pair_weights`.
 
 The spectral step is the largest allocation of the pipeline; its bytes
 are estimated from the shapes and checked against physical memory
@@ -41,7 +40,6 @@ before the first array is allocated.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -61,7 +59,6 @@ __all__ = [
     "sample_autocovariance",
     "SpectralDensityEstimate",
     "estimate_spectral_density",
-    "export_spectral_json",
 ]
 
 # Smoothness exponents: |K(u) - 1| = O(|u|^theta) near zero.  The
@@ -228,14 +225,6 @@ class AutocovarianceSet:
     window: tuple[int, int, int]
     gammas: np.ndarray
 
-    def gamma(self, h) -> np.ndarray:
-        """Gamma_hat(h) for one lag triple."""
-        b1, b2, b3 = self.window
-        h1, h2, h3 = h
-        if abs(h1) > b1 or abs(h2) > b2 or abs(h3) > b3:
-            raise ConfigError(f"lag {tuple(h)} outside window {self.window}")
-        return self.gammas[((h1 + b1) * (2 * b2 + 1) + (h2 + b2)) * (2 * b3 + 1) + (h3 + b3)]
-
 
 def _next_fast_len(target: int) -> int:
     # smallest 5-smooth integer >= target
@@ -339,9 +328,9 @@ class SpectralDensityEstimate:
 
     ``matrices`` is (grid.half_count, n, n) complex: the first half of
     the grid in grid order, the zero frequency last.  The other half is
-    its conjugate, Sigma(-theta) = conj(Sigma(theta)), and is rebuilt by
-    :meth:`full_matrices`.  Stored matrices are exactly Hermitian, with
-    a real diagonal; the zero-frequency matrix is real.
+    its conjugate, Sigma(-theta) = conj(Sigma(theta)), and is not
+    stored.  Stored matrices are exactly Hermitian, with a real
+    diagonal; the zero-frequency matrix is real.
     """
 
     grid: FrequencyGrid
@@ -357,14 +346,6 @@ class SpectralDensityEstimate:
     @property
     def n(self) -> int:
         return self.matrices.shape[1]
-
-    def full_matrices(self) -> np.ndarray:
-        """(G, n, n) matrices on the whole grid, the negated half by conjugation."""
-        half = self.grid.half_count
-        out = np.empty((self.grid.size,) + self.matrices.shape[1:], dtype=self.matrices.dtype)
-        out[:half] = self.matrices
-        np.conjugate(self.matrices[:-1][::-1], out=out[half:])
-        return out
 
 
 def kernel_lag_weights(kernels, window) -> np.ndarray:
@@ -428,26 +409,3 @@ def estimate_spectral_density(
     if not field.demeaned:
         raise ConfigError("estimate_spectral_density requires a demeaned field")
     return spectral_from_autocovariance(sample_autocovariance(field, bw), kernels)
-
-
-def export_spectral_json(estimate: SpectralDensityEstimate, target) -> None:
-    """Dump grid metadata and flattened re/im parts for inspection.
-
-    Not a stability-guaranteed archive format.
-    """
-    full = estimate.full_matrices()
-    payload = {
-        "n": estimate.n,
-        "bandwidths": list(estimate.grid.bandwidths),
-        "grid_shape": list(estimate.grid.shape),
-        "grid_size": estimate.grid.size,
-        "kernels": [k.kind for k in estimate.kernels],
-        "theta": estimate.grid.points.tolist(),
-        "re": full.real.ravel().tolist(),
-        "im": full.imag.ravel().tolist(),
-    }
-    if isinstance(target, (str, bytes)) or hasattr(target, "__fspath__"):
-        with open(target, "w", encoding="ascii") as fh:
-            json.dump(payload, fh)
-    else:
-        json.dump(payload, target)

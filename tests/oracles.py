@@ -1,5 +1,11 @@
 """Plain-function references for the simulator, the filter and the IC.
 
+The library stores every per-frequency array (spectral matrices,
+eigenvalues, eigenvector rows) on the non-redundant half of the grid,
+zero frequency last.  ``mirror`` is the one place that rebuilds the
+whole grid, by conjugation, for the references below and for tests
+that compare against full-grid formulas.
+
 The library filters in the frequency domain (project, then window).
 The filter functions below compute the same estimate as the paper
 writes it: the real lag coefficients C(kappa) = (1/G) sum_theta
@@ -11,7 +17,7 @@ The library selects the factor count by a stability scan that scores
 the information criterion on half-grid eigenvalues for a whole grid of
 penalty scales.  ``information_criterion`` and ``select_q_fixed_c``
 evaluate the criterion as the paper writes it, at fixed scales, from the
-full-grid eigenvalues of one eigensystem.
+mirrored full-grid eigenvalues of one eigensystem.
 
 The library simulates by applying the n filters of one factor to its
 shock field together, in blocks of series.
@@ -20,36 +26,65 @@ filter at a time, one banded matrix product per axis.
 
 The library assembles the spectral estimate on the non-redundant half
 grid only, one upper-triangle row at a time.  ``spectral_full_reference``
-transforms every row on the whole grid, averages the two triangles into
-an exactly Hermitian matrix and mirror-fills the negated half.
+transforms every row at every point of the whole grid, the negated half
+included, and averages the two triangles into an exactly Hermitian
+matrix.
 """
 
 import itertools
 
 import numpy as np
 
-from stfactor import ConfigError, FrequencyGrid, NumericError, eigensystem_from_field, penalty_value
+from stfactor import (
+    ConfigError,
+    FrequencyGrid,
+    LatticeField,
+    NumericError,
+    eigensystem_from_field,
+    penalty_value,
+)
 from stfactor.spectral import kernel_lag_weights, resolve_kernels, validate_bandwidths
 
 # the imaginary part of C(kappa) must be rounding noise next to the real part
 COEFF_IMAG_RTOL = 1e-9
 
 
-def _rows(system, q):
+def mirror(half):
+    """Whole-grid array from its half-grid first axis: the negated half by conjugation."""
+    return np.concatenate([half, np.conj(half[-2::-1])])
+
+
+def gamma(autocov, h):
+    """Gamma_hat(h) for one lag triple of an AutocovarianceSet."""
+    if any(abs(c) > b for c, b in zip(h, autocov.window)):
+        raise ConfigError(f"lag {tuple(h)} outside window {autocov.window}")
+    lag = np.ravel_multi_index([c + b for c, b in zip(h, autocov.window)],
+                               [2 * b + 1 for b in autocov.window])
+    return autocov.gammas[lag]
+
+
+def subfield(field, m):
+    """First ``m`` series of the field, same lattice dimensions."""
+    if not 1 <= m <= field.n:
+        raise ConfigError(f"subfield size m={m} out of range 1..{field.n}")
+    means = None if field.series_means is None else field.series_means[:m].copy()
+    return LatticeField(field.values[:m].copy(), demeaned=field.demeaned, series_means=means)
+
+
+def full_rows(system, q):
+    """(G, q, n) leading eigenvector rows of an eigensystem on the whole grid."""
     if q > system.q_keep:
         raise ConfigError(f"q={q} exceeds the {system.q_keep} eigenvector rows kept")
-    return system.eigenvectors[:, :q, :]
+    return mirror(system.eigenvectors[:, :q, :])
 
 
-def projector_stack(system, q):
-    """P(theta)^dag P(theta) at every grid point, shape (G, n, n)."""
-    rows = _rows(system, q)
+def projector_stack(rows):
+    """P(theta)^dag P(theta) at every grid point of (G, q, n) rows, shape (G, n, n)."""
     return np.einsum("gqi,gqj->gij", np.conj(rows), rows)
 
 
-def lag_coefficients(system, q, trunc):
-    """Real C(kappa) for |kappa_d| <= M_d, shape (2M1+1, 2M2+1, 2M3+1, n, n)."""
-    rows, grid = _rows(system, q), system.grid
+def lag_coefficients(grid, rows, trunc):
+    """Real C(kappa) for |kappa_d| <= M_d from (G, q, n) rows, shape (2M1+1, 2M2+1, 2M3+1, n, n)."""
     phases = np.exp(1j * FrequencyGrid(tuple(trunc)).offsets @ grid.points.T) / grid.size
     coeffs = np.einsum("lg,gqi,gqj->lij", phases, np.conj(rows), rows, optimize=True)
     residue, scale = np.abs(coeffs.imag).max(), np.abs(coeffs.real).max()
@@ -101,7 +136,7 @@ def select_q_fixed_c(field, q_max, kernels="epanechnikov", bw=None, c=1.0):
     bw = validate_bandwidths(bw, field.dims)
     pen = penalty_value(field.n, field.dims, bw, tuple(k.smoothness for k in kernels))
     system = eigensystem_from_field(field, kernels, bw)
-    values = information_criterion(system.eigenvalues, q_max, np.multiply(c, pen))
+    values = information_criterion(mirror(system.eigenvalues), q_max, np.multiply(c, pen))
     return values, np.argmin(values, axis=-1)
 
 
@@ -140,9 +175,9 @@ def separable_convolution_reference(loadings, weights, shocks, dims):
 
 
 def spectral_full_reference(autocov, kernels):
-    """(G, n, n) spectral matrices on the whole grid, symmetrized and mirror-filled."""
+    """(G, n, n) spectral matrices, every grid point transformed and symmetrized."""
     grid = FrequencyGrid(autocov.window)
-    n, half = autocov.gammas.shape[1], grid.half_count
+    n = autocov.gammas.shape[1]
     w = kernel_lag_weights(resolve_kernels(kernels), autocov.window)
     s1, s2, s3 = grid.shape
     e1, e2, e3 = (np.exp(-1j * np.outer(grid.axis_frequencies(d), grid.axis_offsets(d)))
@@ -153,9 +188,8 @@ def spectral_full_reference(autocov, kernels):
         out = (e2 @ out).reshape(s1 * s2, s3, -1)
         mats[:, i] = (e3 @ out).reshape(grid.size, n)
     for i in range(n):
-        row = 0.5 * (mats[:half, i, i:] + np.conj(mats[:half, i:, i]))
-        mats[:half, i:, i] = np.conj(row)
-        mats[:half, i, i:] = row
-    mats[half - 1].imag = 0.0
-    np.conjugate(mats[:half - 1][::-1], out=mats[half:])
+        row = 0.5 * (mats[:, i, i:] + np.conj(mats[:, i:, i]))
+        mats[:, i:, i] = np.conj(row)
+        mats[:, i, i:] = row
+    mats[grid.zero_index].imag = 0.0
     return mats

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import stfactor
-from stfactor import eigenvalue_curve_by_size, load_field
+from stfactor import default_bandwidths, eigenvalue_curve_by_size, load_field
 from stfactor.cli import main
 
 # golden digests of fixed-seed simulation outputs, frozen from the
@@ -229,6 +229,21 @@ class TestEigengap:
         assert used == [expected]
         assert echo["bw"] == list(expected)
 
+    @pytest.mark.parametrize("n, sizes", [
+        (45, [4, 8, 12, 16, 20, 24, 28, 32, 36, 40, 44, 45]),
+        (40, [4, 8, 12, 16, 20, 24, 28, 32, 36, 40]),
+    ], ids=["n45", "n40"])
+    def test_default_sizes_end_at_full_panel(self, tmp_path, n, sizes):
+        main(["simulate", "--n", str(n), "--dims", "4,4,6", "--q", "1",
+              "--output", f"{tmp_path}/x.stf"])
+        rc = main(["eigengap", "--input", f"{tmp_path}/x.stf", "--bw", "1,1,2",
+                   "--output", f"{tmp_path}/gap.csv"])
+        assert rc == 0
+        rows = (tmp_path / "gap.csv").read_text().splitlines()[1:]
+        assert [int(row.split(",")[0]) for row in rows] == sizes
+        echo = json.loads((tmp_path / "gap.csv.settings.json").read_text())
+        assert echo["m_values"] == sizes
+
 
 class TestMcStudy:
     def test_accuracy_smoke(self, tmp_path):
@@ -286,7 +301,7 @@ class TestMcStudy:
         ["compare-gdfm", "--bw", "1,1,1", "--trunc", "3,3,3"],
     ], ids=["bw", "kernel", "trunc"])
     def test_config_error_inside_replication_exits_2(self, tmp_path, capsys, args):
-        # each setting is only checked once a replication estimates
+        # resolved before the first replication, so no replication is named
         rc = main(args + ["--n", "6", "--dims", "5,5,6", "--reps", "1",
                           "--output", f"{tmp_path}/mc"])
         assert rc == 2
@@ -308,6 +323,28 @@ class TestMcStudy:
         assert rc == 0
         summary = json.loads((tmp_path / "cmp.json").read_text())
         assert "E1_gdfm" in summary["means"]
+
+    @pytest.mark.parametrize("study", ["accuracy", "selection"])
+    def test_echo_records_values_used(self, tmp_path, study):
+        rc = main(["mc-study", "--study", study, "--n", "6", "--dims", "6,6,8", "--q", "1",
+                   "--reps", "1", "--output", f"{tmp_path}/mc"]
+                  + (["--qmax", "2"] if study == "selection" else []))
+        assert rc == 0
+        echo = json.loads((tmp_path / "mc.settings.json").read_text())
+        bw = list(default_bandwidths((6, 6, 8)))
+        assert echo["kernels"] == ["epanechnikov"] * 3 and echo["bw"] == bw
+        # the selection study filters nothing, so it has no truncation
+        assert echo["trunc"] == (bw if study == "accuracy" else None)
+
+    def test_resolved_values_reproduce_the_study(self, tmp_path):
+        common = ["mc-study", "--n", "6", "--dims", "6,6,8", "--q", "1", "--reps", "1"]
+        assert main(common + ["--output", f"{tmp_path}/unset"]) == 0
+        echo = json.loads((tmp_path / "unset.settings.json").read_text())
+        assert main(common + ["--kernel", echo["kernels"][0],
+                              "--bw", ",".join(map(str, echo["bw"])),
+                              "--trunc", ",".join(map(str, echo["trunc"])),
+                              "--output", f"{tmp_path}/set"]) == 0
+        assert sha256(tmp_path / "unset.csv") == sha256(tmp_path / "set.csv")
 
     def test_compare_gdfm_rejects_qmax(self, tmp_path):
         rc = main(["compare-gdfm", "--n", "8", "--dims", "4,4,10", "--q", "1", "--qmax", "3",
@@ -347,3 +384,74 @@ def test_malformed_list_or_count_flag_exits_2(tmp_path, args):
     rc = main(args + ["--output", f"{tmp_path}/out"])
     assert rc == 2
     assert not any(tmp_path.glob("out*"))
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate"], ["mc-study", "--reps", "1"], ["compare-gdfm", "--reps", "1"],
+], ids=["simulate", "mc_study", "compare_gdfm"])
+def test_radius_with_model_b_exits_2(tmp_path, capsys, command):
+    rc = main(command + ["--model", "b", "--ra", "3", "--n", "6", "--dims", "5,5,6",
+                         "--output", f"{tmp_path}/out"])
+    assert rc == 2
+    assert "--ra" in capsys.readouterr().err
+    assert not any(tmp_path.glob("out*"))
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--n", "6", "--dims", "5,5,6"],
+    ["simulate", "--n", "6", "--dims", "5,5,6", "--truth-output", "{tmp}/missing/chi.stf"],
+    ["estimate", "--input", "{tmp}/x.stf", "--q", "1"],
+    ["select-q", "--input", "{tmp}/x.stf"],
+    ["eigengap", "--input", "{tmp}/x.stf"],
+    ["mc-study", "--n", "6", "--dims", "5,5,6"],
+    ["compare-gdfm", "--n", "6", "--dims", "5,5,6"],
+], ids=["simulate", "truth_output", "estimate", "select_q", "eigengap", "mc_study",
+        "compare_gdfm"])
+def test_missing_output_directory_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
+                                                          command):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the output check")
+
+    # the input files do not exist either: reading them would be exit code 3
+    for name in ("simulate_field", "run_mc_study", "load_field"):
+        monkeypatch.setattr(f"stfactor.cli.{name}", no_work)
+    args = [a.format(tmp=tmp_path) for a in command]
+    output = f"{tmp_path}/missing/out" if "--truth-output" not in args else f"{tmp_path}/x.stf"
+    rc = main(args + ["--output", output])
+    assert rc == 2
+    flag = "--truth-output" if "--truth-output" in args else "--output"
+    assert f"{flag} {tmp_path}/missing/" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def _echo(tmp_path, args):
+    assert main(args + ["--output", f"{tmp_path}/out"]) == 0
+    return json.loads((tmp_path / "out.settings.json").read_text())
+
+
+# the echo keys of each command, as README "Command line" names them
+ECHO_KEYS = {
+    "estimate": ["command", "input", "n", "dims", "q", "kernels", "bw", "trunc"],
+    "select-q": ["command", "input", "q_max", "bw", "kernels", "subsample_sizes", "seed",
+                 "c_grid", "cgrid", "c_manual", "selected_q", "selected_c"],
+    "eigengap": ["command", "input", "m_values", "topk", "kernel", "bw", "gdfm"],
+    "mc-study": ["command", "model", "n", "dims", "q", "idio", "r_a", "study", "q_fit", "q_max",
+                 "kernels", "bw", "trunc", "threads", "region", "truth_retained", "seed"],
+}
+
+
+@pytest.mark.parametrize("command, args", [
+    ("estimate", ["--q", "1"]),
+    ("select-q", ["--qmax", "3", "--cgrid", "0:0.05:4", "--subsamples", "10,11",
+                  "--c-manual", "0.5"]),
+    ("eigengap", ["--m-values", "6,12", "--topk", "2"]),
+    ("mc-study", ["--n", "6", "--dims", "5,5,6", "--q", "1", "--reps", "1"]),
+], ids=["estimate", "select_q", "eigengap", "mc_study"])
+def test_echo_key_sets(tmp_path, command, args):
+    if command != "mc-study":
+        main(["simulate", "--n", "12", "--dims", "5,5,6", "--q", "1",
+              "--output", f"{tmp_path}/x.stf"])
+        args = args + ["--input", f"{tmp_path}/x.stf", "--bw", "2,2,2"]
+    echo = _echo(tmp_path, [command] + args)
+    assert sorted(echo) == sorted(ECHO_KEYS[command] + ["version", "argv"])
+    assert echo["command"] == ("accuracy" if command == "mc-study" else command)

@@ -13,11 +13,11 @@ from stfactor import (
     eigensystem_from_field,
     eigenvalue_curve_by_size,
     estimate_spectral_density,
-    subfield,
 )
 from stfactor.dynpca import write_eigengap_csv
 from stfactor.spectral import SpectralDensityEstimate, make_kernel
 from conftest import random_field
+from oracles import mirror, subfield
 
 
 def synthetic_estimate(matrix_fn, bw=(1, 1, 1), n=None):
@@ -34,10 +34,11 @@ class TestEigendecomposeAll:
         system = eigendecompose_all(est, 3)
         np.testing.assert_allclose(system.eigenvalues, 1.0, atol=1e-14)
         # rows satisfy the eigen-relation within the residual tolerance
-        full = est.full_matrices()
+        full, vals = mirror(est.matrices), mirror(system.eigenvalues)
+        vecs = mirror(system.eigenvectors)
         for g in range(est.grid.size):
-            rows = system.eigenvectors[g]
-            resid = rows @ full[g] - system.eigenvalues[g][:, None] * rows
+            rows = vecs[g]
+            resid = rows @ full[g] - vals[g][:, None] * rows
             assert np.abs(resid).max() <= 1e-8 * 2
 
     def test_constant_diagonal_spectrum(self):
@@ -54,26 +55,23 @@ class TestEigendecomposeAll:
         field = random_field((4, 5, 4, 6), seed=21)
         est = estimate_spectral_density(field, "ep", (2, 1, 2))
         system = eigendecompose_all(est, 4)
-        rebuilt = np.einsum(
-            "gj,gji,gjk->gik", system.eigenvalues, np.conj(system.eigenvectors), system.eigenvectors
-        )
-        full = est.full_matrices()
+        vecs = mirror(system.eigenvectors)
+        rebuilt = np.einsum("gj,gji,gjk->gik", mirror(system.eigenvalues), np.conj(vecs), vecs)
+        full = mirror(est.matrices)
         assert np.abs(rebuilt - full).max() <= 1e-8 * np.abs(full).max()
 
     def test_invariants(self):
         field = random_field((5, 5, 5, 6), seed=22)
         est = estimate_spectral_density(field, "ep", (2, 2, 2))
         system = eigendecompose_all(est, 5)
-        vals, vecs = system.eigenvalues, system.eigenvectors
+        vals, vecs = mirror(system.eigenvalues), mirror(system.eigenvectors)
         assert np.all(np.diff(vals, axis=1) <= 1e-12)
         gram = np.einsum("gqi,gpi->gqp", vecs, np.conj(vecs))
         assert np.abs(gram - np.eye(5)[None]).max() <= 1e-10
-        full = est.full_matrices()
+        full = mirror(est.matrices)
         resid = np.einsum("gqi,gij->gqj", vecs, full) - vals[:, :, None] * vecs
         bound = 1e-8 * (1.0 + np.abs(vals))[:, :, None]
         assert np.all(np.abs(resid) <= bound)
-        # conjugate pairing is exact as stored
-        assert np.array_equal(vecs[::-1], np.conj(vecs))
         # eigenvalue sum equals the trace at every frequency
         traces = np.trace(full, axis1=1, axis2=2).real
         np.testing.assert_allclose(vals.sum(axis=1), traces, rtol=1e-9)
@@ -97,7 +95,7 @@ class TestEigendecomposeAll:
     def test_interlacing_per_frequency(self):
         field = random_field((6, 4, 4, 5), seed=23)
         est = estimate_spectral_density(field, "ep", (1, 1, 2))
-        mats = est.full_matrices()
+        mats = mirror(est.matrices)
         full = np.linalg.eigvalsh(mats)[:, ::-1]
         for m in (2, 4):
             sub = np.linalg.eigvalsh(mats[:, :m, :m])[:, ::-1]
@@ -112,11 +110,17 @@ class TestAveragedEigenvalues:
 
     def test_is_arithmetic_grid_mean(self):
         grid = FrequencyGrid((1, 1, 1))
-        vals = np.random.default_rng(1).uniform(0, 5, size=(grid.size, 4))
+        vals = np.random.default_rng(1).uniform(0, 5, size=(grid.half_count, 4))
         vals.sort(axis=1)
         vals = vals[:, ::-1].copy()
-        system = DynamicEigenSystem(grid, vals, np.zeros((grid.size, 0, 4), complex), 0)
-        np.testing.assert_allclose(system.eigenvalue_means()[:4], vals.mean(axis=0), rtol=1e-15)
+        system = DynamicEigenSystem(grid, vals, np.zeros((grid.half_count, 0, 4), complex), 0)
+        np.testing.assert_allclose(system.eigenvalue_means(), mirror(vals).mean(axis=0), rtol=1e-15)
+
+    def test_constructor_rejects_full_grid(self):
+        grid = FrequencyGrid((1, 1, 2))
+        vals = np.ones((grid.size, 3))
+        with pytest.raises(ConfigError, match=f"expected {grid.half_count} half-grid points"):
+            DynamicEigenSystem(grid, vals, np.zeros((grid.size, 0, 3), complex), 0)
 
     def test_white_noise_band(self):
         # flat-spectrum oracle: population eigenvalues are all 1; the
@@ -158,7 +162,8 @@ class TestGramRoute:
         system = eigensystem_from_field(field, "ep", (1, 1, 1), q_keep=4)  # Gram route
         gram = np.einsum("gqi,gpi->gqp", system.eigenvectors, np.conj(system.eigenvectors))
         assert np.abs(gram - np.eye(4)[None]).max() <= 1e-10
-        assert np.array_equal(system.eigenvectors[::-1], np.conj(system.eigenvectors))
+        # the zero frequency is its own negation, so its rows are exactly real
+        assert np.all(system.eigenvectors[-1].imag == 0.0)
 
 
 class TestEigengapCurve:

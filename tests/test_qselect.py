@@ -3,7 +3,6 @@ import pytest
 
 from stfactor import (
     ConfigError,
-    DynamicEigenSystem,
     FrequencyGrid,
     LatticeField,
     NoSecondIntervalError,
@@ -13,19 +12,18 @@ from stfactor import (
 )
 from stfactor.qselect import _stable_runs, _tail_means, scan_summary_json, scan_to_csv
 from stfactor.simlab import SimConfig, simulate_field
-from stfactor import demean, subfield
+from stfactor import demean
 from conftest import random_field
-from oracles import information_criterion, select_q_fixed_c
+from oracles import information_criterion, select_q_fixed_c, subfield
 
 # frozen by an independent scalar evaluation of the penalty formula at
 # n=100, dims (25,25,25), B=(4,4,4), smoothness (2,2,2)
 PENALTY_REFERENCE = 0.6509959967059817
 
 
-def flat_eigensystem(n, value=1.0, bw=(1, 1, 1)):
-    grid = FrequencyGrid(bw)
-    vals = np.full((grid.size, n), float(value))
-    return DynamicEigenSystem(grid, vals, np.zeros((grid.size, 0, n), complex), 0)
+def flat_eigenvalues(n, value=1.0, bw=(1, 1, 1)):
+    """(G, n) full-grid eigenvalues, all equal to ``value``."""
+    return np.full((FrequencyGrid(bw).size, n), float(value))
 
 
 class TestPenalty:
@@ -36,7 +34,7 @@ class TestPenalty:
     def test_linear_in_scale(self):
         # the criterion's penalty term is k * c * p: doubling c doubles it
         p = penalty_value(100, (25, 25, 25), (4, 4, 4))
-        vals = flat_eigensystem(8).eigenvalues
+        vals = flat_eigenvalues(8)
         free, one, two = information_criterion(vals, 3, np.array([0.0, p, 2.0 * p]))
         assert np.abs((two - free) - 2.0 * (one - free)).max() <= 1e-15
 
@@ -58,31 +56,28 @@ class TestPenalty:
 class TestInformationCriterion:
     def test_identity_spectrum_closed_form(self):
         n = 8
-        system = flat_eigensystem(n)
         pen = penalty_value(n, (25, 25, 25), (4, 4, 4))
-        values = information_criterion(system.eigenvalues, 4, pen)
+        values = information_criterion(flat_eigenvalues(n), 4, pen)
         for k in range(5):
             expected = np.log((n - k) / n) + k * pen
             assert abs(values[k] - expected) <= 1e-12
 
     def test_zero_k_has_no_penalty(self):
-        system = flat_eigensystem(5, value=2.0)
         pen = 123.0 * penalty_value(5, (25, 25, 25), (4, 4, 4))
-        assert abs(information_criterion(system.eigenvalues, 0, pen)[0] - np.log(2.0)) <= 1e-12
+        value = information_criterion(flat_eigenvalues(5, 2.0), 0, pen)[0]
+        assert abs(value - np.log(2.0)) <= 1e-12
 
     def test_degenerate_spectrum_rejected(self):
-        system = flat_eigensystem(4, value=0.0)
         pen = penalty_value(4, (25, 25, 25), (4, 4, 4))
         with pytest.raises(NumericError, match="degenerate"):
-            information_criterion(system.eigenvalues, 1, pen)
+            information_criterion(flat_eigenvalues(4, 0.0), 1, pen)
 
     def test_negative_eigenvalues_clamped(self):
         grid = FrequencyGrid((1, 1, 1))
         vals = np.tile(np.array([2.0, 1.0, -0.5]), (grid.size, 1))
-        system = DynamicEigenSystem(grid, vals, np.zeros((grid.size, 0, 3), complex), 0)
         # the negative eigenvalue contributes zero, not -0.5
         expected = np.log(1.0 / 3.0)
-        assert abs(information_criterion(system.eigenvalues, 1, 0.0)[1] - expected) <= 1e-12
+        assert abs(information_criterion(vals, 1, 0.0)[1] - expected) <= 1e-12
 
     def test_tail_means_match_direct_sum(self):
         means = np.array([5.0, 3.0, 1.0, 0.5])

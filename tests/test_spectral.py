@@ -12,7 +12,6 @@ from stfactor import (
     default_bandwidths,
     demean,
     estimate_spectral_density,
-    export_spectral_json,
     make_kernel,
     sample_autocovariance,
     store_field,
@@ -21,7 +20,7 @@ from stfactor import spectral
 from stfactor.cli import main
 from stfactor.spectral import validate_bandwidths
 from conftest import random_field
-from oracles import spectral_full_reference
+from oracles import gamma, mirror, spectral_full_reference
 
 
 class TestKernels:
@@ -128,8 +127,8 @@ class TestAutocovariance:
         field = random_field((3, 4, 3, 5), seed=1)
         ac = sample_autocovariance(field, (2, 2, 3))
         flat = field.values.reshape(3, -1)
-        np.testing.assert_allclose(ac.gamma((0, 0, 0)), flat @ flat.T / flat.shape[1], atol=1e-14)
-        eigs = np.linalg.eigvalsh(ac.gamma((0, 0, 0)))
+        np.testing.assert_allclose(gamma(ac, (0, 0, 0)), flat @ flat.T / flat.shape[1], atol=1e-14)
+        eigs = np.linalg.eigvalsh(gamma(ac, (0, 0, 0)))
         assert eigs.min() > -1e-12
 
     def test_requires_demeaned(self):
@@ -140,21 +139,21 @@ class TestAutocovariance:
         field = random_field((2, 4, 4, 4), seed=2)
         ac = sample_autocovariance(field, (1, 1, 2))
         with pytest.raises(ConfigError):
-            ac.gamma((0, 0, 4))
+            gamma(ac, (0, 0, 4))
 
     def test_reversal_exact(self):
         field = random_field((3, 4, 4, 5), seed=3)
         ac = sample_autocovariance(field, (2, 2, 2))
         for h in [(1, 0, 0), (2, -1, 1), (0, 2, -2), (1, 1, 1)]:
             neg = tuple(-c for c in h)
-            assert np.array_equal(ac.gamma(neg), ac.gamma(h).T)
-        assert np.array_equal(ac.gamma((0, 0, 0)), ac.gamma((0, 0, 0)).T)
+            assert np.array_equal(gamma(ac, neg), gamma(ac, h).T)
+        assert np.array_equal(gamma(ac, (0, 0, 0)), gamma(ac, (0, 0, 0)).T)
 
     @pytest.mark.parametrize("h", [(0, 0, 1), (1, 0, 0), (-1, 1, 2), (2, 2, -2)])
     def test_matches_brute_force(self, h):
         field = random_field((3, 4, 3, 5), seed=4)
         ac = sample_autocovariance(field, (2, 2, 2))
-        np.testing.assert_allclose(ac.gamma(h), brute_force_autocovariance(field.values, h),
+        np.testing.assert_allclose(gamma(ac, h), brute_force_autocovariance(field.values, h),
                                    rtol=1e-12, atol=1e-13)
 
     def test_shifted_series_lag_structure(self):
@@ -166,9 +165,9 @@ class TestAutocovariance:
         field = demean(LatticeField(values))
         ac = sample_autocovariance(field, (2, 1, 1))
         oracle = brute_force_autocovariance(field.values, (1, 0, 0))
-        np.testing.assert_allclose(ac.gamma((1, 0, 0)), oracle, rtol=1e-12, atol=1e-13)
+        np.testing.assert_allclose(gamma(ac, (1, 0, 0)), oracle, rtol=1e-12, atol=1e-13)
         # overlap of the shifted pair is (S1-1)/S1 of the zero-lag energy
-        ratio = ac.gamma((1, 0, 0))[0, 1] / ac.gamma((0, 0, 0))[0, 0]
+        ratio = gamma(ac, (1, 0, 0))[0, 1] / gamma(ac, (0, 0, 0))[0, 0]
         assert abs(ratio - (s1n - 1) / s1n) < 0.15
 
     def test_fft_equals_direct(self):
@@ -220,7 +219,7 @@ class TestSpectralDensity:
         kernel = make_kernel(kind)
         bw = (2, 1, 2)
         est = estimate_spectral_density(field, kind, bw)
-        full = est.full_matrices()
+        full = mirror(est.matrices)
         scale = np.abs(full).max()
         for g in range(est.grid.size):
             oracle = brute_force_spectral(field.values, (kernel,) * 3, bw, est.grid.points[g])
@@ -233,21 +232,21 @@ class TestSpectralDensity:
         assert np.max(np.abs(m - np.conj(m.transpose(0, 2, 1)))) == 0.0
         assert np.all(np.diagonal(m, axis1=1, axis2=2).imag == 0.0)
         assert np.all(m[-1].imag == 0.0)
-        full = est.full_matrices()
+        full = mirror(est.matrices)
         assert np.array_equal(full[::-1], np.conj(full))
         assert np.array_equal(full[: est.grid.half_count], m)
 
     def test_inverse_dft_identity(self):
         field = random_field((3, 6, 4, 8), seed=9)
         est = estimate_spectral_density(field, "ep", (2, 1, 3))
-        grid_mean = est.full_matrices().mean(axis=0)
-        gamma0 = sample_autocovariance(field, (2, 1, 3)).gamma((0, 0, 0))
+        grid_mean = mirror(est.matrices).mean(axis=0)
+        gamma0 = gamma(sample_autocovariance(field, (2, 1, 3)), (0, 0, 0))
         assert np.max(np.abs(grid_mean - gamma0)) <= 1e-10 * np.abs(gamma0).max()
         assert np.max(np.abs(grid_mean.imag)) <= 1e-12 * np.abs(gamma0).max()
 
     def test_bartlett_positive_semidefinite(self):
         est = estimate_spectral_density(random_field((4, 6, 6, 8), seed=10), "bartlett", (2, 2, 3))
-        full = est.full_matrices()
+        full = mirror(est.matrices)
         for g in range(est.grid.size):
             eigs = np.linalg.eigvalsh(full[g])
             assert eigs.min() >= -1e-10 * np.trace(full[g]).real
@@ -255,14 +254,14 @@ class TestSpectralDensity:
     def test_scaling_equivariance(self):
         base = random_field((3, 5, 5, 6), seed=11)
         scaled = LatticeField(2.5 * base.values, demeaned=True)
-        e1 = estimate_spectral_density(base, "ep", (2, 2, 2)).full_matrices()
-        e2 = estimate_spectral_density(scaled, "ep", (2, 2, 2)).full_matrices()
+        e1 = mirror(estimate_spectral_density(base, "ep", (2, 2, 2)).matrices)
+        e2 = mirror(estimate_spectral_density(scaled, "ep", (2, 2, 2)).matrices)
         np.testing.assert_allclose(e2, 2.5**2 * e1, rtol=1e-12, atol=1e-12 * np.abs(e1).max())
 
     def test_white_noise_flat_spectrum(self):
         field = random_field((4, 12, 12, 12), seed=12)
         est = estimate_spectral_density(field, "ep", (3, 3, 3))
-        full = est.full_matrices()
+        full = mirror(est.matrices)
         diag = np.diagonal(full.real, axis1=1, axis2=2)
         assert 0.7 <= diag.mean() <= 1.3
         off = full.copy()
@@ -279,7 +278,7 @@ class TestSpectralDensity:
         values = np.cos(theta_star * t)[None, None, None, :]
         field = demean(LatticeField(values))
         est = estimate_spectral_density(field, "ep", (0, 0, b_t))
-        power = np.abs(est.full_matrices()[:, 0, 0])
+        power = np.abs(mirror(est.matrices)[:, 0, 0])
         peaks = set(np.argsort(power)[-2:])
         expected = {grid.zero_index + 1, grid.zero_index - 1}
         assert peaks == expected
@@ -290,21 +289,6 @@ class TestSpectralDensity:
         ])
         assert set(np.argsort(oracle)[-2:]) == expected
 
-    def test_export_json(self, tmp_path):
-        import json
-
-        est = estimate_spectral_density(random_field((2, 3, 3, 4), seed=13), "ep", (1, 1, 1))
-        path = tmp_path / "spec.json"
-        export_spectral_json(est, path)
-        payload = json.loads(path.read_text())
-        assert payload["n"] == 2
-        assert payload["grid_size"] == est.grid.size
-        assert len(payload["re"]) == est.grid.size * 4
-        np.testing.assert_array_equal(
-            np.reshape(payload["re"], (-1, 2, 2)) + 1j * np.reshape(payload["im"], (-1, 2, 2)),
-            est.full_matrices(),
-        )
-
     @pytest.mark.parametrize("shape, bw", [
         ((4, 1, 1, 16), (0, 0, 5)),  # B1 = 0: one first-axis row
         ((5, 5, 6, 7), (2, 2, 3)),   # odd n
@@ -314,7 +298,7 @@ class TestSpectralDensity:
         field = random_field(shape, seed=14)
         est = estimate_spectral_density(field, "ep", bw)
         oracle = spectral_full_reference(sample_autocovariance(field, bw), "ep")
-        full = est.full_matrices()
+        full = mirror(est.matrices)
         assert full.shape == oracle.shape
         assert np.max(np.abs(full - oracle)) <= 1e-14 * np.abs(oracle).max()
 
@@ -322,7 +306,7 @@ class TestSpectralDensity:
         field = random_field((3, 4, 4, 5), seed=15)
         est = estimate_spectral_density(field, "ep", (1, 1, 2))
         with pytest.raises(ConfigError, match=f"expected {est.grid.half_count} half-grid"):
-            SpectralDensityEstimate(est.grid, est.full_matrices(), est.kernels)
+            SpectralDensityEstimate(est.grid, mirror(est.matrices), est.kernels)
 
 
 class TestMemoryBound:
