@@ -13,14 +13,12 @@ __version__ = "0.1.0"
 from .errors import ConfigError, DataError, NumericError
 from .field import (
     LatticeField,
-    StackedSeries,
     as_demeaned_field,
     demean,
     load_field,
     stack_to_time_series,
     stacked_series_as_field,
     store_field,
-    unstack_values,
 )
 from .spectral import (
     AutocovarianceSet,
@@ -60,9 +58,8 @@ from .simlab import (
 
 __all__ = [
     "ConfigError", "DataError", "NumericError",
-    "LatticeField", "StackedSeries", "as_demeaned_field", "demean", "load_field",
+    "LatticeField", "as_demeaned_field", "demean", "load_field",
     "stack_to_time_series", "stacked_series_as_field", "store_field",
-    "unstack_values",
     "AutocovarianceSet", "FrequencyGrid", "Kernel", "SpectralDensityEstimate",
     "default_bandwidths", "estimate_spectral_density", "make_kernel", "sample_autocovariance",
     "DynamicEigenSystem", "eigendecompose_all", "eigensystem_from_field",

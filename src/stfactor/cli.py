@@ -76,10 +76,10 @@ def _design(args) -> dict:
 
 
 def _sim_config(args, design: dict) -> SimConfig:
-    """The design's SimConfig: an unset r_a takes the default, and --ra needs model_a."""
+    """The design's SimConfig; the error for --ra with model_b names the flag."""
     if args.ra is not None and design["model"] != "model_a":
         raise ConfigError(f"--ra sets the model_a truncation radius; {design['model']} has none")
-    return SimConfig(**{k: v for k, v in design.items() if k != "r_a" or v is not None})
+    return SimConfig(**design)
 
 
 def _check_output_dirs(args) -> None:
@@ -122,7 +122,7 @@ def cmd_estimate(args) -> int:
 
 def cmd_select_q(args) -> int:
     field = demean(load_field(args.input))
-    c_grid = _parse_cgrid(args.cgrid)
+    c_grid = None if args.cgrid is None else _parse_cgrid(args.cgrid)
     sizes = _parse_ints(args.subsamples, "subsamples", count=None)
     failure = None
     try:
@@ -242,8 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("select-q", help="stability scan for the factor count")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True, help="output prefix (.csv/.json)")
-    p.add_argument("--qmax", type=int, default=10)
-    p.add_argument("--cgrid", default="0:0.0005:3", help="start:step:stop")
+    p.add_argument("--qmax", type=int, default=None, help="default 10")
+    p.add_argument("--cgrid", default=None, help="start:step:stop (default 0:0.0005:3)")
     p.add_argument("--subsamples", default=None, help="comma list of subsample sizes")
     p.add_argument("--c-manual", type=float, default=None, dest="c_manual")
     p.add_argument("--seed", type=int, default=0)

@@ -16,9 +16,9 @@ negated frequency are the conjugates, p_j(-theta) = conj(p_j(theta)),
 and the eigenvalues are equal, so the other half is never formed.
 
 For stacked panels with more series than lattice points (n > S1*S2*T)
-the same eigenstructure is obtained from the small Gram matrix of the
-data instead of the huge n x n spectral matrix; see
-:func:`eigensystem_from_field`, which picks the route by shape.  Both
+the same eigenstructure is obtained in the eigenbasis of the data's
+small V x V Gram matrix instead of from the huge n x n spectral matrix;
+see :func:`eigensystem_from_field`, which picks the route by shape.  Both
 routes share one half-grid eigen solver; eigenvalue curves need top_k >= 1.
 """
 
@@ -137,73 +137,56 @@ def eigendecompose_all(estimate: SpectralDensityEstimate, q_keep: int) -> Dynami
 # ---------------------------------------------------------------------------
 
 
-def _axis_weight_matrix(kernel, extent: int, bandwidth: int, theta: float) -> np.ndarray:
-    if bandwidth == 0:
-        return np.eye(extent, dtype=np.complex128)
-    diff = np.arange(extent)[:, None] - np.arange(extent)[None, :]
-    return kernel(diff / bandwidth) * np.exp(-1j * theta * diff)
-
-
 def _gram_half_matrices(x2d: np.ndarray, kernels, bw, dims):
-    """Small-side Hermitian matrices sharing the spectrum of Sigma_hat.
+    """Small Hermitian matrices sharing the nonzero spectrum of Sigma_hat, and their back map.
 
     With X the (n, V) data matrix, V = S1*S2*T, the estimate at theta is
-    Sigma_hat(theta) = X W(theta) X^T / V for a Hermitian V x V weight
-    W(theta) (Kronecker product of per-axis kernel/phase matrices).  Its
-    nonzero eigenvalues coincide with those of
-    H(theta) = G^(1/2) W(theta) G^(1/2), where G = X^T X / V, and the
-    eigenvector of Sigma_hat for eigenvalue mu with H z = mu z is
-    v = X G^(-1/2) z / sqrt(V), automatically unit norm.
+    Sigma_hat(theta) = X W(theta) X^T / V for the Hermitian V x V weight
+    W(theta)[u, v] = prod_d K_d((u_d - v_d) / max(B_d, 1)) e^{-i <theta, u - v>}
+    over lattice points u, v in C order.  In the data's eigenbasis,
+    X^T X / V = E diag(g) E^T over its r positive g, the r x r matrices
+    H(theta) = A W(theta) A^T with A = diag(sqrt(g)) E^T have the
+    nonzero eigenvalues of Sigma_hat(theta).  The back map
+    Bk = E diag(1 / sqrt(g V)) turns an eigenvector z of H into the unit
+    eigenvector X Bk z of Sigma_hat.
     """
     kernels = resolve_kernels(kernels)
     volume = x2d.shape[1]
     grid = FrequencyGrid(tuple(bw))
-    gram = x2d.T @ x2d / volume
-    gram = 0.5 * (gram + gram.T)
-    gvals, gvecs = np.linalg.eigh(gram)
-    floor = max(gvals[-1], 0.0) * 1e-13
-    pos = gvals > floor
+    gvals, gvecs = np.linalg.eigh(x2d.T @ x2d / volume)
+    pos = gvals > max(gvals[-1], 0.0) * 1e-13
     if not pos.any():
         raise NumericError("degenerate data: Gram matrix has no positive eigenvalues")
-    sq = np.sqrt(gvals[pos])
-    basis = gvecs[:, pos]
-    g_half = (basis * sq) @ basis.T
-    g_invhalf = (basis / sq) @ basis.T
-    half = grid.half_count
-    theta_axes = [grid.axis_frequencies(d) for d in range(3)]
-    shape = grid.shape
-    hs = np.empty((half, volume, volume), dtype=np.complex128)
-    for g in range(half):
-        i1, i2, i3 = np.unravel_index(g, shape)
-        w1 = _axis_weight_matrix(kernels[0], dims[0], bw[0], theta_axes[0][i1])
-        w2 = _axis_weight_matrix(kernels[1], dims[1], bw[1], theta_axes[1][i2])
-        w3 = _axis_weight_matrix(kernels[2], dims[2], bw[2], theta_axes[2][i3])
-        w = np.kron(np.kron(w1, w2), w3)
-        h = g_half @ w @ g_half
-        hs[g] = 0.5 * (h + np.conj(h.T))
-    hs[half - 1] = hs[half - 1].real
-    return grid, hs, g_invhalf
+    gvals, gvecs = gvals[pos], gvecs[:, pos]
+    basis = np.sqrt(gvals)[:, None] * gvecs.T
+    coords = np.indices(dims).reshape(3, -1)
+    lags = coords[:, :, None] - coords[:, None, :]
+    lag_weights = np.prod([k(lag / max(b, 1)) for k, b, lag in zip(kernels, bw, lags)], axis=0)
+    hs = np.empty((grid.half_count, len(gvals), len(gvals)), dtype=np.complex128)
+    for g, theta in enumerate(grid.points[: grid.half_count]):
+        hs[g] = basis @ (lag_weights * np.exp(-1j * np.tensordot(theta, lags, 1))) @ basis.T
+    return grid, hs, gvecs / np.sqrt(gvals * volume)
 
 
 def _gram_eigensystem(x2d: np.ndarray, kernels, bw, dims, q_keep: int) -> DynamicEigenSystem:
     n, volume = x2d.shape
-    grid, hs, g_invhalf = _gram_half_matrices(x2d, kernels, bw, dims)
-    half = grid.half_count
+    if q_keep > min(n, volume):
+        raise ConfigError(
+            f"q_keep={q_keep} exceeds the rank bound min(n, S1*S2*T)={min(n, volume)}"
+        )
+    grid, hs, back = _gram_half_matrices(x2d, kernels, bw, dims)
+    rank = hs.shape[1]
+    if q_keep > rank:
+        raise NumericError(f"degenerate eigenvector in Gram route: q_keep={q_keep} > rank {rank}")
     mu, z = _half_grid_eigh(hs)
-    vals = np.zeros((half, n))
-    vals[:, : min(n, volume)] = mu[:, : min(n, volume)]
-    rows = np.zeros((half, q_keep, n), dtype=np.complex128)
+    vals = np.zeros((grid.half_count, n))
+    vals[:, :rank] = mu
+    rows = np.zeros((grid.half_count, q_keep, n), dtype=np.complex128)
     if q_keep > 0:
-        if q_keep > min(n, volume):
-            raise ConfigError(
-                f"q_keep={q_keep} exceeds the rank bound min(n, S1*S2*T)={min(n, volume)}"
-            )
-        cols = np.einsum("nv,gvq->gnq", x2d @ g_invhalf / np.sqrt(volume), z[:, :, :q_keep])
-        norms = np.linalg.norm(cols, axis=1, keepdims=True)
-        if np.any(norms == 0):
-            raise NumericError("degenerate eigenvector in Gram route")
+        cols = np.einsum("nr,grq->gnq", x2d @ back, z[:, :, :q_keep])
+        cols /= np.linalg.norm(cols, axis=1, keepdims=True)
         # rows are conjugate transposes of the column eigenvectors
-        rows = _fix_phases(np.conj(np.transpose(cols / norms, (0, 2, 1))).copy())
+        rows = _fix_phases(np.conj(np.transpose(cols, (0, 2, 1))).copy())
     return DynamicEigenSystem(grid, vals, rows, q_keep)
 
 
@@ -213,7 +196,8 @@ def eigensystem_from_field(
     """Full pipeline from a demeaned field to its dynamic eigensystem.
 
     Panels with more series than lattice points (n > S1*S2*T, such as
-    stacked panels) go through the V x V Gram-side matrices; all others
+    stacked panels) go through r x r matrices in the eigenbasis of the
+    data's Gram matrix, r <= V its numerical rank; all others
     materialize the n x n spectral matrices and decompose them.  Both
     give the same eigenvalues and the same eigenvector rows up to
     numerical rounding.

@@ -19,14 +19,16 @@ Two on-disk formats are supported:
   little-endian float64 in storage order (bit-exact round trip).
 
 Fields are immutable after construction and safe to share across
-threads; every operation here is pure and returns a new object.
+threads; every operation here is pure.  Stacking the (series, site)
+pairs into one long vector time series returns a view of the same
+read-only values, not a new array.
 """
 
 from __future__ import annotations
 
 import io
 import os
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,12 +36,10 @@ from .errors import ConfigError, DataError
 
 __all__ = [
     "LatticeField",
-    "StackedSeries",
     "demean",
     "as_demeaned_field",
     "stack_to_time_series",
     "stacked_series_as_field",
-    "unstack_values",
     "load_field",
     "store_field",
 ]
@@ -150,57 +150,24 @@ def as_demeaned_field(values: np.ndarray) -> LatticeField:
         return demean(LatticeField(values))
 
 
-@dataclass(frozen=True)
-class StackedSeries:
-    """The field rearranged as one long vector time series.
+def stack_to_time_series(field: LatticeField) -> np.ndarray:
+    """The field as one (N, T) vector time series, N = n*S1*S2.
 
-    At each time point the n*S1*S2 (series, location) pairs are stacked
-    into a single vector, discarding the spatial structure.  ``values``
-    is (N, T); ``index_map[i] = (ell, s1, s2)`` (1-based) records which
-    source cell row ``i`` came from.  The reshape is a pure permutation,
-    no arithmetic is applied.
+    A C-order reshape: row (ell-1)*S1*S2 + (s1-1)*S2 + (s2-1) holds cell
+    (ell, s1, s2), so the series index varies slowest and the locations
+    of each series follow in (s1, s2) C order.  The result is a view of
+    the field's read-only values, not a copy.
     """
-
-    values: np.ndarray
-    index_map: np.ndarray
-    source_dims: tuple[int, int, int] = dc_field(default=(0, 0, 0))
+    return field.values.reshape(-1, field.dims[2])
 
 
-def stack_to_time_series(field: LatticeField) -> StackedSeries:
-    """Stack the field into an (N, T) series, N = n*S1*S2.
-
-    The series index varies slowest: all locations of series 1 come
-    first, each in (s1, s2) C order.
-    """
-    n, (s1n, s2n, tn) = field.n, field.dims
-    ells, s1s, s2s = np.meshgrid(
-        np.arange(1, n + 1), np.arange(1, s1n + 1), np.arange(1, s2n + 1), indexing="ij"
-    )
-    triples = np.stack([ells.ravel(), s1s.ravel(), s2s.ravel()], axis=1)
-    rows = field.values[triples[:, 0] - 1, triples[:, 1] - 1, triples[:, 2] - 1, :]
-    return StackedSeries(rows, triples, source_dims=(n, s1n, s2n))
-
-
-def stacked_series_as_field(stacked: StackedSeries) -> LatticeField:
-    """View the stacked series as an (N, 1, 1, T) field.
+def stacked_series_as_field(stacked: np.ndarray) -> LatticeField:
+    """View an (N, T) stacked series as an (N, 1, 1, T) field, not marked demeaned.
 
     This is the entry point for running the purely temporal pipeline
     (degenerate spatial axes) on stacked data.
     """
-    return LatticeField(stacked.values[:, None, None, :].copy())
-
-
-def unstack_values(stacked: StackedSeries, values_2d: np.ndarray) -> np.ndarray:
-    """Scatter an (N, T) array back to the source (n, S1, S2, T) shape."""
-    n, s1n, s2n = stacked.source_dims
-    if values_2d.shape != stacked.values.shape:
-        raise DataError(
-            f"expected shape {stacked.values.shape}, got {values_2d.shape}"
-        )
-    out = np.empty((n, s1n, s2n, values_2d.shape[1]))
-    im = stacked.index_map
-    out[im[:, 0] - 1, im[:, 1] - 1, im[:, 2] - 1, :] = values_2d
-    return out
+    return LatticeField(stacked[:, None, None, :])
 
 
 # ---------------------------------------------------------------------------

@@ -134,6 +134,9 @@ class NoSecondIntervalError(NumericError):
 # points) are not candidates for the second interval.
 MIN_RUN_FRACTION = 0.005
 
+# the factor-count bound of a scan that is given none
+DEFAULT_Q_MAX = 10
+
 
 def _stable_runs(qhat_table: np.ndarray, q_full: np.ndarray):
     """Maximal index runs where all subsamples agree on one estimate.
@@ -158,8 +161,8 @@ def _stable_runs(qhat_table: np.ndarray, q_full: np.ndarray):
 
 def stability_scan(
     field: LatticeField,
-    q_max: int,
-    c_grid,
+    q_max: int | None = None,
+    c_grid=None,
     subsample_sizes=None,
     kernels="epanechnikov",
     bw=None,
@@ -177,6 +180,8 @@ def stability_scan(
     principal submatrices, which is what re-estimation on the subsample
     would produce anyway.
 
+    ``q_max`` defaults to :data:`DEFAULT_Q_MAX` and ``c_grid`` to
+    0:0.0005:3, formed as ``arange(0, 6001) / 2000``.
     ``subsample_sizes`` defaults to n - 5j, j = 1..16 (clipped to stay
     above q_max + 2); the full size n is always included.  ``c_manual``
     bypasses interval detection and reads the estimate at the nearest
@@ -185,10 +190,13 @@ def stability_scan(
     list is unfiltered).
     """
     n = field.n
+    q_max = DEFAULT_Q_MAX if q_max is None else q_max
     if not 0 <= q_max < n:
         raise ConfigError(f"q_max={q_max} must satisfy 0 <= q_max < n={n}")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
+    if c_grid is None:
+        c_grid = np.arange(0, 6001) / 2000.0
     c_grid = np.asarray(list(c_grid), dtype=np.float64)
     if c_grid.ndim != 1 or len(c_grid) < 2:
         raise ConfigError("c_grid must contain at least two scales")

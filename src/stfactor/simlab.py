@@ -55,7 +55,6 @@ from .field import (
     demean,
     stack_to_time_series,
     stacked_series_as_field,
-    unstack_values,
 )
 from .commoncomp import (
     CommonComponentEstimate,
@@ -63,7 +62,7 @@ from .commoncomp import (
     interior_mask,
     validate_truncation,
 )
-from .qselect import stability_scan
+from .qselect import DEFAULT_Q_MAX, stability_scan
 from .spectral import resolve_kernels, validate_bandwidths
 
 __all__ = [
@@ -104,15 +103,18 @@ class SimConfig:
     q: int = 2
     idio: str = "iid_gaussian"
     seed: int = 0
-    r_a: int = 40
+    r_a: int | None = None  # model_a only; None means 40
     n_reps: int = 1
 
     def __post_init__(self):
         if not isinstance(self.dims, (tuple, list)) or len(self.dims) != 3:
             raise ConfigError(f"dims must hold three extents (S1, S2, T), got {self.dims!r}")
-        ints = [("n", self.n), ("q", self.q), ("seed", self.seed), ("r_a", self.r_a),
-                ("n_reps", self.n_reps)] + [("dims", d) for d in self.dims]
-        for name, value in ints:
+        if self.model == "model_a" and self.r_a is None:
+            object.__setattr__(self, "r_a", 40)
+        ints = [("n", self.n), ("q", self.q), ("seed", self.seed), ("n_reps", self.n_reps)]
+        if self.r_a is not None:
+            ints.append(("r_a", self.r_a))
+        for name, value in ints + [("dims", d) for d in self.dims]:
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ConfigError(f"{name} must hold integers, got {value!r}")
         object.__setattr__(self, "dims", tuple(self.dims))
@@ -126,6 +128,8 @@ class SimConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.model == "model_a" and self.r_a < 1:
             raise ConfigError("model_a truncation radius must be >= 1")
+        if self.model == "model_b" and self.r_a is not None:
+            raise ConfigError(f"r_a={self.r_a}: model_b has no truncation radius")
         if self.n < 1 or min(self.dims) < 1:
             raise ConfigError("n and all extents must be positive")
 
@@ -278,6 +282,8 @@ def error_metrics(chi_hat: np.ndarray, chi_true: np.ndarray, region: str = "all"
         truth = chi_true
     else:
         raise ConfigError(f"unknown region {region!r}")
+    if diff.size == 0:
+        raise ConfigError(f"region {region!r} holds no lattice point")
     sq_err = float(np.sum(diff**2))
     sq_truth = float(np.sum(truth**2))
     e1 = sq_err / diff.size
@@ -306,19 +312,18 @@ def gdfm_baseline(
     """Purely temporal factor estimate of the stacked panel.
 
     The n*S1*S2 (series, location) pairs are stacked into one long
-    vector time series and the standard pipeline runs with degenerate
-    spatial axes (single zero spatial frequency, no spatial lags), which
-    reduces every formula to its one-dimensional temporal special case.
-    The estimate is unstacked to field shape for comparison against the
-    truth.
+    vector time series (a reshaped view of the panel) and the standard
+    pipeline runs with degenerate spatial axes (single zero spatial
+    frequency, no spatial lags), which reduces every formula to its
+    one-dimensional temporal special case.  The estimate is reshaped
+    back to field shape for comparison against the truth.
     """
-    stacked = stack_to_time_series(field)
-    sf = as_demeaned_field(stacked_series_as_field(stacked).values)
+    sf = as_demeaned_field(stacked_series_as_field(stack_to_time_series(field)).values)
     # unset values resolve on the stacked (1, 1, T) lattice: B_T by default, M_T = B_T
     bw = None if bw_t is None else (0, 0, int(bw_t))
     trunc = None if trunc_t is None else (0, 0, int(trunc_t))
     est = estimate_common_component(sf, q, kernels, bw, trunc)
-    chi = unstack_values(stacked, est.chi[:, 0, 0, :])
+    chi = est.chi.reshape(field.values.shape)
     return GdfmResult(est, chi, interior_mask(field.dims, est.settings["trunc"]))
 
 
@@ -416,9 +421,10 @@ def run_mc_study(
     (cfg.seed, r), so the result is independent of execution order and
     of ``threads``; any failing replication aborts the study naming its
     index and seed, except that a configuration or data error propagates
-    unchanged.  ``q_max`` (default 10), ``c_grid`` (default 0:0.0005:3)
-    and ``subsample_sizes`` are read by the selection study only; giving
-    one to another study is an error.
+    unchanged.  ``q_max``, ``c_grid`` and ``subsample_sizes`` (defaults
+    as in ``stability_scan``) are read by the selection study only;
+    giving one to another study is an error.  A study that scores the
+    interior fails before any replication if the lattice has none.
     """
     if study not in ("accuracy", "comparison", "selection"):
         raise ConfigError(f"unknown study {study!r}")
@@ -443,10 +449,13 @@ def run_mc_study(
     kernels = resolve_kernels(kernels)
     bw = validate_bandwidths(bw, cfg.dims)
     if study == "selection":
-        q_max = 10 if q_max is None else q_max
-        c_grid = np.arange(0, 6001) / 2000.0 if c_grid is None else c_grid
+        q_max = DEFAULT_Q_MAX if q_max is None else q_max
     else:
         trunc = validate_truncation(trunc, bw, cfg.dims)
+        scores_interior = study == "accuracy" or region == "interior"
+        if scores_interior and not interior_mask(cfg.dims, trunc).any():
+            raise ConfigError(f"dims {list(cfg.dims)} leave no interior point at truncation "
+                              f"{list(trunc)}, which the {study} study scores")
 
     def one(rep: int) -> dict:
         try:

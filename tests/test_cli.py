@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import stfactor
-from stfactor import default_bandwidths, eigenvalue_curve_by_size, load_field
+from stfactor import default_bandwidths, eigenvalue_curve_by_size, load_field, stability_scan
 from stfactor.cli import main
 
 # golden digests of fixed-seed simulation outputs, frozen from the
@@ -422,6 +422,51 @@ def test_missing_output_directory_exits_2_before_any_work(tmp_path, capsys, monk
     flag = "--truth-output" if "--truth-output" in args else "--output"
     assert f"{flag} {tmp_path}/missing/" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_config_radius_with_model_b_exits_2(tmp_path, capsys):
+    (tmp_path / "cfg.json").write_text(json.dumps({"r_a": 3}))
+    rc = main(["mc-study", "--model", "b", "--config", f"{tmp_path}/cfg.json", "--n", "6",
+               "--dims", "5,5,6", "--reps", "1", "--output", f"{tmp_path}/out"])
+    assert rc == 2
+    assert "r_a=3" in capsys.readouterr().err
+    assert not any(tmp_path.glob("out*"))
+
+
+def test_model_b_echoes_no_radius(tmp_path):
+    echo = _echo(tmp_path, ["simulate", "--model", "b", "--n", "2", "--dims", "3,3,4", "--q", "1"])
+    assert echo["r_a"] is None
+    echo = _echo(tmp_path, ["simulate", "--model", "a", "--n", "2", "--dims", "3,3,4", "--q", "1"])
+    assert echo["r_a"] == 40
+
+
+def test_empty_interior_exits_2_without_output(tmp_path, capsys):
+    rc = main(["mc-study", "--n", "4", "--dims", "4,4,6", "--q", "1", "--reps", "1",
+               "--output", f"{tmp_path}/out"])
+    assert rc == 2
+    assert "no interior point" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_default_c_grid_is_the_library_default(tmp_path, monkeypatch):
+    grids = []
+
+    def spy(*args, **kwargs):
+        scan = stability_scan(*args, **kwargs)
+        grids.append(scan.c_grid)
+        return scan
+
+    monkeypatch.setattr("stfactor.cli.stability_scan", spy)
+    monkeypatch.setattr("stfactor.simlab.stability_scan", spy)
+    cfg = stfactor.SimConfig(model="model_b", n=20, dims=(8, 8, 8), q=1, seed=46)
+    stfactor.run_mc_study(cfg, "selection", bw=(2, 2, 2))
+    main(["simulate", "--n", "20", "--dims", "8,8,8", "--q", "1", "--seed", "46",
+          "--output", f"{tmp_path}/x.stf"])
+    echo = _echo(tmp_path, ["select-q", "--input", f"{tmp_path}/x.stf", "--bw", "2,2,2"])
+    assert len(grids) == 2 and np.array_equal(grids[0], grids[1])
+    assert np.array_equal(grids[0], np.arange(0, 6001) / 2000)
+    assert echo["cgrid"] is None and echo["c_grid"] == [0.0, 3.0, 6001]
+    assert echo["q_max"] == 10
 
 
 def _echo(tmp_path, args):

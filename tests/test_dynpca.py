@@ -8,16 +8,18 @@ from stfactor import (
     DynamicEigenSystem,
     FrequencyGrid,
     LatticeField,
+    NumericError,
     demean,
     eigendecompose_all,
     eigensystem_from_field,
     eigenvalue_curve_by_size,
+    estimate_common_component,
     estimate_spectral_density,
 )
 from stfactor.dynpca import write_eigengap_csv
 from stfactor.spectral import SpectralDensityEstimate, make_kernel
 from conftest import random_field
-from oracles import mirror, subfield
+from oracles import convolve_lags, full_rows, lag_coefficients, mirror, projector_stack, subfield
 
 
 def synthetic_estimate(matrix_fn, bw=(1, 1, 1), n=None):
@@ -87,8 +89,6 @@ class TestEigendecomposeAll:
 
         est = synthetic_estimate(matrix)
         est.matrices[3] = np.nan
-        from stfactor import NumericError
-
         with pytest.raises(NumericError, match="grid index 3"):
             eigendecompose_all(est, 1)
 
@@ -164,6 +164,52 @@ class TestGramRoute:
         assert np.abs(gram - np.eye(4)[None]).max() <= 1e-10
         # the zero frequency is its own negation, so its rows are exactly real
         assert np.all(system.eigenvectors[-1].imag == 0.0)
+
+
+    @pytest.mark.parametrize("kernel", ["bartlett", "ep"])
+    def test_matches_standard_route_at_anisotropic_shape(self, kernel):
+        # nonzero lag weights on two axes of different extents and bandwidths make
+        # Sigma_hat(theta) vary with theta, so a wrong phase sign shows in the rows
+        field = random_field((30, 2, 3, 4), seed=34)
+        bw, trunc, q = (1, 2, 2), (1, 1, 1), 3
+        std = eigendecompose_all(estimate_spectral_density(field, kernel, bw), q)
+        gram = eigensystem_from_field(field, kernel, bw, q_keep=q)
+        scale = np.abs(std.eigenvalues).max()
+        # the windowed estimate may have negative eigenvalues: compare as sets
+        assert np.abs(np.sort(std.eigenvalues) - np.sort(gram.eigenvalues)).max() <= 1e-10 * scale
+        proj_std = projector_stack(full_rows(std, q))
+        assert np.abs(projector_stack(full_rows(gram, q)) - proj_std).max() <= 1e-9
+
+        def chi(system):
+            return convolve_lags(lag_coefficients(system.grid, full_rows(system, q), trunc),
+                                 field.values)
+
+        direct = chi(std)
+        for chi_hat in (chi(gram), estimate_common_component(field, q, kernel, bw, trunc).chi):
+            assert np.abs(chi_hat - direct).max() <= 1e-9 * np.abs(direct).max()
+
+    def test_q_keep_above_rank_bound(self):
+        field = random_field((12, 2, 2, 2), seed=35)
+        with pytest.raises(ConfigError, match=r"exceeds the rank bound min\(n, S1\*S2\*T\)=8"):
+            eigensystem_from_field(field, "ep", (1, 1, 1), q_keep=9)
+
+    def test_q_keep_above_numerical_rank(self):
+        # 12 series of rank 2: a third row would not be an eigenvector
+        rng = np.random.default_rng(0)
+        factors = rng.standard_normal((2, 8))
+        factors -= factors.mean(axis=1, keepdims=True)
+        values = (rng.standard_normal((12, 2)) @ factors).reshape(12, 2, 2, 2)
+        field = LatticeField(values, demeaned=True)
+        assert eigensystem_from_field(field, "bartlett", (1, 1, 1), q_keep=2).q_keep == 2
+        with pytest.raises(NumericError, match="degenerate eigenvector in Gram route"):
+            eigensystem_from_field(field, "bartlett", (1, 1, 1), q_keep=3)
+        with pytest.raises(NumericError, match="degenerate eigenvector in Gram route"):
+            estimate_common_component(field, 3, "bartlett", (1, 1, 1), (1, 1, 1))
+
+    def test_zero_panel(self):
+        field = LatticeField(np.zeros((12, 2, 2, 2)), demeaned=True)
+        with pytest.raises(NumericError, match="no positive eigenvalues"):
+            eigensystem_from_field(field, "ep", (1, 1, 1))
 
 
 class TestEigengapCurve:

@@ -13,7 +13,6 @@ from stfactor import (
     stack_to_time_series,
     stacked_series_as_field,
     store_field,
-    unstack_values,
 )
 from conftest import random_field
 from oracles import subfield
@@ -122,37 +121,44 @@ class TestStacking:
     def test_trivial_single_location(self):
         field = random_field((1, 1, 1, 7), demeaned=False)
         stacked = stack_to_time_series(field)
-        assert len(stacked.values) == 1
-        np.testing.assert_array_equal(stacked.values[0], field.values[0, 0, 0])
+        assert len(stacked) == 1
+        np.testing.assert_array_equal(stacked[0], field.values[0, 0, 0])
 
     def test_exhaustive_index_map(self):
-        field = random_field((2, 2, 1, 3), demeaned=False)
+        # row (ell-1)*S1*S2 + (s1-1)*S2 + (s2-1) holds cell (ell, s1, s2)
+        field = random_field((2, 3, 2, 3), demeaned=False)
         stacked = stack_to_time_series(field)
-        assert len(stacked.values) == 4
-        for i in range(len(stacked.values)):
-            ell, s1, s2 = stacked.index_map[i]
-            np.testing.assert_array_equal(
-                stacked.values[i], field.values[ell - 1, s1 - 1, s2 - 1]
-            )
+        assert stacked.shape == (12, 3)
+        assert np.shares_memory(stacked, field.values)
+        for ell in range(1, 3):
+            for s1 in range(1, 4):
+                for s2 in range(1, 3):
+                    row = (ell - 1) * 3 * 2 + (s1 - 1) * 2 + (s2 - 1)
+                    np.testing.assert_array_equal(
+                        stacked[row], field.values[ell - 1, s1 - 1, s2 - 1]
+                    )
 
     def test_round_trip(self):
         field = random_field((3, 2, 4, 5), demeaned=False)
         stacked = stack_to_time_series(field)
-        back = unstack_values(stacked, stacked.values)
-        np.testing.assert_array_equal(back, field.values)
+        np.testing.assert_array_equal(stacked.reshape(field.values.shape), field.values)
 
     def test_time_slice_multiset_preserved(self):
         field = random_field((3, 2, 2, 4), demeaned=False)
         stacked = stack_to_time_series(field)
         for t in range(4):
             np.testing.assert_array_equal(
-                np.sort(stacked.values[:, t]), np.sort(field.values[..., t].ravel())
+                np.sort(stacked[:, t]), np.sort(field.values[..., t].ravel())
             )
 
     def test_as_field(self):
         field = random_field((2, 2, 2, 3), demeaned=False)
         sf = stacked_series_as_field(stack_to_time_series(field))
         assert sf.n == 8 and sf.dims == (1, 1, 3)
+        # a view of the same read-only values, not marked demeaned
+        assert np.shares_memory(sf.values, field.values) and not sf.values.flags.writeable
+        assert not sf.demeaned
+        assert demean(sf).demeaned
 
 
 class TestFileFormats:

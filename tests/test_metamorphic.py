@@ -10,9 +10,16 @@ implementation:
 * x -> a x scales the spectral eigenvalues by a^2 and chi_hat by a and
   leaves every factor-count estimate of the scan unchanged, for a large
   and a tiny a;
-* permuting the series gives P Sigma P^T and the permuted chi_hat.
+* permuting the series gives P Sigma P^T and the permuted chi_hat;
+* swapping S1 and S2, with the bandwidths and truncations swapped,
+  swaps grid axes 0 and 1 of the mirrored estimate and the two spatial
+  axes of chi_hat.
 
-Each holds to rounding, bounded at 1e-14 of the largest entry.
+Each holds to rounding, bounded at 1e-14 of the largest entry.  The
+Gram (dual) route commutes with the same transformations: its
+eigenvalues and projectors on a transformed panel equal the
+transformed ones of the standard route on the original panel, to the
+rounding that separates the two routes.
 """
 
 import numpy as np
@@ -22,13 +29,14 @@ from stfactor import (
     LatticeField,
     SimConfig,
     demean,
+    eigendecompose_all,
     eigensystem_from_field,
     estimate_common_component,
     estimate_spectral_density,
     simulate_field,
     stability_scan,
 )
-from oracles import mirror
+from oracles import full_rows, mirror, projector_stack
 
 RTOL = 1e-14
 # a tiny scale puts every eigenvalue far below any absolute threshold
@@ -125,3 +133,57 @@ class TestPermutation:
         perm = np.random.default_rng(9).permutation(field.n)
         permuted = transformed(field, field.values[perm])
         assert_close(chi_hat(permuted, bw, trunc), chi_hat(field, bw, trunc)[perm])
+
+
+def swapped(triple):
+    return (triple[1], triple[0], triple[2])
+
+
+@pytest.mark.parametrize("case", CASES)
+class TestSpatialSwap:
+    def test_swaps_grid_axes(self, case):
+        field, bw, _ = case_field(case)
+        swap = transformed(field, field.values.transpose(0, 2, 1, 3))
+        assert_close(full_grid(swap, swapped(bw)), full_grid(field, bw).transpose(1, 0, 2, 3, 4))
+
+    def test_swaps_chi_axes(self, case):
+        field, bw, trunc = case_field(case)
+        swap = transformed(field, field.values.transpose(0, 2, 1, 3))
+        assert_close(chi_hat(swap, swapped(bw), swapped(trunc)),
+                     chi_hat(field, bw, trunc).transpose(0, 2, 1, 3))
+
+
+ORDER = np.arange(CASES["gram"][0])
+PERM = np.random.default_rng(9).permutation(ORDER)
+# (values map, bandwidth map, map of a full-grid array with its grid axes unflattened,
+#  eigenvalue factor, series order)
+GRAM_TRANSFORMS = {
+    "identity": (lambda v: v, lambda b: b, lambda a: a, 1.0, ORDER),
+    "time_reversal": (lambda v: v[..., ::-1], lambda b: b, lambda a: a[:, :, ::-1], 1.0, ORDER),
+    "spatial_swap": (lambda v: v.transpose(0, 2, 1, 3), swapped, lambda a: a.swapaxes(0, 1),
+                     1.0, ORDER),
+    "scaling": (lambda v: 7.5 * v, lambda b: b, lambda a: a, 7.5**2, ORDER),
+    "permutation": (lambda v: v[PERM], lambda b: b, lambda a: a, 1.0, PERM),
+}
+
+
+@pytest.mark.parametrize("name", GRAM_TRANSFORMS)
+def test_gram_route_commutes_with_standard_route(name):
+    """Gram route after a transformation = the transformation after the standard route."""
+    field, bw, _ = case_field("gram")
+    values_map, bw_map, grid_map, factor, order = GRAM_TRANSFORMS[name]
+    moved = transformed(field, values_map(field.values))
+    assert moved.lattice_size < moved.n  # the Gram route
+    gram = eigensystem_from_field(moved, "ep", bw_map(bw), q_keep=1)
+    std = eigendecompose_all(estimate_spectral_density(field, "ep", bw), 1)
+
+    def on_grid(system, values):
+        return values.reshape(system.grid.shape + values.shape[1:])
+
+    vals = factor * grid_map(on_grid(std, mirror(std.eigenvalues)))
+    proj = grid_map(on_grid(std, projector_stack(full_rows(std, 1))))[..., order, :][..., order]
+    # the windowed estimate may have negative eigenvalues: compare as sets
+    gram_vals = on_grid(gram, mirror(gram.eigenvalues))
+    assert np.abs(np.sort(gram_vals) - np.sort(vals)).max() <= 1e-12 * np.abs(vals).max()
+    gram_proj = on_grid(gram, projector_stack(full_rows(gram, 1)))
+    assert np.abs(gram_proj - proj).max() <= 1e-10

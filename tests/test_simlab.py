@@ -47,6 +47,15 @@ class TestSimConfig:
                 SimConfig(**bad)
         assert SimConfig(n=np.int64(6), dims=[5, 5, 6]).dims == (5, 5, 6)
 
+    def test_radius_belongs_to_model_a(self):
+        assert SimConfig(model="model_a").r_a == 40
+        assert SimConfig(model="model_a", r_a=3).r_a == 3
+        assert SimConfig(model="model_b").r_a is None
+        with pytest.raises(ConfigError, match="r_a=3: model_b"):
+            SimConfig(model="model_b", r_a=3)
+        with pytest.raises(ConfigError, match="r_a must hold integers"):
+            SimConfig(model="model_a", r_a=2.5)
+
 
 class TestModelA:
     def test_zero_factors_gives_pure_noise(self):
@@ -240,6 +249,11 @@ class TestErrorMetrics:
         with pytest.raises(ConfigError):
             error_metrics(np.zeros((1, 2, 2, 2)), np.zeros((1, 2, 2, 3)))
 
+    def test_empty_region_rejected(self):
+        chi = np.ones((1, 2, 2, 2))
+        with pytest.raises(ConfigError, match="holds no lattice point"):
+            error_metrics(chi, chi, "interior", np.zeros((2, 2, 2), bool))
+
 
 class TestGdfmBaseline:
     def test_bit_identical_on_degenerate_spatial_axes(self):
@@ -313,6 +327,17 @@ class TestRunMcStudy:
         out = run_mc_study(cfg, "selection", bw=(2, 2, 2))
         assert out.settings["q_max"] == 10
         assert run_mc_study(cfg, "accuracy", bw=(2, 2, 2)).settings["q_max"] is None
+
+    @pytest.mark.parametrize("study, region", [("accuracy", "all"), ("comparison", "interior")])
+    def test_empty_interior_fails_before_any_work(self, monkeypatch, study, region):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a replication started")
+
+        monkeypatch.setattr(simlab, "simulate_field", no_work)
+        # the default M = B = (2, 2, 2) leaves no interior point on 4 x 4 x 6
+        cfg = SimConfig(model="model_b", n=4, dims=(4, 4, 6), q=1)
+        with pytest.raises(ConfigError, match=r"dims \[4, 4, 6\] .* truncation \[2, 2, 2\]"):
+            run_mc_study(cfg, study, n_reps=1, region=region)
 
     def test_csv_and_summary_outputs(self, tmp_path):
         cfg = SimConfig(model="model_b", n=8, dims=(5, 5, 8), q=1, seed=45, n_reps=2)
