@@ -202,5 +202,6 @@ def estimate_common_component(
         "kernels": [k.kind for k in kernels],
         "bw": list(bw),
         "trunc": list(trunc),
+        "eigen_workers": system.eigen_workers,
     }
     return CommonComponentEstimate(chi, interior_mask(field.dims, trunc), settings)

@@ -20,11 +20,19 @@ the same eigenstructure is obtained in the eigenbasis of the data's
 small V x V Gram matrix instead of from the huge n x n spectral matrix;
 see :func:`eigensystem_from_field`, which picks the route by shape.  Both
 routes share one half-grid eigen solver; eigenvalue curves need top_k >= 1.
+The solver splits the half grid into contiguous chunks, one thread per
+usable core, and holds BLAS at one thread meanwhile, so each matrix gets
+the same LAPACK call, and the same bits, whatever the core count.
 """
 
 from __future__ import annotations
 
 import csv
+import ctypes
+import functools
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,12 +65,14 @@ class DynamicEigenSystem:
     p_j(theta) are unit norm and satisfy p_j(theta) Sigma(theta) =
     lambda_j(theta) p_j(theta).  Both are in grid order with the zero
     frequency last, like ``SpectralDensityEstimate.matrices``.
+    ``eigen_workers`` threads solved the eigenproblems.
     """
 
     grid: FrequencyGrid
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     q_keep: int
+    eigen_workers: int = 1
 
     def __post_init__(self):
         if self.eigenvalues.shape[0] != self.grid.half_count:
@@ -91,45 +101,112 @@ def _fix_phases(rows: np.ndarray) -> np.ndarray:
     return rows * (np.conj(pivot) / mod)[..., None]
 
 
-def _half_grid_eigh(mats: np.ndarray):
-    """Descending (vals, vecs) of (half, m, m) Hermitian matrices, vecs[g, :, j] for vals[g, j].
-
-    The last matrix, at the zero frequency, is decomposed in real
-    arithmetic so its eigenvectors are exactly real.
-    """
-    bad = ~np.isfinite(mats).all(axis=(1, 2))
-    if bad.any():
-        raise NumericError(f"eigendecomposition failed at grid index {int(np.argmax(bad))}")
+@functools.cache
+def _blas_thread_controls():
+    """(get, set) of the thread count of the OpenBLAS behind numpy's LAPACK, or None."""
     try:
-        vals, vecs = np.linalg.eigh(mats)
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except (AttributeError, OSError):
+        return None
+    for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                 "openblas_{}_num_threads"):
+        if hasattr(lib, name.format("set")):
+            get, set_ = getattr(lib, name.format("get")), getattr(lib, name.format("set"))
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+_POOL_MIN_COST = 2e5  # count * m**3 of a batch whose serial eigensolves take about 2 ms
+_PIN_LOCK = threading.Lock()
+_pin = [0, 0]  # threads inside the map, BLAS thread count to restore
+
+
+def _pin_blas(step: int) -> None:
+    """+1 entering the map, -1 leaving: BLAS runs one thread while any caller is inside."""
+    controls = _blas_thread_controls()
+    with _PIN_LOCK:
+        if controls and _pin[0] == 0:
+            _pin[1] = controls[0]()
+        _pin[0] += step
+        if controls:
+            controls[1](1 if _pin[0] else _pin[1])
+
+
+def eigen_workers(count: int, m: int) -> int:
+    """Threads sharing the eigensolves of ``count`` m x m matrices: one per usable core.
+
+    1 if BLAS cannot be pinned, or if count * m**3 is below
+    :data:`_POOL_MIN_COST`, where a thread costs about what it saves.
+    """
+    if _blas_thread_controls() is None or count * m**3 < _POOL_MIN_COST:
+        return 1
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(cores or 1, count)
+
+
+def _solve_rows(solve, vals: np.ndarray, lo: int, hi: int) -> None:
+    """vals[lo:hi] = solve(lo, hi); a failed or non-finite decomposition names its grid index."""
+    try:
+        vals[lo:hi] = solve(lo, hi)
     except np.linalg.LinAlgError as exc:
-        for g in range(len(mats)):
-            try:
-                np.linalg.eigh(mats[g])
-            except np.linalg.LinAlgError:
-                raise NumericError(f"eigendecomposition failed at grid index {g}") from exc
-        raise NumericError("eigendecomposition failed") from exc
-    bad = ~np.isfinite(vals).all(axis=1)
+        if hi - lo == 1:
+            raise NumericError(f"eigendecomposition failed at grid index {lo}") from exc
+        _solve_rows(solve, vals, lo, (lo + hi) // 2)  # bisect to the failing matrix
+        _solve_rows(solve, vals, (lo + hi) // 2, hi)
+    bad = ~np.isfinite(vals[lo:hi]).all(axis=1)
     if bad.any():
-        raise NumericError(f"eigendecomposition failed at grid index {int(np.argmax(bad))}")
-    vals[-1], vecs[-1] = np.linalg.eigh(mats[-1].real)
-    return vals[:, ::-1], vecs[:, :, ::-1]
+        raise NumericError(f"eigendecomposition failed at grid index {lo + int(np.argmax(bad))}")
+
+
+def _map_half_grid(solve, shape) -> np.ndarray:
+    """Eigenvalues ``shape`` = (half, m) from solve(lo, hi) on contiguous chunks, one per worker."""
+    vals = np.empty(shape)
+    workers = eigen_workers(*shape)
+    chunks = [(shape[0] * k // workers, shape[0] * (k + 1) // workers) for k in range(workers)]
+    _pin_blas(+1)
+    try:
+        with ThreadPoolExecutor(max(workers - 1, 1)) as pool:
+            rest = pool.map(lambda chunk: _solve_rows(solve, vals, *chunk), chunks[1:])
+            _solve_rows(solve, vals, *chunks[0])  # this thread takes the first chunk
+            list(rest)
+    finally:
+        _pin_blas(-1)
+    return vals
+
+
+def _half_grid_eigh(mats: np.ndarray, keep: int):
+    """Descending eigenvalues (half, m) and leading ``keep`` eigenvectors (half, m, keep).
+
+    vecs[g, :, j] belongs to vals[g, j].  The zero frequency, last, is
+    decomposed in real arithmetic so its eigenvectors are exactly real.
+    """
+    vecs = np.empty(mats.shape[:2] + (keep,), dtype=mats.dtype)
+
+    def solve(lo, hi):
+        w, v = np.linalg.eigh(mats[lo:hi])
+        if hi == len(mats):
+            w[-1], v[-1] = np.linalg.eigh(mats[-1].real)
+        vecs[lo:hi] = v[:, :, ::-1][:, :, :keep]
+        return w[:, ::-1]
+
+    return _map_half_grid(solve, mats.shape[:2]), vecs
 
 
 def eigendecompose_all(estimate: SpectralDensityEstimate, q_keep: int) -> DynamicEigenSystem:
     """Hermitian eigendecomposition at every stored (half-grid) frequency.
 
     All n eigenvalues are returned per frequency; eigenvector rows are
-    kept for the top ``q_keep`` only.  At the zero frequency the (real
-    symmetric) matrix is decomposed in real arithmetic so its
-    eigenvectors are exactly real.
+    kept for the top ``q_keep`` only (exactly real at the zero frequency).
     """
     n = estimate.n
     if not 0 <= q_keep <= n:
         raise ConfigError(f"q_keep={q_keep} out of range 0..{n}")
-    vals, vecs = _half_grid_eigh(estimate.matrices)
-    rows = np.conj(np.transpose(vecs[:, :, :q_keep], (0, 2, 1)))
-    return DynamicEigenSystem(estimate.grid, vals, _fix_phases(np.ascontiguousarray(rows)), q_keep)
+    vals, vecs = _half_grid_eigh(estimate.matrices, q_keep)
+    rows = np.conj(np.transpose(vecs, (0, 2, 1)))
+    rows = _fix_phases(np.ascontiguousarray(rows))
+    return DynamicEigenSystem(estimate.grid, vals, rows, q_keep, eigen_workers(*vals.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -178,16 +255,16 @@ def _gram_eigensystem(x2d: np.ndarray, kernels, bw, dims, q_keep: int) -> Dynami
     rank = hs.shape[1]
     if q_keep > rank:
         raise NumericError(f"degenerate eigenvector in Gram route: q_keep={q_keep} > rank {rank}")
-    mu, z = _half_grid_eigh(hs)
+    mu, z = _half_grid_eigh(hs, q_keep)
     vals = np.zeros((grid.half_count, n))
     vals[:, :rank] = mu
     rows = np.zeros((grid.half_count, q_keep, n), dtype=np.complex128)
     if q_keep > 0:
-        cols = np.einsum("nr,grq->gnq", x2d @ back, z[:, :, :q_keep])
+        cols = np.einsum("nr,grq->gnq", x2d @ back, z)
         cols /= np.linalg.norm(cols, axis=1, keepdims=True)
         # rows are conjugate transposes of the column eigenvectors
         rows = _fix_phases(np.conj(np.transpose(cols, (0, 2, 1))).copy())
-    return DynamicEigenSystem(grid, vals, rows, q_keep)
+    return DynamicEigenSystem(grid, vals, rows, q_keep, eigen_workers(*mu.shape))
 
 
 def eigensystem_from_field(
@@ -257,7 +334,9 @@ def weighted_submatrix_eigenvalues(estimate: SpectralDensityEstimate, m: int) ->
     clamping the weighted values at zero clamps the eigenvalues.
     """
     grid = estimate.grid
-    vals = np.linalg.eigvalsh(estimate.matrices[:, :m, :m])[:, ::-1]
+    mats = estimate.matrices
+    vals = _map_half_grid(lambda lo, hi: np.linalg.eigvalsh(mats[lo:hi, :m, :m])[:, ::-1],
+                          (grid.half_count, m))
     return vals * (grid.pair_weights / grid.size)[:, None]
 
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .dynpca import weighted_submatrix_eigenvalues
+from .dynpca import eigen_workers, weighted_submatrix_eigenvalues
 from .errors import ConfigError, NumericError
 from .field import LatticeField
 from .spectral import (
@@ -247,6 +247,7 @@ def stability_scan(
         "subsample_sizes": [int(s) for s in sizes],
         "seed": int(seed),
         "c_grid": [float(c_grid[0]), float(c_grid[-1]), len(c_grid)],
+        "eigen_workers": eigen_workers(estimate.grid.half_count, n),
     }
 
     def build(selected_c, selected_q):

@@ -27,7 +27,16 @@ GOLDEN = {
 
 
 def sha256(path):
-    return hashlib.sha256(open(path, "rb").read()).hexdigest()
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def run_cli_child(args, blas_threads):
+    """``stfactor`` in its own interpreter, with BLAS limited to ``blas_threads`` from the start."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads, OMP_NUM_THREADS=blas_threads,
+               MKL_NUM_THREADS=blas_threads)
+    src = str(Path(stfactor.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-m", "stfactor.cli"] + args, env=env, check=True, timeout=120)
 
 
 class TestSimulate:
@@ -84,20 +93,15 @@ class TestEstimate:
     def test_chi_bit_identical_across_blas_threads(self, tmp_path, model, n):
         # the settings echo promises bit-exact reproduction; hold it to
         # that across BLAS thread counts, each run in its own interpreter
-        src = str(Path(stfactor.__file__).resolve().parents[1])
         digests = []
         for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                       MKL_NUM_THREADS=threads)
-            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
             out = tmp_path / f"threads{threads}"
             out.mkdir()
             for args in (["simulate", "--model", model, "--n", n, "--dims", "10,10,16",
                           "--q", "2", "--seed", "13", "--output", f"{out}/x.stf"],
                          ["estimate", "--input", f"{out}/x.stf", "--q", "2",
                           "--output", f"{out}/chi.stf"]):
-                subprocess.run([sys.executable, "-m", "stfactor.cli"] + args, env=env, check=True,
-                               timeout=120)
+                run_cli_child(args, threads)
             digests.append([sha256(out / "x.stf"), sha256(out / "chi.stf")])
         assert digests[0] == digests[1]
 
@@ -139,6 +143,18 @@ class TestSelectQ:
         assert rc == 0
         summary2 = json.loads((tmp_path / "scan2.json").read_text())
         assert summary2["selected_q"] == 4  # no penalty at c = 0
+
+    def test_scan_bit_identical_across_blas_threads(self, tmp_path):
+        # the scan's eigensolves run with BLAS held at one thread; its
+        # curve and summary must not depend on the thread count it started with
+        main(["simulate", "--model", "b", "--n", "40", "--dims", "8,8,10", "--q", "2",
+              "--seed", "17", "--output", f"{tmp_path}/x.stf"])
+        digests = []
+        for threads in ("1", "2"):
+            run_cli_child(["select-q", "--input", f"{tmp_path}/x.stf", "--bw", "2,2,2",
+                           "--output", f"{tmp_path}/scan{threads}"], threads)
+            digests.append([sha256(tmp_path / f"scan{threads}.{ext}") for ext in ("csv", "json")])
+        assert digests[0] == digests[1]
 
     def test_no_second_interval_exits_numeric_but_emits_curve(self, tmp_path):
         main(["simulate", "--model", "b", "--n", "12", "--dims", "8,8,8", "--q", "1",
@@ -476,9 +492,9 @@ def _echo(tmp_path, args):
 
 # the echo keys of each command, as README "Command line" names them
 ECHO_KEYS = {
-    "estimate": ["command", "input", "n", "dims", "q", "kernels", "bw", "trunc"],
+    "estimate": ["command", "input", "n", "dims", "q", "kernels", "bw", "trunc", "eigen_workers"],
     "select-q": ["command", "input", "q_max", "bw", "kernels", "subsample_sizes", "seed",
-                 "c_grid", "cgrid", "c_manual", "selected_q", "selected_c"],
+                 "c_grid", "eigen_workers", "cgrid", "c_manual", "selected_q", "selected_c"],
     "eigengap": ["command", "input", "m_values", "topk", "kernel", "bw", "gdfm"],
     "mc-study": ["command", "model", "n", "dims", "q", "idio", "r_a", "study", "q_fit", "q_max",
                  "kernels", "bw", "trunc", "threads", "region", "truth_retained", "seed"],

@@ -1,4 +1,8 @@
 import csv
+import multiprocessing
+import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -9,14 +13,17 @@ from stfactor import (
     FrequencyGrid,
     LatticeField,
     NumericError,
+    SimConfig,
     demean,
     eigendecompose_all,
     eigensystem_from_field,
     eigenvalue_curve_by_size,
     estimate_common_component,
     estimate_spectral_density,
+    run_mc_study,
 )
-from stfactor.dynpca import write_eigengap_csv
+from stfactor import dynpca
+from stfactor.dynpca import weighted_submatrix_eigenvalues, write_eigengap_csv
 from stfactor.spectral import SpectralDensityEstimate, make_kernel
 from conftest import random_field
 from oracles import convolve_lags, full_rows, lag_coefficients, mirror, projector_stack, subfield
@@ -246,3 +253,177 @@ class TestEigengapCurve:
         field = random_field((3, 3, 3, 3), seed=33)
         with pytest.raises(ConfigError):
             eigenvalue_curve_by_size(field, [4], 1, "ep", (1, 1, 1))
+
+
+def hermitian_stack(count, m, seed=0):
+    """``count`` Hermitian m x m matrices as a half-grid stack (bandwidths (0, 0, count - 1))."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((count, m, m)) + 1j * rng.standard_normal((count, m, m))
+    mats = a @ np.conj(a.transpose(0, 2, 1))
+    mats[-1] = mats[-1].real  # the zero frequency is a real matrix
+    grid = FrequencyGrid((0, 0, count - 1))
+    return SpectralDensityEstimate(grid, mats, (make_kernel("ep"),) * 3)
+
+
+needs_blas_pin = pytest.mark.skipif(
+    dynpca._blas_thread_controls() is None, reason="numpy's LAPACK has no OpenBLAS thread setter"
+)
+
+
+class TestHalfGridMap:
+    """The chunked per-frequency map returns the bits of one call on the whole stack."""
+
+    @pytest.mark.parametrize("count, cores", [(1, None), (2, None), (7, None), (3, 8)],
+                             ids=["one", "two", "odd", "fewer_than_workers"])
+    def test_matches_single_call(self, monkeypatch, count, cores):
+        monkeypatch.setattr(dynpca, "_POOL_MIN_COST", 0)  # threads even for these tiny batches
+        if cores is not None:
+            monkeypatch.setattr(dynpca.os, "sched_getaffinity", lambda pid: set(range(cores)))
+        chunks = []
+        solve_rows = dynpca._solve_rows
+
+        def spy(solve, vals, lo, hi):
+            chunks.append((lo, hi))
+            solve_rows(solve, vals, lo, hi)
+
+        def assert_contiguous_chunks():
+            # the map cut the grid into one contiguous chunk per worker
+            bounds = sorted(chunks)
+            assert bounds[0][0] == 0 and bounds[-1][1] == count
+            assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
+            assert len(bounds) == dynpca.eigen_workers(count, 6)
+            chunks.clear()
+
+        monkeypatch.setattr(dynpca, "_solve_rows", spy)
+        est = hermitian_stack(count, 6, seed=count)
+        mats, keep = est.matrices, 2
+        vals, vecs = dynpca._half_grid_eigh(mats, keep)
+        assert_contiguous_chunks()
+        ref_vals, ref_vecs = np.linalg.eigh(mats)
+        ref_vals[-1], ref_vecs[-1] = np.linalg.eigh(mats[-1].real)
+        assert np.array_equal(vals, ref_vals[:, ::-1])
+        assert np.array_equal(vecs, ref_vecs[:, :, ::-1][:, :, :keep])
+        assert not vecs[-1].imag.any()  # zero frequency in real arithmetic
+        weights = (est.grid.pair_weights / est.grid.size)[:, None]
+        ref = np.linalg.eigvalsh(mats[:, :4, :4])[:, ::-1] * weights
+        assert np.array_equal(weighted_submatrix_eigenvalues(est, 4), ref)
+        assert_contiguous_chunks()
+        usable = len(dynpca.os.sched_getaffinity(0))
+        assert dynpca.eigen_workers(count, 6) == (
+            min(usable, count) if dynpca._blas_thread_controls() else 1
+        )
+
+    def test_small_batches_run_inline(self):
+        # below the cost floor a thread start costs what the second core saves
+        assert dynpca.eigen_workers(5, 19) == 1
+        assert dynpca._POOL_MIN_COST > 5 * 19**3
+        usable = len(dynpca.os.sched_getaffinity(0))
+        pinned = dynpca._blas_thread_controls() is not None
+        assert dynpca.eigen_workers(221, 30) == (min(usable, 221) if pinned else 1)
+
+    @pytest.mark.parametrize("threads", [False, True], ids=["inline", "threads"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("g", [0, 4, 6])
+    def test_non_finite_matrix_names_its_index(self, monkeypatch, threads, bad, g):
+        if threads:
+            monkeypatch.setattr(dynpca, "_POOL_MIN_COST", 0)
+        est = hermitian_stack(7, 5)
+        est.matrices[g, 1, 0] = est.matrices[g, 0, 1] = bad
+        with pytest.raises(NumericError, match=f"grid index {g}$"):
+            dynpca._half_grid_eigh(est.matrices, 1)
+        with pytest.raises(NumericError, match=f"grid index {g}$"):
+            weighted_submatrix_eigenvalues(est, 5)
+
+    def test_without_blas_pin_runs_inline_with_the_same_bits(self, monkeypatch):
+        field = random_field((6, 4, 4, 6), seed=8)
+        monkeypatch.setattr(dynpca, "_POOL_MIN_COST", 0)
+        est = estimate_common_component(field, 2, "ep", (1, 1, 2))
+        half = FrequencyGrid((1, 1, 2)).half_count
+        assert est.settings["eigen_workers"] == dynpca.eigen_workers(half, 6)
+        monkeypatch.setattr(dynpca, "_blas_thread_controls", lambda: None)
+        inline = estimate_common_component(field, 2, "ep", (1, 1, 2))
+        assert inline.settings["eigen_workers"] == 1
+        assert np.array_equal(inline.chi, est.chi)
+
+
+def _estimate_in_child(values):
+    estimate_common_component(LatticeField(values, demeaned=True), 1, "ep", (1, 1, 1))
+
+
+@needs_blas_pin
+class TestBlasPin:
+    """BLAS runs one thread inside the map, and its count is restored on every way out."""
+
+    @pytest.fixture
+    def blas_threads(self, monkeypatch):
+        monkeypatch.setattr(dynpca, "_POOL_MIN_COST", 0)  # threads even for small test batches
+        get, set_ = dynpca._blas_thread_controls()
+        before = get()
+        set_(2)  # a count the map must change and restore
+        yield get
+        set_(before)
+
+    def test_one_thread_inside_overlapping_maps(self, blas_threads):
+        seen = []
+
+        def solve(lo, hi):
+            seen.append(blas_threads())
+            time.sleep(0.01)  # keep the callers' maps overlapping
+            seen.append(blas_threads())
+            return np.zeros((hi - lo, 1))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            # more callers than cores, each running its own map
+            with ThreadPoolExecutor(4) as pool:
+                maps = pool.map(lambda count: dynpca._map_half_grid(solve, (count, 1)),
+                                [5, 1, 3, 2] * 3, timeout=60)
+                list(maps)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(seen) > 24 and set(seen) == {1}
+        assert blas_threads() == 2
+
+    def test_eigenvectors_do_not_depend_on_the_callers_blas_threads(self, blas_threads):
+        # at m = 100 LAPACK's eigenvectors differ in their last bits between
+        # one and two OpenBLAS threads; the map always solves on one
+        est = hermitian_stack(14, 100, seed=3)
+        runs = []
+        for threads in (2, 1, 2):
+            dynpca._blas_thread_controls()[1](threads)
+            system = eigendecompose_all(est, 3)
+            runs.append((system.eigenvalues, system.eigenvectors))
+        for vals, vecs in runs[1:]:
+            assert np.array_equal(vals, runs[0][0]) and np.array_equal(vecs, runs[0][1])
+
+    def test_restored_after_estimate(self, blas_threads):
+        estimate_common_component(random_field((6, 4, 4, 6), seed=9), 1, "ep", (1, 1, 1))
+        assert blas_threads() == 2
+
+    def test_restored_after_a_map_that_raises(self, blas_threads):
+        est = hermitian_stack(7, 5)
+        est.matrices[3] = np.nan
+        with pytest.raises(NumericError, match="grid index 3"):
+            dynpca._half_grid_eigh(est.matrices, 1)
+        assert blas_threads() == 2
+
+    def test_restored_after_threaded_mc_study(self, blas_threads):
+        cfg = SimConfig(model="model_b", n=8, dims=(6, 6, 8), q=1, seed=42, n_reps=4)
+        run_mc_study(cfg, "accuracy", bw=(2, 2, 2), threads=4)
+        assert blas_threads() == 2
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="no fork start method")
+    def test_forked_child_runs_the_map(self, blas_threads):
+        field = random_field((6, 4, 4, 6), seed=10)
+        estimate_common_component(field, 1, "ep", (1, 1, 1))  # the parent has used the map
+        child = multiprocessing.get_context("fork").Process(
+            target=_estimate_in_child, args=(field.values,)
+        )
+        child.start()
+        child.join(timeout=60)
+        if child.is_alive():
+            child.kill()
+            pytest.fail("a forked child hung in the eigen map")
+        assert child.exitcode == 0
