@@ -5,6 +5,9 @@ compare-gdfm.  Every run writes a settings echo (JSON) recording the
 seed and every constant used, sufficient to reproduce the outputs
 bit-exactly.  Exit codes: 0 success, 2 configuration error, 3 data
 error, 4 numeric failure.
+
+This module writes every result file: tables with ``%.17g`` cells and
+``\n`` line ends, JSON at indent 2.  Field files stay with ``store_field``.
 """
 
 from __future__ import annotations
@@ -28,16 +31,10 @@ from .field import (
     store_field,
 )
 from .spectral import make_kernel, validate_bandwidths
-from .dynpca import eigenvalue_curve_by_size, write_eigengap_csv
+from .dynpca import eigenvalue_curve_by_size
 from .commoncomp import estimate_common_component
-from .qselect import NoSecondIntervalError, scan_summary_json, scan_to_csv, stability_scan
-from .simlab import (
-    SimConfig,
-    run_mc_study,
-    simulate_field,
-    write_mc_csv,
-    write_mc_summary_json,
-)
+from .qselect import NoSecondIntervalError, stability_scan
+from .simlab import SimConfig, run_mc_study, simulate_field
 
 
 def _parse_ints(text: str | None, flag: str, count: int | None = 3) -> tuple[int, ...] | None:
@@ -89,12 +86,22 @@ def _check_output_dirs(args) -> None:
             raise ConfigError(f"--{flag.replace('_', '-')} {path}: its directory does not exist")
 
 
-def _write_settings(path_prefix: str, payload: dict) -> None:
-    payload = dict(payload)
-    payload["version"] = __version__
-    payload["argv"] = sys.argv[1:]
-    with open(f"{path_prefix}.settings.json", "w", encoding="ascii") as fh:
+def _write_table(path, columns: dict) -> None:
+    """CSV of equal-length columns: a header of their names, every cell ``%.17g``."""
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in zip(*columns.values()):
+            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+
+
+def _write_json(path, payload: dict) -> None:
+    with open(path, "w", encoding="ascii") as fh:
         json.dump(payload, fh, indent=2, default=str)
+
+
+def _write_settings(path_prefix: str, payload: dict) -> None:
+    _write_json(f"{path_prefix}.settings.json",
+                {**payload, "version": __version__, "argv": sys.argv[1:]})
 
 
 def cmd_simulate(args) -> int:
@@ -115,7 +122,10 @@ def cmd_estimate(args) -> int:
     bw, trunc = _parse_ints(args.bw, "bw"), _parse_ints(args.trunc, "trunc")
     est = estimate_common_component(field, args.q, args.kernel, bw, trunc)
     store_field(LatticeField(est.chi), args.output)
-    est.to_json_sidecar(f"{args.output}.json")
+    _write_json(f"{args.output}.json", {
+        **est.settings, "interior_lower": [m + 1 for m in est.settings["trunc"]],
+        "interior_upper": [d - m for d, m in zip(field.dims, est.settings["trunc"])],
+    })
     _write_settings(args.output, {"command": "estimate", "input": args.input, **est.settings})
     return 0
 
@@ -136,8 +146,14 @@ def cmd_select_q(args) -> int:
     else:
         if np.any(np.diff(scan.q_by_c) > 0):
             raise NumericError("full-sample estimate is not non-increasing in c")
-    scan_to_csv(scan, f"{args.output}.csv")
-    scan_summary_json(scan, f"{args.output}.json")
+    _write_table(f"{args.output}.csv",
+                 {"c": scan.c_grid, "S_c": scan.s_curve, "qhat_full": scan.q_by_c})
+    intervals = [{"c_start": float(scan.c_grid[lo]), "c_end": float(scan.c_grid[hi]), "q": q,
+                  "points": hi - lo + 1} for lo, hi, q in scan.intervals]
+    _write_json(f"{args.output}.json", {
+        "selected_c": scan.selected_c, "selected_q": scan.selected_q,
+        "intervals": intervals, "settings": scan.settings,
+    })
     _write_settings(args.output, {
         "command": "select-q", "input": args.input, **scan.settings, "cgrid": args.cgrid,
         "c_manual": args.c_manual, "selected_q": scan.selected_q, "selected_c": scan.selected_c,
@@ -169,7 +185,8 @@ def cmd_eigengap(args) -> int:
     curve_bw = validate_bandwidths(curve_bw, curve_field.dims)
     topk = min(10, min(sizes)) if args.topk is None else args.topk
     curve = eigenvalue_curve_by_size(curve_field, sizes, topk, args.kernel, curve_bw)
-    write_eigengap_csv(args.output, sizes, curve)
+    lambdas = {f"lambda_{j + 1}": col for j, col in enumerate(curve.T)}
+    _write_table(args.output, {"m": sizes, **lambdas})
     _write_settings(args.output, {
         "command": "eigengap", "input": args.input, "m_values": m_values,
         "topk": topk, "kernel": make_kernel(args.kernel).kind,
@@ -199,8 +216,8 @@ def cmd_mc_study(args) -> int:
         bw=_parse_ints(args.bw, "bw"), trunc=_parse_ints(args.trunc, "trunc"),
         q_max=args.qmax, threads=args.threads, region=args.region,
     )
-    write_mc_csv(result, f"{args.output}.csv")
-    write_mc_summary_json(result, f"{args.output}.json")
+    _write_table(f"{args.output}.csv", {"rep": range(result.n_reps), **result.metrics})
+    _write_json(f"{args.output}.json", result.summary())
     _write_settings(args.output, {"command": args.study, **result.settings, "seed": cfg.seed})
     for name in result.metrics:
         print(f"{name}: mean={result.mean(name):.6g} se={result.standard_error(name):.3g}")

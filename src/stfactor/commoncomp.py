@@ -40,7 +40,6 @@ frequency grid is alias-free.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -162,15 +161,6 @@ class CommonComponentEstimate:
     chi: np.ndarray
     mask: np.ndarray
     settings: dict
-
-    def to_json_sidecar(self, target) -> None:
-        payload = dict(self.settings)
-        payload["interior_lower"] = [int(m) + 1 for m in self.settings["trunc"]]
-        payload["interior_upper"] = [
-            int(d) - int(m) for d, m in zip(self.settings["dims"], self.settings["trunc"])
-        ]
-        with open(target, "w", encoding="ascii") as fh:
-            json.dump(payload, fh, indent=2)
 
 
 def estimate_common_component(

@@ -27,7 +27,6 @@ the same LAPACK call, and the same bits, whatever the core count.
 
 from __future__ import annotations
 
-import csv
 import ctypes
 import functools
 import os
@@ -52,7 +51,6 @@ __all__ = [
     "eigendecompose_all",
     "eigensystem_from_field",
     "eigenvalue_curve_by_size",
-    "write_eigengap_csv",
 ]
 
 
@@ -339,10 +337,3 @@ def weighted_submatrix_eigenvalues(estimate: SpectralDensityEstimate, m: int) ->
                           (grid.half_count, m))
     return vals * (grid.pair_weights / grid.size)[:, None]
 
-
-def write_eigengap_csv(path, m_values, curve: np.ndarray) -> None:
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["m"] + [f"lambda_{j + 1}" for j in range(curve.shape[1])])
-        for m, row in zip(m_values, curve):
-            writer.writerow([int(m)] + [f"{v:.17g}" for v in row])

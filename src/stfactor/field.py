@@ -259,42 +259,49 @@ def _load_stream(fh, format: str) -> LatticeField:
         return LatticeField(values.astype(np.float64))
     if format == "csv":
         text = io.TextIOWrapper(fh, encoding="ascii")
-        header = text.readline().strip()
-        if header != "ell,s1,s2,t,value":
-            raise DataError(f"malformed csv header: {header!r}")
-        records = []
-        for lineno, line in enumerate(text, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            if len(cells) != 5:
-                raise DataError(f"malformed csv row at line {lineno}: {line!r}")
-            try:
-                ell, s1, s2, t = (int(c) for c in cells[:4])
-                value = float(cells[4])
-            except ValueError as exc:
-                raise DataError(f"malformed csv row at line {lineno}: {line!r}") from exc
-            records.append((ell, s1, s2, t, value))
-        if not records:
-            raise DataError("csv contains no data rows")
-        arr = np.array([r[:4] for r in records], dtype=np.int64)
-        if arr.min() < 1:
-            raise DataError("csv indices must be 1-based positive integers")
-        n, s1n, s2n, tn = (int(m) for m in arr.max(axis=0))
-        expected = n * s1n * s2n * tn
-        if len(records) != expected:
-            raise DataError(f"payload length mismatch: expected {expected} values, got {len(records)}")
-        values = np.zeros((n, s1n, s2n, tn))
-        filled = np.zeros((n, s1n, s2n, tn), dtype=bool)
-        for ell, s1, s2, t, value in records:
-            if filled[ell - 1, s1 - 1, s2 - 1, t - 1]:
-                raise DataError(f"duplicate csv entry for (ell,s1,s2,t)=({ell},{s1},{s2},{t})")
-            values[ell - 1, s1 - 1, s2 - 1, t - 1] = value
-            filled[ell - 1, s1 - 1, s2 - 1, t - 1] = True
-        missing = np.argwhere(~filled)
-        if len(missing):
-            coord = tuple(int(c) + 1 for c in missing[0])
-            raise DataError(f"missing csv entry for (ell,s1,s2,t)={coord}")
-        return LatticeField(values)
+        try:
+            return _load_csv(text)
+        finally:
+            text.detach()  # the caller's stream stays open
     raise ConfigError(f"unknown field format {format!r}")
+
+
+def _load_csv(text) -> LatticeField:
+    header = text.readline().strip()
+    if header != "ell,s1,s2,t,value":
+        raise DataError(f"malformed csv header: {header!r}")
+    records = []
+    for lineno, line in enumerate(text, start=2):
+        line = line.strip()
+        if not line:
+            continue
+        cells = line.split(",")
+        if len(cells) != 5:
+            raise DataError(f"malformed csv row at line {lineno}: {line!r}")
+        try:
+            ell, s1, s2, t = (int(c) for c in cells[:4])
+            value = float(cells[4])
+        except ValueError as exc:
+            raise DataError(f"malformed csv row at line {lineno}: {line!r}") from exc
+        records.append((ell, s1, s2, t, value))
+    if not records:
+        raise DataError("csv contains no data rows")
+    arr = np.array([r[:4] for r in records], dtype=np.int64)
+    if arr.min() < 1:
+        raise DataError("csv indices must be 1-based positive integers")
+    n, s1n, s2n, tn = (int(m) for m in arr.max(axis=0))
+    expected = n * s1n * s2n * tn
+    if len(records) != expected:
+        raise DataError(f"payload length mismatch: expected {expected} values, got {len(records)}")
+    values = np.zeros((n, s1n, s2n, tn))
+    filled = np.zeros((n, s1n, s2n, tn), dtype=bool)
+    for ell, s1, s2, t, value in records:
+        if filled[ell - 1, s1 - 1, s2 - 1, t - 1]:
+            raise DataError(f"duplicate csv entry for (ell,s1,s2,t)=({ell},{s1},{s2},{t})")
+        values[ell - 1, s1 - 1, s2 - 1, t - 1] = value
+        filled[ell - 1, s1 - 1, s2 - 1, t - 1] = True
+    missing = np.argwhere(~filled)
+    if len(missing):
+        coord = tuple(int(c) + 1 for c in missing[0])
+        raise DataError(f"missing csv entry for (ell,s1,s2,t)={coord}")
+    return LatticeField(values)

@@ -28,8 +28,6 @@ second stability interval.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -50,8 +48,6 @@ __all__ = [
     "StabilityScan",
     "stability_scan",
     "NoSecondIntervalError",
-    "scan_to_csv",
-    "scan_summary_json",
 ]
 
 
@@ -270,30 +266,3 @@ def stability_scan(
     mid = (lo + hi) // 2
     return build(float(c_grid[mid]), int(q_sel))
 
-
-def scan_to_csv(scan: StabilityScan, path) -> None:
-    """Write the scan curve: columns c, S_c, qhat_full."""
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["c", "S_c", "qhat_full"])
-        for c, s, q in zip(scan.c_grid, scan.s_curve, scan.q_by_c):
-            writer.writerow([f"{c:.17g}", f"{s:.17g}", int(q)])
-
-
-def scan_summary_json(scan: StabilityScan, path) -> None:
-    payload = {
-        "selected_c": scan.selected_c,
-        "selected_q": scan.selected_q,
-        "intervals": [
-            {
-                "c_start": float(scan.c_grid[lo]),
-                "c_end": float(scan.c_grid[hi]),
-                "q": q,
-                "points": hi - lo + 1,
-            }
-            for lo, hi, q in scan.intervals
-        ],
-        "settings": scan.settings,
-    }
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(payload, fh, indent=2)

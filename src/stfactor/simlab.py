@@ -42,7 +42,6 @@ on execution order or thread count.
 from __future__ import annotations
 
 import itertools
-import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -78,8 +77,6 @@ __all__ = [
     "gdfm_baseline",
     "MCResult",
     "run_mc_study",
-    "write_mc_csv",
-    "write_mc_summary_json",
 ]
 
 _ROLES = {"loadings_a": 0, "decay_b": 1, "shocks": 2, "idio": 3, "idio_coeff": 4, "scan": 5}
@@ -490,16 +487,3 @@ def run_mc_study(
     }
     return MCResult(study, n_reps, metrics, settings, cfg.seed)
 
-
-def write_mc_csv(result: MCResult, path) -> None:
-    names = list(result.metrics)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("rep," + ",".join(names) + "\n")
-        for rep in range(result.n_reps):
-            row = [f"{result.metrics[name][rep]:.17g}" for name in names]
-            fh.write(f"{rep}," + ",".join(row) + "\n")
-
-
-def write_mc_summary_json(result: MCResult, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(result.summary(), fh, indent=2)

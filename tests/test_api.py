@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import re
 import types
@@ -40,3 +41,20 @@ def test_benchmark_surface_resolves():
         stfactor.stacked_series_as_field(stfactor.stack_to_time_series(field))
     )
     assert stacked.n == 12 and stacked.dims == (1, 1, 4) and stacked.demeaned
+
+
+def test_only_the_cli_writes_result_files():
+    """The library returns data; ``cli.py`` alone formats CSV and JSON files."""
+    package = Path(stfactor.__file__).resolve().parent
+    importers = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if {m.split(".")[0] for m in modules} & {"csv", "json"}:
+                importers.add(path.name)
+    assert importers == {"cli.py"}

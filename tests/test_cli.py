@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -9,8 +10,18 @@ import numpy as np
 import pytest
 
 import stfactor
-from stfactor import default_bandwidths, eigenvalue_curve_by_size, load_field, stability_scan
+from stfactor import (
+    SimConfig,
+    default_bandwidths,
+    demean,
+    eigenvalue_curve_by_size,
+    load_field,
+    run_mc_study,
+    stability_scan,
+    store_field,
+)
 from stfactor.cli import main
+from conftest import random_field
 
 # golden digests of fixed-seed simulation outputs, frozen from the
 # first release build; any change in the generator or file formats
@@ -105,6 +116,15 @@ class TestEstimate:
             digests.append([sha256(out / "x.stf"), sha256(out / "chi.stf")])
         assert digests[0] == digests[1]
 
+    def test_sidecar_interior_bounds(self, tmp_path):
+        store_field(random_field((3, 5, 5, 6), seed=63, demeaned=False), tmp_path / "x.stf")
+        rc = main(["estimate", "--input", f"{tmp_path}/x.stf", "--q", "1", "--kernel", "bartlett",
+                   "--bw", "2,2,2", "--trunc", "1,2,2", "--output", f"{tmp_path}/chi.stf"])
+        assert rc == 0
+        payload = json.loads((tmp_path / "chi.stf.json").read_text())
+        assert payload["interior_lower"] == [2, 3, 3]
+        assert payload["interior_upper"] == [4, 3, 4]
+
     def test_missing_input_is_data_error(self, tmp_path):
         rc = main(["estimate", "--input", f"{tmp_path}/nope.stf", "--q", "1",
                    "--output", f"{tmp_path}/chi.stf"])
@@ -144,6 +164,23 @@ class TestSelectQ:
         summary2 = json.loads((tmp_path / "scan2.json").read_text())
         assert summary2["selected_q"] == 4  # no penalty at c = 0
 
+    def test_exports(self, tmp_path):
+        main(["simulate", "--model", "b", "--n", "30", "--dims", "12,12,12", "--q", "2",
+              "--seed", "5", "--output", f"{tmp_path}/x.stf"])
+        rc = main(["select-q", "--input", f"{tmp_path}/x.stf", "--qmax", "5",
+                   "--cgrid", "0:0.05:6", "--subsamples", "27,24", "--seed", "6",
+                   "--output", f"{tmp_path}/scan"])
+        assert rc == 0
+        c_grid = 0.05 * np.arange(121)
+        scan = stability_scan(demean(load_field(tmp_path / "x.stf")), 5, c_grid,
+                              subsample_sizes=[27, 24], seed=6)
+        with open(tmp_path / "scan.csv") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["c", "S_c", "qhat_full"]
+        assert len(rows) == len(c_grid) + 1
+        payload = json.loads((tmp_path / "scan.json").read_text())
+        assert payload["selected_q"] == scan.selected_q
+
     def test_scan_bit_identical_across_blas_threads(self, tmp_path):
         # the scan's eigensolves run with BLAS held at one thread; its
         # curve and summary must not depend on the thread count it started with
@@ -181,6 +218,19 @@ class TestEigengap:
         lines = (tmp_path / "gap.csv").read_text().splitlines()
         assert lines[0] == "m,lambda_1,lambda_2,lambda_3"
         assert len(lines) == 3
+
+    def test_csv_output(self, tmp_path):
+        store_field(random_field((4, 3, 3, 4), seed=32, demeaned=False), tmp_path / "x.stf")
+        rc = main(["eigengap", "--input", f"{tmp_path}/x.stf", "--m-values", "2,4",
+                   "--topk", "2", "--bw", "1,1,1", "--output", f"{tmp_path}/curve.csv"])
+        assert rc == 0
+        curve = eigenvalue_curve_by_size(demean(load_field(tmp_path / "x.stf")), [2, 4], 2, "ep",
+                                         (1, 1, 1))
+        with open(tmp_path / "curve.csv") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["m", "lambda_1", "lambda_2"]
+        assert len(rows) == 3
+        np.testing.assert_allclose(float(rows[1][1]), curve[0, 0])
 
     def test_stacked_variant(self, tmp_path):
         main(["simulate", "--model", "b", "--n", "4", "--dims", "3,3,16", "--q", "1",
@@ -270,6 +320,20 @@ class TestMcStudy:
         summary = json.loads((tmp_path / "mc.json").read_text())
         assert summary["n_reps"] == 2
         assert "E1" in summary["means"]
+
+    def test_csv_and_summary_outputs(self, tmp_path):
+        rc = main(["mc-study", "--study", "accuracy", "--model", "b", "--n", "8",
+                   "--dims", "5,5,8", "--q", "1", "--seed", "45", "--reps", "2",
+                   "--bw", "2,2,2", "--output", f"{tmp_path}/mc"])
+        assert rc == 0
+        cfg = SimConfig(model="model_b", n=8, dims=(5, 5, 8), q=1, seed=45, n_reps=2)
+        out = run_mc_study(cfg, "accuracy", bw=(2, 2, 2))
+        lines = (tmp_path / "mc.csv").read_text().splitlines()
+        assert lines[0].startswith("rep,")
+        assert len(lines) == 3
+        payload = json.loads((tmp_path / "mc.json").read_text())
+        assert payload["n_reps"] == 2
+        assert abs(payload["means"]["E1"] - out.mean("E1")) <= 1e-12
 
     def test_config_file_overrides(self, tmp_path):
         cfg = {"model": "model_b", "n": 6, "dims": [5, 5, 6], "q": 1, "seed": 3, "n_reps": 2}
@@ -516,3 +580,41 @@ def test_echo_key_sets(tmp_path, command, args):
     echo = _echo(tmp_path, [command] + args)
     assert sorted(echo) == sorted(ECHO_KEYS[command] + ["version", "argv"])
     assert echo["command"] == ("accuracy" if command == "mc-study" else command)
+
+
+def read_table(path):
+    """Header and float cells of a result CSV, which must end its lines with a bare newline."""
+    data = Path(path).read_bytes()
+    assert b"\r" not in data, path
+    header, *rows = data.decode("ascii").splitlines()
+    return header.split(","), np.array([[float(v) for v in row.split(",")] for row in rows])
+
+
+def test_tables_parse_back_bit_equal_to_the_library(tmp_path):
+    main(["simulate", "--model", "b", "--n", "12", "--dims", "6,6,8", "--q", "1", "--seed", "3",
+          "--output", f"{tmp_path}/x.stf"])
+    field = demean(load_field(tmp_path / "x.stf"))
+
+    assert main(["eigengap", "--input", f"{tmp_path}/x.stf", "--m-values", "4,8,12",
+                 "--topk", "3", "--bw", "2,2,2", "--output", f"{tmp_path}/gap.csv"]) == 0
+    header, cells = read_table(tmp_path / "gap.csv")
+    curve = eigenvalue_curve_by_size(field, [4, 8, 12], 3, "ep", (2, 2, 2))
+    assert header == ["m", "lambda_1", "lambda_2", "lambda_3"]
+    assert np.array_equal(cells[:, 0], [4, 8, 12]) and np.array_equal(cells[:, 1:], curve)
+
+    assert main(["select-q", "--input", f"{tmp_path}/x.stf", "--qmax", "3", "--cgrid",
+                 "0:0.05:4", "--subsamples", "10,11", "--bw", "2,2,2", "--c-manual", "1",
+                 "--output", f"{tmp_path}/scan"]) == 0
+    header, cells = read_table(tmp_path / "scan.csv")
+    scan = stability_scan(field, 3, 0.05 * np.arange(81), subsample_sizes=[10, 11], bw=(2, 2, 2),
+                          c_manual=1)
+    assert header == ["c", "S_c", "qhat_full"]
+    assert np.array_equal(cells, np.column_stack([scan.c_grid, scan.s_curve, scan.q_by_c]))
+
+    assert main(["mc-study", "--study", "accuracy", "--n", "8", "--dims", "6,6,8", "--q", "1",
+                 "--reps", "2", "--bw", "2,2,2", "--seed", "10", "--output", f"{tmp_path}/mc"]) == 0
+    header, cells = read_table(tmp_path / "mc.csv")
+    cfg = SimConfig(model="model_b", n=8, dims=(6, 6, 8), q=1, seed=10, n_reps=2)
+    result = run_mc_study(cfg, "accuracy", bw=(2, 2, 2))
+    assert header == ["rep", *result.metrics]
+    assert np.array_equal(cells, np.column_stack([np.arange(2), *result.metrics.values()]))

@@ -1,5 +1,4 @@
 import itertools
-import json
 
 import numpy as np
 import pytest
@@ -266,15 +265,11 @@ class TestCommonComponent:
         scale = np.abs(once[..., sl]).max()
         assert np.abs(twice[..., sl] - once[..., sl]).max() <= 1e-2 * scale
 
-    def test_settings_echo_and_sidecar(self, tmp_path):
+    def test_settings_echo(self):
         field = random_field((3, 5, 5, 6), seed=63)
         est = estimate_common_component(field, 1, "bartlett", (2, 2, 2), (1, 2, 2))
         assert est.settings["kernels"] == ["bartlett"] * 3
         assert est.settings["trunc"] == [1, 2, 2]
-        est.to_json_sidecar(tmp_path / "chi.json")
-        payload = json.loads((tmp_path / "chi.json").read_text())
-        assert payload["interior_lower"] == [2, 3, 3]
-        assert payload["interior_upper"] == [4, 3, 4]
 
     def test_preconditions(self):
         field = random_field((3, 4, 4, 4), seed=64)

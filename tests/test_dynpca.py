@@ -1,4 +1,3 @@
-import csv
 import multiprocessing
 import sys
 import time
@@ -23,7 +22,7 @@ from stfactor import (
     run_mc_study,
 )
 from stfactor import dynpca
-from stfactor.dynpca import weighted_submatrix_eigenvalues, write_eigengap_csv
+from stfactor.dynpca import weighted_submatrix_eigenvalues
 from stfactor.spectral import SpectralDensityEstimate, make_kernel
 from conftest import random_field
 from oracles import convolve_lags, full_rows, lag_coefficients, mirror, projector_stack, subfield
@@ -237,17 +236,6 @@ class TestEigengapCurve:
         field = random_field((8, 4, 4, 6), seed=31)
         curve = eigenvalue_curve_by_size(field, [2, 4, 6, 8], 2, "ep", (1, 1, 2))
         assert np.all(np.diff(curve, axis=0) >= -1e-10)
-
-    def test_csv_output(self, tmp_path):
-        field = random_field((4, 3, 3, 4), seed=32)
-        path = tmp_path / "curve.csv"
-        curve = eigenvalue_curve_by_size(field, [2, 4], 2, "ep", (1, 1, 1))
-        write_eigengap_csv(path, [2, 4], curve)
-        with open(path) as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["m", "lambda_1", "lambda_2"]
-        assert len(rows) == 3
-        np.testing.assert_allclose(float(rows[1][1]), curve[0, 0])
 
     def test_rejects_oversized_m(self):
         field = random_field((3, 3, 3, 3), seed=33)

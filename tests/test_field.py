@@ -185,6 +185,14 @@ class TestFileFormats:
         loaded = load_field(path)
         np.testing.assert_array_equal(loaded.values, field.values)
 
+    def test_csv_stream_left_open(self):
+        stream = io.BytesIO(b"ell,s1,s2,t,value\n1,1,1,1,0.5\n")
+        assert load_field(stream, "csv").values[0, 0, 0, 0] == 0.5
+        assert not stream.closed
+        with pytest.raises(DataError, match="header"):
+            load_field(stream, "csv")  # at its end now: no header left
+        assert not stream.closed
+
     def test_payload_one_short(self):
         field = random_field((1, 2, 1, 4), demeaned=False)
         buf = io.BytesIO()

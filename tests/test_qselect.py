@@ -10,7 +10,7 @@ from stfactor import (
     penalty_value,
     stability_scan,
 )
-from stfactor.qselect import _stable_runs, _tail_means, scan_summary_json, scan_to_csv
+from stfactor.qselect import _stable_runs, _tail_means
 from stfactor.simlab import SimConfig, simulate_field
 from stfactor import demean
 from conftest import random_field
@@ -185,21 +185,6 @@ class TestStabilityScan:
         idx = int(np.argmin(np.abs(c_grid - 1.5)))
         assert scan.selected_c == c_grid[idx]
         assert scan.selected_q == scan.q_by_c[idx]
-
-    def test_exports(self, panel, tmp_path):
-        import csv as csvmod
-        import json
-
-        c_grid = np.arange(0, 121) / 20.0
-        scan = stability_scan(panel, 5, c_grid, subsample_sizes=[27, 24], seed=6)
-        scan_to_csv(scan, tmp_path / "scan.csv")
-        scan_summary_json(scan, tmp_path / "scan.json")
-        with open(tmp_path / "scan.csv") as fh:
-            rows = list(csvmod.reader(fh))
-        assert rows[0] == ["c", "S_c", "qhat_full"]
-        assert len(rows) == len(c_grid) + 1
-        payload = json.loads((tmp_path / "scan.json").read_text())
-        assert payload["selected_q"] == scan.selected_q
 
     def test_zero_field_names_subsample_size(self):
         field = LatticeField(np.zeros((12, 6, 6, 6)), demeaned=True)

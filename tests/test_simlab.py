@@ -22,7 +22,7 @@ from stfactor import (
     substream,
 )
 from stfactor import simlab
-from stfactor.simlab import _model_a_chi, write_mc_csv, write_mc_summary_json
+from stfactor.simlab import _model_a_chi
 
 # blocked products reorder the sums of the per-series contractions
 CONV_RTOL = 1e-13
@@ -338,17 +338,3 @@ class TestRunMcStudy:
         cfg = SimConfig(model="model_b", n=4, dims=(4, 4, 6), q=1)
         with pytest.raises(ConfigError, match=r"dims \[4, 4, 6\] .* truncation \[2, 2, 2\]"):
             run_mc_study(cfg, study, n_reps=1, region=region)
-
-    def test_csv_and_summary_outputs(self, tmp_path):
-        cfg = SimConfig(model="model_b", n=8, dims=(5, 5, 8), q=1, seed=45, n_reps=2)
-        out = run_mc_study(cfg, "accuracy", bw=(2, 2, 2))
-        write_mc_csv(out, tmp_path / "mc.csv")
-        write_mc_summary_json(out, tmp_path / "mc.json")
-        lines = (tmp_path / "mc.csv").read_text().splitlines()
-        assert lines[0].startswith("rep,")
-        assert len(lines) == 3
-        import json
-
-        payload = json.loads((tmp_path / "mc.json").read_text())
-        assert payload["n_reps"] == 2
-        assert abs(payload["means"]["E1"] - out.mean("E1")) <= 1e-12
