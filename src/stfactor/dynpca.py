@@ -16,10 +16,10 @@ negated frequency are the conjugates, p_j(-theta) = conj(p_j(theta)),
 and the eigenvalues are equal, so the other half is never formed.
 
 For stacked panels with more series than lattice points (n > S1*S2*T)
-the same eigenstructure is obtained in the eigenbasis of the data's
-small V x V Gram matrix instead of from the huge n x n spectral matrix;
-see :func:`eigensystem_from_field`, which picks the route by shape.  Both
-routes share one half-grid eigen solver; eigenvalue curves need top_k >= 1.
+the standard estimator runs on the panel's r <= V principal coordinates,
+with rows mapped back by U, instead of forming the huge n x n spectral
+matrices; see :func:`eigensystem_from_field`, which picks the route by
+shape.  Eigenvalue curves need top_k >= 1.
 The solver splits the half grid into contiguous chunks, one thread per
 usable core, and holds BLAS at one thread meanwhile, so each matrix gets
 the same LAPACK call, and the same bits, whatever the core count.
@@ -37,12 +37,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .field import LatticeField
+from .field import LatticeField, as_demeaned_field
 from .spectral import (
     FrequencyGrid,
     SpectralDensityEstimate,
     estimate_spectral_density,
-    resolve_kernels,
+    sample_autocovariance,
+    spectral_from_autocovariance,
     validate_bandwidths,
 )
 
@@ -212,57 +213,44 @@ def eigendecompose_all(estimate: SpectralDensityEstimate, q_keep: int) -> Dynami
 # ---------------------------------------------------------------------------
 
 
-def _gram_half_matrices(x2d: np.ndarray, kernels, bw, dims):
-    """Small Hermitian matrices sharing the nonzero spectrum of Sigma_hat, and their back map.
+def _principal_field(x2d: np.ndarray, dims):
+    """The panel's r principal coordinates as a field, and the map U back to the n series.
 
-    With X the (n, V) data matrix, V = S1*S2*T, the estimate at theta is
-    Sigma_hat(theta) = X W(theta) X^T / V for the Hermitian V x V weight
-    W(theta)[u, v] = prod_d K_d((u_d - v_d) / max(B_d, 1)) e^{-i <theta, u - v>}
-    over lattice points u, v in C order.  In the data's eigenbasis,
-    X^T X / V = E diag(g) E^T over its r positive g, the r x r matrices
-    H(theta) = A W(theta) A^T with A = diag(sqrt(g)) E^T have the
-    nonzero eigenvalues of Sigma_hat(theta).  The back map
-    Bk = E diag(1 / sqrt(g V)) turns an eigenvector z of H into the unit
-    eigenvector X Bk z of Sigma_hat.
+    With X the (n, V) data matrix, V = S1*S2*T, and X^T X / V = E diag(g) E^T
+    over its r positive g, the r series Y = diag(sqrt(g V)) E^T on the same
+    lattice give X = U Y with orthonormal columns U = X E diag(1 / sqrt(g V)).
+    The estimate is linear in the data's outer products, so
+    Sigma_hat_X(theta) = U Sigma_hat_Y(theta) U^T: the two share their
+    nonzero eigenvalues, and an eigenvector row p of Sigma_hat_Y maps to
+    the eigenvector row p U^T of Sigma_hat_X.  Y is demeaned again because
+    rounding can leave its near-null rows short of the demeaned check.
     """
-    kernels = resolve_kernels(kernels)
     volume = x2d.shape[1]
-    grid = FrequencyGrid(tuple(bw))
     gvals, gvecs = np.linalg.eigh(x2d.T @ x2d / volume)
     pos = gvals > max(gvals[-1], 0.0) * 1e-13
     if not pos.any():
         raise NumericError("degenerate data: Gram matrix has no positive eigenvalues")
-    gvals, gvecs = gvals[pos], gvecs[:, pos]
-    basis = np.sqrt(gvals)[:, None] * gvecs.T
-    coords = np.indices(dims).reshape(3, -1)
-    lags = coords[:, :, None] - coords[:, None, :]
-    lag_weights = np.prod([k(lag / max(b, 1)) for k, b, lag in zip(kernels, bw, lags)], axis=0)
-    hs = np.empty((grid.half_count, len(gvals), len(gvals)), dtype=np.complex128)
-    for g, theta in enumerate(grid.points[: grid.half_count]):
-        hs[g] = basis @ (lag_weights * np.exp(-1j * np.tensordot(theta, lags, 1))) @ basis.T
-    return grid, hs, gvecs / np.sqrt(gvals * volume)
+    scale = np.sqrt(gvals[pos] * volume)
+    coords = (scale[:, None] * gvecs[:, pos].T).reshape(-1, *dims)
+    return as_demeaned_field(coords), gvecs[:, pos] / scale
 
 
 def _gram_eigensystem(x2d: np.ndarray, kernels, bw, dims, q_keep: int) -> DynamicEigenSystem:
     n, volume = x2d.shape
     if q_keep > min(n, volume):
-        raise ConfigError(
-            f"q_keep={q_keep} exceeds the rank bound min(n, S1*S2*T)={min(n, volume)}"
-        )
-    grid, hs, back = _gram_half_matrices(x2d, kernels, bw, dims)
-    rank = hs.shape[1]
-    if q_keep > rank:
-        raise NumericError(f"degenerate eigenvector in Gram route: q_keep={q_keep} > rank {rank}")
-    mu, z = _half_grid_eigh(hs, q_keep)
-    vals = np.zeros((grid.half_count, n))
-    vals[:, :rank] = mu
-    rows = np.zeros((grid.half_count, q_keep, n), dtype=np.complex128)
+        raise ConfigError(f"q_keep={q_keep} exceeds the rank bound min(n, S1*S2*T)={min(n, volume)}")
+    coords, back = _principal_field(x2d, dims)
+    if q_keep > coords.n:
+        raise NumericError(f"degenerate eigenvector in Gram route: q_keep={q_keep} > rank {coords.n}")
+    estimate = spectral_from_autocovariance(sample_autocovariance(coords, bw), kernels)
+    small = eigendecompose_all(estimate, q_keep)
+    vals = np.zeros((small.grid.half_count, n))
+    vals[:, :coords.n] = small.eigenvalues
+    rows = np.zeros((small.grid.half_count, q_keep, n), dtype=np.complex128)
     if q_keep > 0:
-        cols = np.einsum("nr,grq->gnq", x2d @ back, z)
-        cols /= np.linalg.norm(cols, axis=1, keepdims=True)
-        # rows are conjugate transposes of the column eigenvectors
-        rows = _fix_phases(np.conj(np.transpose(cols, (0, 2, 1))).copy())
-    return DynamicEigenSystem(grid, vals, rows, q_keep, eigen_workers(*mu.shape))
+        rows = small.eigenvectors @ (x2d @ back).T
+        rows = _fix_phases(rows / np.linalg.norm(rows, axis=2, keepdims=True))
+    return DynamicEigenSystem(small.grid, vals, rows, q_keep, small.eigen_workers)
 
 
 def eigensystem_from_field(
@@ -271,11 +259,11 @@ def eigensystem_from_field(
     """Full pipeline from a demeaned field to its dynamic eigensystem.
 
     Panels with more series than lattice points (n > S1*S2*T, such as
-    stacked panels) go through r x r matrices in the eigenbasis of the
-    data's Gram matrix, r <= V its numerical rank; all others
-    materialize the n x n spectral matrices and decompose them.  Both
-    give the same eigenvalues and the same eigenvector rows up to
-    numerical rounding.
+    stacked panels) get the standard estimator on their r principal
+    coordinates, r <= V the numerical rank, with rows mapped back by U
+    (see :func:`_principal_field`); all others materialize the n x n
+    spectral matrices and decompose them.  Both give the same
+    eigenvalues and the same eigenvector rows up to numerical rounding.
     """
     if not field.demeaned:
         raise ConfigError("eigensystem_from_field requires a demeaned field")

@@ -261,6 +261,8 @@ def _load_stream(fh, format: str) -> LatticeField:
         text = io.TextIOWrapper(fh, encoding="ascii")
         try:
             return _load_csv(text)
+        except UnicodeDecodeError as exc:  # decoded in chunks, so no line number is known
+            raise DataError(f"csv holds a non-ASCII byte {exc.object[exc.start:exc.end]!r}") from None
         finally:
             text.detach()  # the caller's stream stays open
     raise ConfigError(f"unknown field format {format!r}")

@@ -130,6 +130,14 @@ class TestEstimate:
                    "--output", f"{tmp_path}/chi.stf"])
         assert rc == 3
 
+    def test_non_ascii_csv_is_data_error(self, tmp_path, capsys):
+        (tmp_path / "bad.csv").write_bytes(b"ell,s1,s2,t,value\n1,1,1,1,0.5\xe9\n")
+        rc = main(["estimate", "--input", f"{tmp_path}/bad.csv", "--q", "1",
+                   "--output", f"{tmp_path}/chi.stf"])
+        assert rc == 3
+        assert "non-ASCII byte b'\\xe9'" in capsys.readouterr().err
+        assert not (tmp_path / "chi.stf").exists()
+
     def test_ignored_threads_flag_is_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             main(["estimate", "--input", f"{tmp_path}/x.stf", "--q", "1",

@@ -172,12 +172,19 @@ class TestGramRoute:
         assert np.all(system.eigenvectors[-1].imag == 0.0)
 
 
-    @pytest.mark.parametrize("kernel", ["bartlett", "ep"])
-    def test_matches_standard_route_at_anisotropic_shape(self, kernel):
+    @pytest.mark.parametrize("kernel,shape,bw,trunc", [
+        ("bartlett", (30, 2, 3, 4), (1, 2, 2), (1, 1, 1)),
+        ("ep", (30, 2, 3, 4), (1, 2, 2), (1, 1, 1)),
+        # T = 6 leaves lags outside the flat window, so the top three rows are well separated
+        ("truncated", (40, 2, 3, 6), (1, 2, 2), (1, 1, 1)),
+        # the stacked baseline's shape: degenerate spatial axes, time lags only
+        ("ep", (30, 1, 1, 12), (0, 0, 3), (0, 0, 2)),
+    ], ids=["bartlett", "ep", "truncated", "stacked"])
+    def test_matches_standard_route_at_anisotropic_shape(self, kernel, shape, bw, trunc):
         # nonzero lag weights on two axes of different extents and bandwidths make
         # Sigma_hat(theta) vary with theta, so a wrong phase sign shows in the rows
-        field = random_field((30, 2, 3, 4), seed=34)
-        bw, trunc, q = (1, 2, 2), (1, 1, 1), 3
+        field = random_field(shape, seed=34)
+        q = 3
         std = eigendecompose_all(estimate_spectral_density(field, kernel, bw), q)
         gram = eigensystem_from_field(field, kernel, bw, q_keep=q)
         scale = np.abs(std.eigenvalues).max()

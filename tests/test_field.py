@@ -217,6 +217,15 @@ class TestFileFormats:
         with pytest.raises(DataError, match="header"):
             load_field(io.BytesIO(b"a,b,c\n1,2,3\n"), "csv")
 
+    def test_non_ascii_csv_byte_is_data_error(self):
+        # the reader decodes in chunks, so the bad byte surfaces at the header read
+        with pytest.raises(DataError, match=r"non-ASCII byte b'\\xe9'"):
+            load_field(io.BytesIO(b"ell,s1,s2,t,value\n1,1,1,1,0.5\xe9\n"), "csv")
+        # past the first chunk it surfaces while reading the rows
+        rows = "".join(f"1,1,1,{t},0.0\n" for t in range(1, 2001)).encode()
+        with pytest.raises(DataError, match=r"non-ASCII byte b'\\xff'"):
+            load_field(io.BytesIO(b"ell,s1,s2,t,value\n" + rows + b"1,1,1,2001,\xff\n"), "csv")
+
     def test_nonfinite_value_rejected_with_coordinate(self):
         text = "ell,s1,s2,t,value\n1,1,1,1,nan\n1,1,1,2,0\n"
         with pytest.raises(DataError, match=r"\(1, 1, 1, 1\)"):

@@ -325,12 +325,15 @@ class TestMemoryBound:
         with pytest.raises(ConfigError, match=f"needs {need} bytes, more than the 16384 bytes"):
             estimate_spectral_density(field)
 
-    @pytest.mark.parametrize("command", [
-        ["estimate", "--q", "1"],
-        ["select-q", "--qmax", "2"],
-        ["eigengap", "--m-values", "6", "--topk", "1"],
-    ], ids=["estimate", "select_q", "eigengap"])
-    def test_cli_exits_2(self, tmp_path, capsys, tiny_memory, command):
+    @pytest.mark.parametrize("command,memory", [
+        (["estimate", "--q", "1"], 16 * 1024),
+        (["select-q", "--qmax", "2"], 16 * 1024),
+        (["eigengap", "--m-values", "6", "--topk", "1"], 16 * 1024),
+        # the stacked curve's principal field (r = 5, dims (1, 1, 6)) needs 3,800 bytes
+        (["eigengap", "--gdfm", "--m-values", "6", "--topk", "1"], 1024),
+    ], ids=["estimate", "select_q", "eigengap", "eigengap_gdfm"])
+    def test_cli_exits_2(self, tmp_path, capsys, monkeypatch, tiny_memory, command, memory):
+        monkeypatch.setattr(spectral, "_physical_memory_bytes", lambda: memory)
         store_field(random_field((6, 5, 5, 6), seed=16, demeaned=False), tmp_path / "x.stf")
         rc = main(command + ["--input", f"{tmp_path}/x.stf", "--output", f"{tmp_path}/out"])
         assert rc == 2
