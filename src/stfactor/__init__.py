@@ -50,9 +50,6 @@ from .simlab import (
     gdfm_baseline,
     run_mc_study,
     simulate_field,
-    simulate_idio_correlated,
-    simulate_model_a,
-    simulate_model_b,
     substream,
 )
 
@@ -67,6 +64,5 @@ __all__ = [
     "NoSecondIntervalError", "StabilityScan", "penalty_value", "stability_scan",
     "CommonComponentEstimate", "estimate_common_component", "interior_mask",
     "GdfmResult", "MCResult", "SimConfig", "error_metrics", "gdfm_baseline", "run_mc_study",
-    "simulate_field", "simulate_idio_correlated", "simulate_model_a", "simulate_model_b",
-    "substream",
+    "simulate_field", "substream",
 ]

@@ -246,6 +246,7 @@ def _gram_eigensystem(x2d: np.ndarray, kernels, bw, dims, q_keep: int) -> Dynami
     small = eigendecompose_all(estimate, q_keep)
     vals = np.zeros((small.grid.half_count, n))
     vals[:, :coords.n] = small.eigenvalues
+    vals[:, ::-1].sort(axis=1)  # the zeros belong above Y's negative eigenvalues
     rows = np.zeros((small.grid.half_count, q_keep, n), dtype=np.complex128)
     if q_keep > 0:
         rows = small.eigenvectors @ (x2d @ back).T

@@ -67,10 +67,6 @@ from .spectral import resolve_kernels, validate_bandwidths
 __all__ = [
     "SimConfig",
     "substream",
-    "simulate_model_a",
-    "simulate_model_b",
-    "simulate_idiosyncratic",
-    "simulate_idio_correlated",
     "simulate_field",
     "error_metrics",
     "GdfmResult",
@@ -175,45 +171,7 @@ def _model_a_chi(a, b, shocks, radius, dims):
     return chi
 
 
-def simulate_model_a(cfg: SimConfig, rep: int = 0):
-    """Two-sided geometric-decay design; returns (x, chi_true)."""
-    if cfg.model != "model_a":
-        raise ConfigError("config is not a model_a design")
-    radius = cfg.r_a
-    a = substream(cfg.seed, rep, "loadings_a").standard_normal((cfg.n, cfg.q))
-    b = substream(cfg.seed, rep, "decay_b").uniform(0.5, 0.8, size=(cfg.n, cfg.q))
-    padded = tuple(d + 2 * radius for d in cfg.dims)
-    shocks = substream(cfg.seed, rep, "shocks").standard_normal((cfg.q,) + padded)
-    chi = _model_a_chi(a, b, shocks, radius, cfg.dims)
-    xi = simulate_idiosyncratic(cfg, rep)
-    return LatticeField(chi + xi), LatticeField(chi)
-
-
-def simulate_model_b(cfg: SimConfig, rep: int = 0):
-    """Finite moving-average design; returns (x, chi_true)."""
-    if cfg.model != "model_b":
-        raise ConfigError("config is not a model_b design")
-    a = substream(cfg.seed, rep, "loadings_a").standard_normal((cfg.n, cfg.q))
-    padded = tuple(d + 2 for d in cfg.dims)
-    shocks = substream(cfg.seed, rep, "shocks").standard_normal((cfg.q,) + padded)
-    spatial = np.array([[0.5, 1.0, 0.5]])
-    temporal = np.array([[0.0, 1.0, 0.5]])  # lags kappa_3 in {0, 1} only
-    chi = np.zeros((cfg.n,) + tuple(cfg.dims))
-    for j in range(cfg.q):
-        base = np.zeros((1,) + tuple(cfg.dims))
-        _convolve_separable(shocks[j], (spatial, spatial, temporal), base)
-        chi += a[:, j][:, None, None, None] * base
-    xi = simulate_idiosyncratic(cfg, rep)
-    return LatticeField(chi + xi), LatticeField(chi)
-
-
-def simulate_idiosyncratic(cfg: SimConfig, rep: int = 0) -> np.ndarray:
-    if cfg.idio == "iid_gaussian":
-        return substream(cfg.seed, rep, "idio").standard_normal((cfg.n,) + tuple(cfg.dims))
-    return simulate_idio_correlated(cfg, rep)
-
-
-def simulate_idio_correlated(cfg: SimConfig, rep: int = 0) -> np.ndarray:
+def _idio_correlated(cfg: SimConfig, rep: int) -> np.ndarray:
     """Cross-sectionally, spatially, and serially correlated noise.
 
     Each xi_ell mixes shock rows ell..ell+4 with geometric weights, so
@@ -242,14 +200,31 @@ def simulate_idio_correlated(cfg: SimConfig, rep: int = 0) -> np.ndarray:
 
 
 def simulate_field(cfg: SimConfig, rep: int = 0):
-    """Dispatch to the configured design; returns (x, chi_true)."""
-    if cfg.q == 0:
-        # empty factor sum: x is pure idiosyncratic noise
-        xi = simulate_idiosyncratic(cfg, rep)
-        return LatticeField(xi), LatticeField(np.zeros_like(xi))
+    """Draw replication ``rep`` of the configured design; returns (x, chi_true).
+
+    With q = 0 the loadings and shocks are empty, chi is zero and x is
+    the idiosyncratic draw itself.
+    """
+    a = substream(cfg.seed, rep, "loadings_a").standard_normal((cfg.n, cfg.q))
+    pad = cfg.r_a if cfg.model == "model_a" else 1
+    padded = tuple(d + 2 * pad for d in cfg.dims)
+    shocks = substream(cfg.seed, rep, "shocks").standard_normal((cfg.q,) + padded)
     if cfg.model == "model_a":
-        return simulate_model_a(cfg, rep)
-    return simulate_model_b(cfg, rep)
+        b = substream(cfg.seed, rep, "decay_b").uniform(0.5, 0.8, size=(cfg.n, cfg.q))
+        chi = _model_a_chi(a, b, shocks, pad, cfg.dims)
+    else:
+        spatial = np.array([[0.5, 1.0, 0.5]])
+        temporal = np.array([[0.0, 1.0, 0.5]])  # lags kappa_3 in {0, 1} only
+        chi = np.zeros((cfg.n,) + cfg.dims)
+        for j in range(cfg.q):
+            base = np.zeros((1,) + cfg.dims)
+            _convolve_separable(shocks[j], (spatial, spatial, temporal), base)
+            chi += a[:, j][:, None, None, None] * base
+    if cfg.idio == "iid_gaussian":
+        xi = substream(cfg.seed, rep, "idio").standard_normal((cfg.n,) + cfg.dims)
+    else:
+        xi = _idio_correlated(cfg, rep)
+    return LatticeField(chi + xi), LatticeField(chi)
 
 
 # ---------------------------------------------------------------------------
@@ -257,32 +232,32 @@ def simulate_field(cfg: SimConfig, rep: int = 0):
 # ---------------------------------------------------------------------------
 
 
-def error_metrics(chi_hat: np.ndarray, chi_true: np.ndarray, region: str = "all", mask=None):
+def error_metrics(chi_hat: np.ndarray, chi_true: np.ndarray, mask=None):
     """(E1, E2): mean squared error and truth-standardized squared error.
 
-    E1 averages (chi_hat - chi_true)^2 over every (series, lattice
-    point); E2 divides the total squared error by the total squared
-    truth.  ``region="interior"`` restricts both sums to the points
-    flagged by ``mask``.
+    E1 averages (chi_hat - chi_true)^2 over the scored (series, lattice
+    point) pairs; E2 divides their total squared error by their total
+    squared truth.  ``mask``, a boolean array of the lattice shape,
+    selects the scored points; None scores every point.
     """
     chi_hat = np.asarray(chi_hat, dtype=np.float64)
     chi_true = np.asarray(chi_true, dtype=np.float64)
     if chi_hat.shape != chi_true.shape:
         raise ConfigError(f"shape mismatch {chi_hat.shape} vs {chi_true.shape}")
-    if region == "interior":
-        if mask is None:
-            raise ConfigError("region='interior' requires a mask")
-        diff = chi_hat[:, mask] - chi_true[:, mask]
-        truth = chi_true[:, mask]
-    elif region == "all":
-        diff = chi_hat - chi_true
-        truth = chi_true
-    else:
-        raise ConfigError(f"unknown region {region!r}")
+    if mask is not None:
+        mask = np.asarray(mask)
+        if mask.dtype != bool or mask.shape != chi_true.shape[1:]:
+            raise ConfigError(f"mask must be a boolean array of shape {chi_true.shape[1:]}, "
+                              f"got {mask.dtype} of shape {mask.shape}")
+        # boolean indexing copies in Fortran order, which sums in another
+        # order: a full mask stays unindexed and scores bit for bit like None
+        if not mask.all():
+            chi_hat, chi_true = chi_hat[:, mask], chi_true[:, mask]
+    diff = chi_hat - chi_true
     if diff.size == 0:
-        raise ConfigError(f"region {region!r} holds no lattice point")
+        raise ConfigError("the mask holds no lattice point")
     sq_err = float(np.sum(diff**2))
-    sq_truth = float(np.sum(truth**2))
+    sq_truth = float(np.sum(chi_true**2))
     e1 = sq_err / diff.size
     if sq_truth == 0.0:
         raise NumericError("E2 undefined: true common component has zero energy")
@@ -363,8 +338,8 @@ def _accuracy_rep(cfg, rep, q_fit, kernels, bw, trunc):
     x, chi_true = simulate_field(cfg, rep)
     xd = demean(x)
     est = estimate_common_component(xd, q_fit, kernels, bw, trunc)
-    e1, e2 = error_metrics(est.chi, chi_true.values, "all")
-    e1_int, e2_int = error_metrics(est.chi, chi_true.values, "interior", est.mask)
+    e1, e2 = error_metrics(est.chi, chi_true.values)
+    e1_int, e2_int = error_metrics(est.chi, chi_true.values, est.mask)
     return {"E1": e1, "E2": e2, "E1_interior": e1_int, "E2_interior": e2_int}
 
 
@@ -372,12 +347,12 @@ def _comparison_rep(cfg, rep, q_fit, kernels, bw, trunc, region="all"):
     x, chi_true = simulate_field(cfg, rep)
     xd = demean(x)
     est = estimate_common_component(xd, q_fit, kernels, bw, trunc)
-    base = gdfm_baseline(xd, q_fit, kernels)
+    base = gdfm_baseline(xd, q_fit, kernels, bw[2], trunc[2])
     # for interior scoring both estimates are restricted to the stricter
     # (spatio-temporal) support region so the comparison is like for like
     mask = est.mask if region == "interior" else None
-    e1, e2 = error_metrics(est.chi, chi_true.values, region, mask)
-    g1, g2 = error_metrics(base.chi, chi_true.values, region, mask)
+    e1, e2 = error_metrics(est.chi, chi_true.values, mask)
+    g1, g2 = error_metrics(base.chi, chi_true.values, mask)
     return {"E1": e1, "E2": e2, "E1_gdfm": g1, "E2_gdfm": g2}
 
 

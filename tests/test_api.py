@@ -89,3 +89,31 @@ def test_only_the_cli_writes_result_files():
             if {m.split(".")[0] for m in modules} & {"csv", "json"}:
                 importers.add(path.name)
     assert importers == {"cli.py"}
+
+
+def test_only_the_config_and_the_simulator_branch_on_the_model():
+    """``SimConfig`` checks the design name and ``simulate_field`` draws it; nothing else asks."""
+    names = {"model_a", "model_b"}
+
+    def asks_model(node):
+        sides = [node.left, *node.comparators]
+        consts = {sub.value for side in sides for sub in ast.walk(side)
+                  if isinstance(sub, ast.Constant)}
+        return (any(isinstance(side, ast.Attribute) and side.attr == "model" for side in sides)
+                and bool(consts & names))
+
+    askers = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+            else:
+                if isinstance(child, ast.Compare) and asks_model(child):
+                    askers.add(".".join(scope))
+                visit(child, scope)
+
+    package = Path(stfactor.__file__).resolve().parent
+    for path in package.glob("*.py"):
+        visit(ast.parse(path.read_text()), [])
+    assert askers == {"SimConfig.__post_init__", "simulate_field"}

@@ -152,6 +152,18 @@ class TestGramRoute:
         proj_gram = np.einsum("gqi,gqj->gij", np.conj(gram.eigenvectors), gram.eigenvectors)
         assert np.abs(proj_std - proj_gram).max() <= 1e-8
 
+    def test_eigenvalues_descend_past_negative_ones(self):
+        # the truncated window leaves negative eigenvalues: the n - r zeros
+        # the Gram route pads with belong above them, as on the standard route
+        field = random_field((30, 2, 3, 4), seed=34)
+        gram = eigensystem_from_field(field, "truncated", (1, 2, 2))
+        std = eigendecompose_all(estimate_spectral_density(field, "truncated", (1, 2, 2)), 0)
+        assert std.eigenvalues.min() < 0
+        assert np.all(np.diff(gram.eigenvalues, axis=1) <= 0)
+        scale = np.abs(std.eigenvalues).max()
+        assert np.abs(gram.eigenvalues - std.eigenvalues).max() <= 1e-12 * scale
+        assert np.abs(gram.eigenvalue_means() - std.eigenvalue_means()).max() <= 1e-12 * scale
+
     def test_auto_route_by_shape(self):
         tall = random_field((12, 2, 2, 2), seed=26)
         wide = random_field((3, 4, 4, 4), seed=27)

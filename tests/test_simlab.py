@@ -16,13 +16,10 @@ from stfactor import (
     run_mc_study,
     sample_autocovariance,
     simulate_field,
-    simulate_idio_correlated,
-    simulate_model_a,
-    simulate_model_b,
     substream,
 )
 from stfactor import simlab
-from stfactor.simlab import _model_a_chi
+from stfactor.simlab import _idio_correlated, _model_a_chi
 
 # blocked products reorder the sums of the per-series contractions
 CONV_RTOL = 1e-13
@@ -42,7 +39,7 @@ def assert_matches_reference(chi, ref):
 class TestSimConfig:
     def test_rejects_non_integer_values(self):
         for bad in ({"dims": (5, 5)}, {"dims": (5, 5, 6.0)}, {"q": 1.5}, {"n": "40"},
-                    {"seed": True}):
+                    {"seed": True}, {"model": "model_c"}, {"idio": "ar1"}):
             with pytest.raises(ConfigError):
                 SimConfig(**bad)
         assert SimConfig(n=np.int64(6), dims=[5, 5, 6]).dims == (5, 5, 6)
@@ -58,20 +55,25 @@ class TestSimConfig:
 
 
 class TestModelA:
-    def test_zero_factors_gives_pure_noise(self):
-        cfg = SimConfig(model="model_a", n=3, dims=(4, 4, 6), q=0, seed=1)
+    @pytest.mark.parametrize("idio", ["iid_gaussian", "correlated"])
+    @pytest.mark.parametrize("model", ["model_a", "model_b"])
+    def test_zero_factors_gives_pure_noise(self, model, idio):
+        cfg = SimConfig(model=model, n=3, dims=(4, 4, 6), q=0, idio=idio, seed=1)
         x, chi = simulate_field(cfg)
         assert np.all(chi.values == 0.0)
-        noise = substream(cfg.seed, 0, "idio").standard_normal((3, 4, 4, 6))
-        np.testing.assert_array_equal(x.values, noise)
+        if idio == "iid_gaussian":
+            noise = substream(cfg.seed, 0, "idio").standard_normal((3, 4, 4, 6))
+        else:
+            noise = _idio_correlated(cfg, 0)
+        assert x.values.tobytes() == noise.tobytes()
 
     def test_seed_determinism(self):
         cfg = SimConfig(model="model_a", n=4, dims=(5, 5, 8), q=2, seed=7, r_a=10)
-        x1, c1 = simulate_model_a(cfg)
-        x2, c2 = simulate_model_a(cfg)
+        x1, c1 = simulate_field(cfg)
+        x2, c2 = simulate_field(cfg)
         assert np.array_equal(x1.values, x2.values)
         assert np.array_equal(c1.values, c2.values)
-        x3, _ = simulate_model_a(cfg, rep=1)
+        x3, _ = simulate_field(cfg, rep=1)
         assert not np.array_equal(x1.values, x3.values)
 
     def test_truncation_radius_adequacy(self):
@@ -85,10 +87,6 @@ class TestModelA:
         chi40 = _model_a_chi(a, b, shocks, 40, cfg.dims)
         chi60 = _model_a_chi(a, b, shocks, 60, cfg.dims)
         assert np.abs(chi40 - chi60).max() <= 1e-3 * chi60.std()
-
-    def test_wrong_model_dispatch(self):
-        with pytest.raises(ConfigError):
-            simulate_model_a(SimConfig(model="model_b", n=2, dims=(3, 3, 3), q=1))
 
     # golden: the CLI golden file's shape; ragged: n=30 is 23 + 7 series
     # per block; budget: a two-series budget gives blocks of 2, 2, 2, 1
@@ -126,7 +124,7 @@ class TestModelB:
     def test_conditional_variance_formula(self):
         # sum of squared moving-average weights: 1.5 * 1.5 * 1.25 = 2.8125
         cfg = SimConfig(model="model_b", n=4, dims=(30, 30, 200), q=2, seed=11)
-        _, chi = simulate_model_b(cfg)
+        _, chi = simulate_field(cfg)
         a = substream(cfg.seed, 0, "loadings_a").standard_normal((cfg.n, cfg.q))
         predicted = 2.8125 * (a**2).sum(axis=1)
         sample = chi.values.var(axis=(1, 2, 3))
@@ -134,18 +132,18 @@ class TestModelB:
 
     def test_zero_factors(self):
         cfg = SimConfig(model="model_b", n=2, dims=(4, 4, 4), q=0, seed=2)
-        _, chi = simulate_model_b(cfg)
+        _, chi = simulate_field(cfg)
         assert np.all(chi.values == 0.0)
 
     def test_seed_determinism(self):
         cfg = SimConfig(model="model_b", n=3, dims=(5, 5, 6), q=2, seed=4)
-        x1, _ = simulate_model_b(cfg)
-        x2, _ = simulate_model_b(cfg)
+        x1, _ = simulate_field(cfg)
+        x2, _ = simulate_field(cfg)
         assert np.array_equal(x1.values, x2.values)
 
     def test_chi_matches_per_series_reference(self):
         cfg = SimConfig(model="model_b", n=6, dims=(5, 6, 7), q=2, seed=12)
-        _, chi = simulate_model_b(cfg)
+        _, chi = simulate_field(cfg)
         a = substream(cfg.seed, 0, "loadings_a").standard_normal((cfg.n, cfg.q))
         shocks = substream(cfg.seed, 0, "shocks").standard_normal((cfg.q, 7, 8, 9))
         spatial, temporal = np.array([0.5, 1.0, 0.5]), np.array([0.0, 1.0, 0.5])
@@ -157,7 +155,7 @@ class TestModelB:
         # weights act on shocks at t and t-1 only: chi at t=1 must not
         # depend on shocks strictly after the first time slice
         cfg = SimConfig(model="model_b", n=2, dims=(4, 4, 6), q=1, seed=5)
-        _, chi = simulate_model_b(cfg)
+        _, chi = simulate_field(cfg)
         shocks = substream(cfg.seed, 0, "shocks").standard_normal((1, 6, 6, 8))
         a = substream(cfg.seed, 0, "loadings_a").standard_normal((2, 1))
         manual = np.zeros((4, 4))
@@ -173,7 +171,7 @@ class TestCorrelatedIdio:
     def test_cross_sectional_correlation_structure(self):
         cfg = SimConfig(model="model_b", n=12, dims=(12, 12, 160), q=0,
                         idio="correlated", seed=21)
-        xi = simulate_idio_correlated(cfg)
+        xi = _idio_correlated(cfg, 0)
         flat = xi.reshape(12, -1)
         flat = flat - flat.mean(axis=1, keepdims=True)
         corr = np.corrcoef(flat)
@@ -188,7 +186,7 @@ class TestCorrelatedIdio:
         # zero up to sampling noise
         cfg = SimConfig(model="model_b", n=3, dims=(8, 8, 500), q=0,
                         idio="correlated", seed=22)
-        xi = simulate_idio_correlated(cfg)
+        xi = _idio_correlated(cfg, 0)
         field = demean(LatticeField(xi))
         ac = sample_autocovariance(field, (1, 1, 2))
         lag2 = gamma(ac, (0, 0, 2))
@@ -197,13 +195,13 @@ class TestCorrelatedIdio:
 
     def test_seed_determinism(self):
         cfg = SimConfig(model="model_b", n=3, dims=(4, 4, 5), q=0, idio="correlated", seed=23)
-        assert np.array_equal(simulate_idio_correlated(cfg), simulate_idio_correlated(cfg))
+        assert np.array_equal(_idio_correlated(cfg, 0), _idio_correlated(cfg, 0))
 
     def test_dispatch_through_simulate_field(self):
         cfg = SimConfig(model="model_b", n=3, dims=(4, 4, 5), q=1, idio="correlated", seed=24)
         x, chi = simulate_field(cfg)
         xi = x.values - chi.values
-        np.testing.assert_allclose(xi, simulate_idio_correlated(cfg), rtol=1e-12)
+        np.testing.assert_allclose(xi, _idio_correlated(cfg, 0), rtol=1e-12)
 
 
 class TestErrorMetrics:
@@ -236,10 +234,25 @@ class TestErrorMetrics:
         chi_hat[:, 0] += 10.0  # corrupt a boundary slab only
         mask = np.zeros((4, 4, 4), bool)
         mask[1:3, 1:3, 1:3] = True
-        e1_int, _ = error_metrics(chi_hat, chi, "interior", mask)
+        e1_int, _ = error_metrics(chi_hat, chi, mask)
         assert e1_int == 0.0
-        e1_all, _ = error_metrics(chi_hat, chi, "all")
+        e1_all, _ = error_metrics(chi_hat, chi)
         assert e1_all > 1.0
+
+    def test_no_mask_scores_every_point(self):
+        rng = np.random.default_rng(5)
+        chi = rng.standard_normal((2, 3, 4, 5))
+        chi_hat = chi + 0.3 * rng.standard_normal(chi.shape)
+        full = error_metrics(chi_hat, chi, np.ones((3, 4, 5), bool))
+        assert np.array(error_metrics(chi_hat, chi)).tobytes() == np.array(full).tobytes()
+
+    @pytest.mark.parametrize("mask", [np.ones((3, 4), bool), np.ones((2, 3, 4, 5), bool),
+                                      np.ones((3, 4, 5)), np.ones((3, 4, 5), int)],
+                             ids=["short", "with_series_axis", "float", "int"])
+    def test_bad_mask_rejected(self, mask):
+        chi = np.ones((2, 3, 4, 5))
+        with pytest.raises(ConfigError, match=r"shape \(3, 4, 5\), got .* of shape"):
+            error_metrics(chi, chi, mask)
 
     def test_zero_truth_rejected(self):
         with pytest.raises(NumericError):
@@ -252,7 +265,7 @@ class TestErrorMetrics:
     def test_empty_region_rejected(self):
         chi = np.ones((1, 2, 2, 2))
         with pytest.raises(ConfigError, match="holds no lattice point"):
-            error_metrics(chi, chi, "interior", np.zeros((2, 2, 2), bool))
+            error_metrics(chi, chi, np.zeros((2, 2, 2), bool))
 
 
 class TestGdfmBaseline:
@@ -305,6 +318,14 @@ class TestRunMcStudy:
         cfg = SimConfig(model="model_b", n=10, dims=(5, 5, 12), q=1, seed=43, n_reps=2)
         out = run_mc_study(cfg, "comparison", bw=(1, 1, 3))
         assert "E1_gdfm" in out.metrics
+
+    def test_comparison_baseline_uses_temporal_bw_and_trunc(self):
+        cfg = SimConfig(model="model_b", n=6, dims=(5, 5, 16), q=1, seed=45)
+        out = run_mc_study(cfg, "comparison", bw=(2, 2, 7), trunc=(1, 1, 3))
+        assert out.settings["bw"] == [2, 2, 7] and out.settings["trunc"] == [1, 1, 3]
+        x, chi = simulate_field(cfg)
+        base = gdfm_baseline(demean(x), 1, "ep", 7, 3)
+        assert out.metrics["E1_gdfm"][0] == error_metrics(base.chi, chi.values)[0]
 
     def test_failing_replication_names_itself(self):
         cfg = SimConfig(model="model_b", n=10, dims=(5, 5, 8), q=1, seed=44, n_reps=2)
