@@ -43,7 +43,6 @@ from .commoncomp import (
     interior_mask,
 )
 from .simlab import (
-    GdfmResult,
     MCResult,
     SimConfig,
     error_metrics,
@@ -63,6 +62,6 @@ __all__ = [
     "eigenvalue_curve_by_size",
     "NoSecondIntervalError", "StabilityScan", "penalty_value", "stability_scan",
     "CommonComponentEstimate", "estimate_common_component", "interior_mask",
-    "GdfmResult", "MCResult", "SimConfig", "error_metrics", "gdfm_baseline", "run_mc_study",
+    "MCResult", "SimConfig", "error_metrics", "gdfm_baseline", "run_mc_study",
     "simulate_field", "substream",
 ]

@@ -80,10 +80,13 @@ def _sim_config(args, design: dict) -> SimConfig:
 
 
 def _check_output_dirs(args) -> None:
+    as_given = args.command in ("simulate", "estimate", "eigengap")  # the others take a prefix
     for flag in ("output", "truth_output"):
         path = getattr(args, flag, None)
         if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
             raise ConfigError(f"--{flag.replace('_', '-')} {path}: its directory does not exist")
+        if path is not None and as_given and os.path.isdir(path):
+            raise ConfigError(f"--{flag.replace('_', '-')} {path} is a directory")
 
 
 def _write_table(path, columns: dict) -> None:
@@ -179,14 +182,13 @@ def cmd_eigengap(args) -> int:
         curve_field = as_demeaned_field(stacked.values)
         # the (1, 1, T) stacked lattice keeps only the time bandwidth
         curve_bw = (0, 0, bw[2]) if bw else None
-        sizes = [min(m, curve_field.n) for m in m_values]
     else:
-        curve_field, curve_bw, sizes = field, bw, m_values
+        curve_field, curve_bw = field, bw
     curve_bw = validate_bandwidths(curve_bw, curve_field.dims)
-    topk = min(10, min(sizes)) if args.topk is None else args.topk
-    curve = eigenvalue_curve_by_size(curve_field, sizes, topk, args.kernel, curve_bw)
+    topk = min(10, min(m_values)) if args.topk is None else args.topk
+    curve = eigenvalue_curve_by_size(curve_field, m_values, topk, args.kernel, curve_bw)
     lambdas = {f"lambda_{j + 1}": col for j, col in enumerate(curve.T)}
-    _write_table(args.output, {"m": sizes, **lambdas})
+    _write_table(args.output, {"m": m_values, **lambdas})
     _write_settings(args.output, {
         "command": "eigengap", "input": args.input, "m_values": m_values,
         "topk": topk, "kernel": make_kernel(args.kernel).kind,

@@ -175,37 +175,28 @@ def _map_half_grid(solve, shape) -> np.ndarray:
     return vals
 
 
-def _half_grid_eigh(mats: np.ndarray, keep: int):
-    """Descending eigenvalues (half, m) and leading ``keep`` eigenvectors (half, m, keep).
+def eigendecompose_all(estimate: SpectralDensityEstimate, q_keep: int) -> DynamicEigenSystem:
+    """Hermitian eigendecomposition at every stored (half-grid) frequency.
 
-    vecs[g, :, j] belongs to vals[g, j].  The zero frequency, last, is
-    decomposed in real arithmetic so its eigenvectors are exactly real.
+    All n eigenvalues are returned per frequency; eigenvector rows are
+    kept for the top ``q_keep`` only.  The zero frequency, last, is
+    decomposed in real arithmetic so its rows are exactly real.
     """
-    vecs = np.empty(mats.shape[:2] + (keep,), dtype=mats.dtype)
+    mats, n = estimate.matrices, estimate.n
+    if not 0 <= q_keep <= n:
+        raise ConfigError(f"q_keep={q_keep} out of range 0..{n}")
+    rows = np.empty((len(mats), q_keep, n), dtype=mats.dtype)
 
     def solve(lo, hi):
         w, v = np.linalg.eigh(mats[lo:hi])
         if hi == len(mats):
             w[-1], v[-1] = np.linalg.eigh(mats[-1].real)
-        vecs[lo:hi] = v[:, :, ::-1][:, :, :keep]
+        np.conj(v[:, :, ::-1][:, :, :q_keep].transpose(0, 2, 1), out=rows[lo:hi])
         return w[:, ::-1]
 
-    return _map_half_grid(solve, mats.shape[:2]), vecs
-
-
-def eigendecompose_all(estimate: SpectralDensityEstimate, q_keep: int) -> DynamicEigenSystem:
-    """Hermitian eigendecomposition at every stored (half-grid) frequency.
-
-    All n eigenvalues are returned per frequency; eigenvector rows are
-    kept for the top ``q_keep`` only (exactly real at the zero frequency).
-    """
-    n = estimate.n
-    if not 0 <= q_keep <= n:
-        raise ConfigError(f"q_keep={q_keep} out of range 0..{n}")
-    vals, vecs = _half_grid_eigh(estimate.matrices, q_keep)
-    rows = np.conj(np.transpose(vecs, (0, 2, 1)))
-    rows = _fix_phases(np.ascontiguousarray(rows))
-    return DynamicEigenSystem(estimate.grid, vals, rows, q_keep, eigen_workers(*vals.shape))
+    vals = _map_half_grid(solve, mats.shape[:2])
+    return DynamicEigenSystem(estimate.grid, vals, _fix_phases(rows), q_keep,
+                              eigen_workers(*vals.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -235,25 +226,6 @@ def _principal_field(x2d: np.ndarray, dims):
     return as_demeaned_field(coords), gvecs[:, pos] / scale
 
 
-def _gram_eigensystem(x2d: np.ndarray, kernels, bw, dims, q_keep: int) -> DynamicEigenSystem:
-    n, volume = x2d.shape
-    if q_keep > min(n, volume):
-        raise ConfigError(f"q_keep={q_keep} exceeds the rank bound min(n, S1*S2*T)={min(n, volume)}")
-    coords, back = _principal_field(x2d, dims)
-    if q_keep > coords.n:
-        raise NumericError(f"degenerate eigenvector in Gram route: q_keep={q_keep} > rank {coords.n}")
-    estimate = spectral_from_autocovariance(sample_autocovariance(coords, bw), kernels)
-    small = eigendecompose_all(estimate, q_keep)
-    vals = np.zeros((small.grid.half_count, n))
-    vals[:, :coords.n] = small.eigenvalues
-    vals[:, ::-1].sort(axis=1)  # the zeros belong above Y's negative eigenvalues
-    rows = np.zeros((small.grid.half_count, q_keep, n), dtype=np.complex128)
-    if q_keep > 0:
-        rows = small.eigenvectors @ (x2d @ back).T
-        rows = _fix_phases(rows / np.linalg.norm(rows, axis=2, keepdims=True))
-    return DynamicEigenSystem(small.grid, vals, rows, q_keep, small.eigen_workers)
-
-
 def eigensystem_from_field(
     field: LatticeField, kernels="epanechnikov", bw=None, q_keep: int = 0
 ) -> DynamicEigenSystem:
@@ -269,10 +241,25 @@ def eigensystem_from_field(
     if not field.demeaned:
         raise ConfigError("eigensystem_from_field requires a demeaned field")
     bw = validate_bandwidths(bw, field.dims)
-    if field.lattice_size < field.n:
-        x2d = field.values.reshape(field.n, -1)
-        return _gram_eigensystem(x2d, kernels, bw, field.dims, q_keep)
-    return eigendecompose_all(estimate_spectral_density(field, kernels, bw), q_keep)
+    n, volume = field.n, field.lattice_size
+    if volume >= n:
+        return eigendecompose_all(estimate_spectral_density(field, kernels, bw), q_keep)
+    if q_keep > volume:
+        raise ConfigError(f"q_keep={q_keep} exceeds the rank bound min(n, S1*S2*T)={volume}")
+    x2d = field.values.reshape(n, volume)
+    coords, back = _principal_field(x2d, field.dims)
+    if q_keep > coords.n:
+        raise NumericError(f"degenerate eigenvector in Gram route: q_keep={q_keep} > rank {coords.n}")
+    estimate = spectral_from_autocovariance(sample_autocovariance(coords, bw), kernels)
+    small = eigendecompose_all(estimate, q_keep)
+    vals = np.zeros((small.grid.half_count, n))
+    vals[:, :coords.n] = small.eigenvalues
+    vals[:, ::-1].sort(axis=1)  # the zeros belong above Y's negative eigenvalues
+    rows = np.zeros((small.grid.half_count, q_keep, n), dtype=np.complex128)
+    if q_keep > 0:
+        rows = small.eigenvectors @ (x2d @ back).T
+        rows = _fix_phases(rows / np.linalg.norm(rows, axis=2, keepdims=True))
+    return DynamicEigenSystem(small.grid, vals, rows, q_keep, small.eigen_workers)
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +276,9 @@ def eigenvalue_curve_by_size(
     spectral estimate restricted to the first ``m_values[r]`` series.
     The estimate for a leading subset of series is exactly the leading
     principal submatrix of the full estimate, so the spectral matrices
-    are assembled once and only the eigendecompositions repeat.
+    are assembled once and only the eigendecompositions repeat.  Panels
+    with more series than lattice points have no n x n estimate to share:
+    each leading panel then gets its own :func:`eigensystem_from_field`.
     """
     if not field.demeaned:
         raise ConfigError("eigenvalue_curve_by_size requires a demeaned field")
@@ -301,10 +290,9 @@ def eigenvalue_curve_by_size(
     bw = validate_bandwidths(bw, field.dims)
     out = np.empty((len(m_values), top_k))
     if field.lattice_size < field.n:
-        x2d = field.values.reshape(field.n, -1)
         for r, m in enumerate(m_values):
-            sub = _gram_eigensystem(x2d[:m], kernels, bw, field.dims, 0)
-            out[r] = sub.eigenvalue_means()[:top_k]
+            sub = field if m == field.n else LatticeField(field.values[:m], demeaned=True)
+            out[r] = eigensystem_from_field(sub, kernels, bw).eigenvalue_means()[:top_k]
         return out
     estimate = estimate_spectral_density(field, kernels, bw)
     for r, m in enumerate(m_values):

@@ -231,9 +231,11 @@ def load_field(source, format: str = "auto") -> LatticeField:
             raise ConfigError("format='auto' requires a path source")
         format = _infer_format(source)
     if isinstance(source, (str, os.PathLike)):
-        if not os.path.exists(source):
-            raise DataError(f"input file not found: {source}")
-        with open(source, "rb") as fh:
+        try:
+            fh = open(source, "rb")
+        except OSError as exc:  # missing, a directory, unreadable
+            raise DataError(f"cannot read input file {source}: {exc.strerror}") from None
+        with fh:
             return _load_stream(fh, format)
     return _load_stream(source, format)
 

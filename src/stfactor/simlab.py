@@ -69,7 +69,6 @@ __all__ = [
     "substream",
     "simulate_field",
     "error_metrics",
-    "GdfmResult",
     "gdfm_baseline",
     "MCResult",
     "run_mc_study",
@@ -269,18 +268,9 @@ def error_metrics(chi_hat: np.ndarray, chi_true: np.ndarray, mask=None):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GdfmResult:
-    """Stacked-baseline estimate, unstacked back to field shape."""
-
-    stacked_estimate: CommonComponentEstimate
-    chi: np.ndarray
-    mask: np.ndarray
-
-
 def gdfm_baseline(
     field: LatticeField, q: int, kernels="epanechnikov", bw_t=None, trunc_t=None
-) -> GdfmResult:
+) -> CommonComponentEstimate:
     """Purely temporal factor estimate of the stacked panel.
 
     The n*S1*S2 (series, location) pairs are stacked into one long
@@ -288,15 +278,18 @@ def gdfm_baseline(
     pipeline runs with degenerate spatial axes (single zero spatial
     frequency, no spatial lags), which reduces every formula to its
     one-dimensional temporal special case.  The estimate is reshaped
-    back to field shape for comparison against the truth.
+    back to field shape for comparison against the truth; its mask and
+    ``settings`` describe the temporal filter, bw (0, 0, B_T) and trunc
+    (0, 0, M_T), on the field's lattice.
     """
     sf = as_demeaned_field(stacked_series_as_field(stack_to_time_series(field)).values)
     # unset values resolve on the stacked (1, 1, T) lattice: B_T by default, M_T = B_T
     bw = None if bw_t is None else (0, 0, int(bw_t))
     trunc = None if trunc_t is None else (0, 0, int(trunc_t))
     est = estimate_common_component(sf, q, kernels, bw, trunc)
-    chi = est.chi.reshape(field.values.shape)
-    return GdfmResult(est, chi, interior_mask(field.dims, est.settings["trunc"]))
+    settings = {**est.settings, "n": field.n, "dims": list(field.dims)}
+    return CommonComponentEstimate(est.chi.reshape(field.values.shape),
+                                   interior_mask(field.dims, settings["trunc"]), settings)
 
 
 # ---------------------------------------------------------------------------

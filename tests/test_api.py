@@ -91,29 +91,46 @@ def test_only_the_cli_writes_result_files():
     assert importers == {"cli.py"}
 
 
-def test_only_the_config_and_the_simulator_branch_on_the_model():
-    """``SimConfig`` checks the design name and ``simulate_field`` draws it; nothing else asks."""
-    names = {"model_a", "model_b"}
-
-    def asks_model(node):
-        sides = [node.left, *node.comparators]
-        consts = {sub.value for side in sides for sub in ast.walk(side)
-                  if isinstance(sub, ast.Constant)}
-        return (any(isinstance(side, ast.Attribute) and side.attr == "model" for side in sides)
-                and bool(consts & names))
-
-    askers = set()
+def scopes_where(predicate):
+    """Dotted names of the library's functions and classes holding a node that satisfies ``predicate``."""
+    found = set()
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, scope + [child.name])
             else:
-                if isinstance(child, ast.Compare) and asks_model(child):
-                    askers.add(".".join(scope))
+                if predicate(child):
+                    found.add(".".join(scope))
                 visit(child, scope)
 
     package = Path(stfactor.__file__).resolve().parent
     for path in package.glob("*.py"):
         visit(ast.parse(path.read_text()), [])
-    assert askers == {"SimConfig.__post_init__", "simulate_field"}
+    return found
+
+
+def test_only_the_config_and_the_simulator_branch_on_the_model():
+    """``SimConfig`` checks the design name and ``simulate_field`` draws it; nothing else asks."""
+    names = {"model_a", "model_b"}
+
+    def asks_model(node):
+        if not isinstance(node, ast.Compare):
+            return False
+        sides = [node.left, *node.comparators]
+        consts = {sub.value for side in sides for sub in ast.walk(side)
+                  if isinstance(sub, ast.Constant)}
+        return (any(isinstance(side, ast.Attribute) and side.attr == "model" for side in sides)
+                and bool(consts & names))
+
+    assert scopes_where(asks_model) == {"SimConfig.__post_init__", "simulate_field"}
+
+
+def test_only_eigensystem_from_field_enters_the_gram_route():
+    """The principal coordinates are formed in one place, which every Gram-route caller goes through."""
+
+    def calls_principal_field(node):
+        func = node.func if isinstance(node, ast.Call) else None
+        return getattr(func, "id", getattr(func, "attr", None)) == "_principal_field"
+
+    assert scopes_where(calls_principal_field) == {"eigensystem_from_field"}

@@ -130,6 +130,14 @@ class TestEstimate:
                    "--output", f"{tmp_path}/chi.stf"])
         assert rc == 3
 
+    def test_directory_input_is_data_error(self, tmp_path, capsys):
+        (tmp_path / "x.stf").mkdir()
+        rc = main(["estimate", "--input", f"{tmp_path}/x.stf", "--q", "1",
+                   "--output", f"{tmp_path}/chi.stf"])
+        assert rc == 3
+        assert f"cannot read input file {tmp_path}/x.stf" in capsys.readouterr().err
+        assert not (tmp_path / "chi.stf").exists()
+
     def test_non_ascii_csv_is_data_error(self, tmp_path, capsys):
         (tmp_path / "bad.csv").write_bytes(b"ell,s1,s2,t,value\n1,1,1,1,0.5\xe9\n")
         rc = main(["estimate", "--input", f"{tmp_path}/bad.csv", "--q", "1",
@@ -254,18 +262,28 @@ class TestEigengap:
 
         main(["simulate", "--model", "b", "--n", "4", "--dims", "3,3,16", "--q", "1",
               "--seed", "9", "--output", f"{tmp_path}/x.stf"])
-        rc = main(["eigengap", "--input", f"{tmp_path}/x.stf", "--m-values", "20,50",
+        rc = main(["eigengap", "--input", f"{tmp_path}/x.stf", "--m-values", "20,36",
                    "--topk", "3", "--bw", "1,1,3", "--gdfm", "--output", f"{tmp_path}/gap.csv"])
         assert rc == 0
         x = demean(load_field(tmp_path / "x.stf"))
         stacked = demean(stacked_series_as_field(stack_to_time_series(x)))
         expected = eigenvalue_curve_by_size(stacked, [20, 36], 3, "ep", (0, 0, 3))
         rows = [line.split(",") for line in (tmp_path / "gap.csv").read_text().splitlines()[1:]]
-        assert [row[0] for row in rows] == ["20", "36"]  # 50 is clipped to the 36 stacked series
+        assert [row[0] for row in rows] == ["20", "36"]
         np.testing.assert_allclose([[float(v) for v in row[1:]] for row in rows], expected,
                                    rtol=1e-12)
         echo = json.loads((tmp_path / "gap.csv.settings.json").read_text())
-        assert echo["m_values"] == [20, 50] and echo["gdfm"] is True
+        assert echo["m_values"] == [20, 36] and echo["gdfm"] is True
+
+    def test_stacked_size_out_of_range_exits_2(self, tmp_path, capsys):
+        # 2 series on a 3 x 3 lattice stack into 18; no size is clipped to fit
+        main(["simulate", "--model", "b", "--n", "2", "--dims", "3,3,16", "--q", "1",
+              "--seed", "9", "--output", f"{tmp_path}/x.stf"])
+        rc = main(["eigengap", "--input", f"{tmp_path}/x.stf", "--m-values", "3,500",
+                   "--gdfm", "--output", f"{tmp_path}/gap.csv"])
+        assert rc == 2
+        assert "subpanel sizes must lie in 1..18" in capsys.readouterr().err
+        assert not (tmp_path / "gap.csv").exists()
 
     def test_default_topk_fits_smallest_size(self, tmp_path, capsys):
         main(["simulate", "--n", "40", "--dims", "8,8,20", "--q", "2", "--seed", "11",
@@ -485,31 +503,46 @@ def test_radius_with_model_b_exits_2(tmp_path, capsys, command):
     assert not any(tmp_path.glob("out*"))
 
 
-@pytest.mark.parametrize("command", [
-    ["simulate", "--n", "6", "--dims", "5,5,6"],
-    ["simulate", "--n", "6", "--dims", "5,5,6", "--truth-output", "{tmp}/missing/chi.stf"],
-    ["estimate", "--input", "{tmp}/x.stf", "--q", "1"],
-    ["select-q", "--input", "{tmp}/x.stf"],
-    ["eigengap", "--input", "{tmp}/x.stf"],
-    ["mc-study", "--n", "6", "--dims", "5,5,6"],
-    ["compare-gdfm", "--n", "6", "--dims", "5,5,6"],
+@pytest.mark.parametrize("command, bad", [
+    (["simulate", "--n", "6", "--dims", "5,5,6", "--output", "{tmp}/missing/out"],
+     "--output {tmp}/missing/"),
+    (["simulate", "--n", "6", "--dims", "5,5,6", "--truth-output", "{tmp}/missing/chi.stf",
+      "--output", "{tmp}/x.stf"], "--truth-output {tmp}/missing/"),
+    (["estimate", "--input", "{tmp}/x.stf", "--q", "1", "--output", "{tmp}/missing/out"],
+     "--output {tmp}/missing/"),
+    (["select-q", "--input", "{tmp}/x.stf", "--output", "{tmp}/missing/out"],
+     "--output {tmp}/missing/"),
+    (["eigengap", "--input", "{tmp}/x.stf", "--output", "{tmp}/missing/out"],
+     "--output {tmp}/missing/"),
+    (["mc-study", "--n", "6", "--dims", "5,5,6", "--output", "{tmp}/missing/out"],
+     "--output {tmp}/missing/"),
+    (["compare-gdfm", "--n", "6", "--dims", "5,5,6", "--output", "{tmp}/missing/out"],
+     "--output {tmp}/missing/"),
+    # paths opened as given may not name a directory
+    (["simulate", "--n", "6", "--dims", "5,5,6", "--output", "{tmp}/dir"],
+     "--output {tmp}/dir is a directory"),
+    (["simulate", "--n", "6", "--dims", "5,5,6", "--truth-output", "{tmp}/dir",
+      "--output", "{tmp}/x.stf"], "--truth-output {tmp}/dir is a directory"),
+    (["estimate", "--input", "{tmp}/x.stf", "--q", "1", "--output", "{tmp}/dir"],
+     "--output {tmp}/dir is a directory"),
+    (["eigengap", "--input", "{tmp}/x.stf", "--output", "{tmp}/dir"],
+     "--output {tmp}/dir is a directory"),
 ], ids=["simulate", "truth_output", "estimate", "select_q", "eigengap", "mc_study",
-        "compare_gdfm"])
+        "compare_gdfm", "simulate_dir", "truth_output_dir", "estimate_dir", "eigengap_dir"])
 def test_missing_output_directory_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
-                                                          command):
+                                                          command, bad):
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the output check")
 
     # the input files do not exist either: reading them would be exit code 3
     for name in ("simulate_field", "run_mc_study", "load_field"):
         monkeypatch.setattr(f"stfactor.cli.{name}", no_work)
-    args = [a.format(tmp=tmp_path) for a in command]
-    output = f"{tmp_path}/missing/out" if "--truth-output" not in args else f"{tmp_path}/x.stf"
-    rc = main(args + ["--output", output])
+    (tmp_path / "dir").mkdir()
+    rc = main([a.format(tmp=tmp_path) for a in command])
     assert rc == 2
-    flag = "--truth-output" if "--truth-output" in args else "--output"
-    assert f"{flag} {tmp_path}/missing/" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
+    assert bad.format(tmp=tmp_path) in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [tmp_path / "dir"]
+    assert list((tmp_path / "dir").iterdir()) == []
 
 
 def test_config_radius_with_model_b_exits_2(tmp_path, capsys):

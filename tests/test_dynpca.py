@@ -20,6 +20,8 @@ from stfactor import (
     estimate_common_component,
     estimate_spectral_density,
     run_mc_study,
+    stack_to_time_series,
+    stacked_series_as_field,
 )
 from stfactor import dynpca
 from stfactor.dynpca import weighted_submatrix_eigenvalues
@@ -256,6 +258,18 @@ class TestEigengapCurve:
         curve = eigenvalue_curve_by_size(field, [2, 4, 6, 8], 2, "ep", (1, 1, 2))
         assert np.all(np.diff(curve, axis=0) >= -1e-10)
 
+    def test_stacked_rows_are_the_leading_panels_systems(self):
+        # more series than lattice points: no n x n estimate is shared, and
+        # each row is the eigensystem of its leading panel, on either route
+        field = random_field((2, 3, 3, 8), seed=35, demeaned=False)
+        stacked = demean(stacked_series_as_field(stack_to_time_series(field)))
+        sizes = [5, 8, 12, 18]  # V = 8
+        curve = eigenvalue_curve_by_size(stacked, sizes, 3, "ep", (0, 0, 2))
+        for row, m in zip(curve, sizes):
+            sub = eigensystem_from_field(subfield(stacked, m), "ep", (0, 0, 2))
+            expected = sub.eigenvalue_means()[:3]
+            assert np.abs(row - expected).max() <= 1e-12 * np.abs(expected).max()
+
     def test_rejects_oversized_m(self):
         field = random_field((3, 3, 3, 3), seed=33)
         with pytest.raises(ConfigError):
@@ -304,13 +318,14 @@ class TestHalfGridMap:
         monkeypatch.setattr(dynpca, "_solve_rows", spy)
         est = hermitian_stack(count, 6, seed=count)
         mats, keep = est.matrices, 2
-        vals, vecs = dynpca._half_grid_eigh(mats, keep)
+        system = eigendecompose_all(est, keep)
         assert_contiguous_chunks()
         ref_vals, ref_vecs = np.linalg.eigh(mats)
         ref_vals[-1], ref_vecs[-1] = np.linalg.eigh(mats[-1].real)
-        assert np.array_equal(vals, ref_vals[:, ::-1])
-        assert np.array_equal(vecs, ref_vecs[:, :, ::-1][:, :, :keep])
-        assert not vecs[-1].imag.any()  # zero frequency in real arithmetic
+        ref_rows = np.conj(ref_vecs[:, :, ::-1][:, :, :keep]).transpose(0, 2, 1)
+        assert np.array_equal(system.eigenvalues, ref_vals[:, ::-1])
+        assert np.array_equal(system.eigenvectors, dynpca._fix_phases(ref_rows))
+        assert not system.eigenvectors[-1].imag.any()  # zero frequency in real arithmetic
         weights = (est.grid.pair_weights / est.grid.size)[:, None]
         ref = np.linalg.eigvalsh(mats[:, :4, :4])[:, ::-1] * weights
         assert np.array_equal(weighted_submatrix_eigenvalues(est, 4), ref)
@@ -337,7 +352,7 @@ class TestHalfGridMap:
         est = hermitian_stack(7, 5)
         est.matrices[g, 1, 0] = est.matrices[g, 0, 1] = bad
         with pytest.raises(NumericError, match=f"grid index {g}$"):
-            dynpca._half_grid_eigh(est.matrices, 1)
+            eigendecompose_all(est, 1)
         with pytest.raises(NumericError, match=f"grid index {g}$"):
             weighted_submatrix_eigenvalues(est, 5)
 
@@ -412,7 +427,7 @@ class TestBlasPin:
         est = hermitian_stack(7, 5)
         est.matrices[3] = np.nan
         with pytest.raises(NumericError, match="grid index 3"):
-            dynpca._half_grid_eigh(est.matrices, 1)
+            eigendecompose_all(est, 1)
         assert blas_threads() == 2
 
     def test_restored_after_threaded_mc_study(self, blas_threads):

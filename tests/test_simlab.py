@@ -276,13 +276,17 @@ class TestGdfmBaseline:
         direct = estimate_common_component(xd, 1, "ep", (0, 0, 4), (0, 0, 4))
         stacked = gdfm_baseline(xd, 1, "ep", 4, 4)
         assert np.array_equal(direct.chi, stacked.chi)
+        assert np.array_equal(direct.mask, stacked.mask)
+        assert direct.settings == stacked.settings
 
     def test_shapes_and_mask(self):
         cfg = SimConfig(model="model_b", n=4, dims=(3, 4, 20), q=1, seed=32)
         x, _ = simulate_field(cfg)
         out = gdfm_baseline(demean(x), 1, "ep", 3, 2)
         assert out.chi.shape == (4, 3, 4, 20)
-        assert out.stacked_estimate.chi.shape == (48, 1, 1, 20)
+        # the temporal filter's settings on the field's lattice
+        assert out.settings["n"] == 4 and out.settings["dims"] == [3, 4, 20]
+        assert out.settings["bw"] == [0, 0, 3] and out.settings["trunc"] == [0, 0, 2]
         # time-interior only; spatial axes unconstrained
         assert out.mask.shape == (3, 4, 20)
         assert out.mask[:, :, 2:18].all() and not out.mask[:, :, :2].any()
