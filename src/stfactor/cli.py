@@ -80,13 +80,16 @@ def _sim_config(args, design: dict) -> SimConfig:
 
 
 def _check_output_dirs(args) -> None:
-    as_given = args.command in ("simulate", "estimate", "eigengap")  # the others take a prefix
-    for flag in ("output", "truth_output"):
+    # --output is opened as given or taken as a prefix, and every command writes its echo
+    written = {"simulate": [""], "estimate": ["", ".json"], "eigengap": [""]}.get(
+        args.command, [".csv", ".json"])
+    for flag, suffixes in (("output", written + [".settings.json"]), ("truth_output", [""])):
         path = getattr(args, flag, None)
         if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
             raise ConfigError(f"--{flag.replace('_', '-')} {path}: its directory does not exist")
-        if path is not None and as_given and os.path.isdir(path):
-            raise ConfigError(f"--{flag.replace('_', '-')} {path} is a directory")
+        for file in [] if path is None else [path + suffix for suffix in suffixes]:
+            if os.path.isdir(file):
+                raise ConfigError(f"--{flag.replace('_', '-')} {file} is a directory")
 
 
 def _write_table(path, columns: dict) -> None:

@@ -20,18 +20,13 @@ the standard estimator runs on the panel's r <= V principal coordinates,
 with rows mapped back by U, instead of forming the huge n x n spectral
 matrices; see :func:`eigensystem_from_field`, which picks the route by
 shape.  Eigenvalue curves need top_k >= 1.
-The solver splits the half grid into contiguous chunks, one thread per
-usable core, and holds BLAS at one thread meanwhile, so each matrix gets
-the same LAPACK call, and the same bits, whatever the core count.
+The solves run on the row map of :mod:`spectral`, one half-grid chunk per
+usable core with BLAS at one thread, so each matrix gets the same LAPACK
+call, and the same bits, whatever the core count.
 """
 
 from __future__ import annotations
 
-import ctypes
-import functools
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +36,7 @@ from .field import LatticeField, as_demeaned_field
 from .spectral import (
     FrequencyGrid,
     SpectralDensityEstimate,
+    _map_rows,
     estimate_spectral_density,
     sample_autocovariance,
     spectral_from_autocovariance,
@@ -100,51 +96,6 @@ def _fix_phases(rows: np.ndarray) -> np.ndarray:
     return rows * (np.conj(pivot) / mod)[..., None]
 
 
-@functools.cache
-def _blas_thread_controls():
-    """(get, set) of the thread count of the OpenBLAS behind numpy's LAPACK, or None."""
-    try:
-        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-    except (AttributeError, OSError):
-        return None
-    for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
-                 "openblas_{}_num_threads"):
-        if hasattr(lib, name.format("set")):
-            get, set_ = getattr(lib, name.format("get")), getattr(lib, name.format("set"))
-            get.argtypes, get.restype = [], ctypes.c_int
-            set_.argtypes, set_.restype = [ctypes.c_int], None
-            return get, set_
-    return None
-
-
-_POOL_MIN_COST = 2e5  # count * m**3 of a batch whose serial eigensolves take about 2 ms
-_PIN_LOCK = threading.Lock()
-_pin = [0, 0]  # threads inside the map, BLAS thread count to restore
-
-
-def _pin_blas(step: int) -> None:
-    """+1 entering the map, -1 leaving: BLAS runs one thread while any caller is inside."""
-    controls = _blas_thread_controls()
-    with _PIN_LOCK:
-        if controls and _pin[0] == 0:
-            _pin[1] = controls[0]()
-        _pin[0] += step
-        if controls:
-            controls[1](1 if _pin[0] else _pin[1])
-
-
-def eigen_workers(count: int, m: int) -> int:
-    """Threads sharing the eigensolves of ``count`` m x m matrices: one per usable core.
-
-    1 if BLAS cannot be pinned, or if count * m**3 is below
-    :data:`_POOL_MIN_COST`, where a thread costs about what it saves.
-    """
-    if _blas_thread_controls() is None or count * m**3 < _POOL_MIN_COST:
-        return 1
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return min(cores or 1, count)
-
-
 def _solve_rows(solve, vals: np.ndarray, lo: int, hi: int) -> None:
     """vals[lo:hi] = solve(lo, hi); a failed or non-finite decomposition names its grid index."""
     try:
@@ -159,20 +110,11 @@ def _solve_rows(solve, vals: np.ndarray, lo: int, hi: int) -> None:
         raise NumericError(f"eigendecomposition failed at grid index {lo + int(np.argmax(bad))}")
 
 
-def _map_half_grid(solve, shape) -> np.ndarray:
-    """Eigenvalues ``shape`` = (half, m) from solve(lo, hi) on contiguous chunks, one per worker."""
+def _map_half_grid(solve, shape):
+    """Eigenvalues ``shape`` = (half, m) from solve(lo, hi) on the row map, and its worker count."""
     vals = np.empty(shape)
-    workers = eigen_workers(*shape)
-    chunks = [(shape[0] * k // workers, shape[0] * (k + 1) // workers) for k in range(workers)]
-    _pin_blas(+1)
-    try:
-        with ThreadPoolExecutor(max(workers - 1, 1)) as pool:
-            rest = pool.map(lambda chunk: _solve_rows(solve, vals, *chunk), chunks[1:])
-            _solve_rows(solve, vals, *chunks[0])  # this thread takes the first chunk
-            list(rest)
-    finally:
-        _pin_blas(-1)
-    return vals
+    cost = shape[0] * shape[1]**3  # eigensolves of m x m matrices
+    return vals, _map_rows(lambda lo, hi: _solve_rows(solve, vals, lo, hi), np.ones(shape[0]), cost)
 
 
 def eigendecompose_all(estimate: SpectralDensityEstimate, q_keep: int) -> DynamicEigenSystem:
@@ -194,9 +136,8 @@ def eigendecompose_all(estimate: SpectralDensityEstimate, q_keep: int) -> Dynami
         np.conj(v[:, :, ::-1][:, :, :q_keep].transpose(0, 2, 1), out=rows[lo:hi])
         return w[:, ::-1]
 
-    vals = _map_half_grid(solve, mats.shape[:2])
-    return DynamicEigenSystem(estimate.grid, vals, _fix_phases(rows), q_keep,
-                              eigen_workers(*vals.shape))
+    vals, workers = _map_half_grid(solve, mats.shape[:2])
+    return DynamicEigenSystem(estimate.grid, vals, _fix_phases(rows), q_keep, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +251,7 @@ def weighted_submatrix_eigenvalues(estimate: SpectralDensityEstimate, m: int) ->
     """
     grid = estimate.grid
     mats = estimate.matrices
-    vals = _map_half_grid(lambda lo, hi: np.linalg.eigvalsh(mats[lo:hi, :m, :m])[:, ::-1],
-                          (grid.half_count, m))
+    vals, _ = _map_half_grid(lambda lo, hi: np.linalg.eigvalsh(mats[lo:hi, :m, :m])[:, ::-1],
+                             (grid.half_count, m))
     return vals * (grid.pair_weights / grid.size)[:, None]
 

@@ -33,10 +33,11 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .dynpca import eigen_workers, weighted_submatrix_eigenvalues
+from .dynpca import weighted_submatrix_eigenvalues
 from .errors import ConfigError, NumericError
 from .field import LatticeField
 from .spectral import (
+    map_workers,
     resolve_kernels,
     sample_autocovariance,
     spectral_from_autocovariance,
@@ -243,7 +244,7 @@ def stability_scan(
         "subsample_sizes": [int(s) for s in sizes],
         "seed": int(seed),
         "c_grid": [float(c_grid[0]), float(c_grid[-1]), len(c_grid)],
-        "eigen_workers": eigen_workers(estimate.grid.half_count, n),
+        "eigen_workers": map_workers(estimate.grid.half_count, estimate.grid.half_count * n**3),
     }
 
     def build(selected_c, selected_q):

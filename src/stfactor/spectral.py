@@ -33,15 +33,21 @@ Sigma_hat(theta)^dagger == Sigma_hat(theta) holds exactly, with a real
 diagonal and a real zero-frequency matrix.  Every later layer reads
 only this half, weighting each point by :attr:`FrequencyGrid.pair_weights`.
 
-The spectral step is the largest allocation of the pipeline; its bytes
-are estimated from the shapes and checked against physical memory
-before the first array is allocated.
+The autocovariance rows (in column blocks of about 4 MiB) and dynpca's
+eigensolves share one row map: a chunk per usable core, BLAS at one
+thread, bits independent of both counts.  The spectral step is the
+largest allocation; its bytes, the workers' scratch included, are
+estimated from the shapes and checked before the first array exists.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -208,6 +214,65 @@ class FrequencyGrid:
         return w
 
 
+@functools.cache
+def _blas_thread_controls():
+    """(get, set) of the thread count of the OpenBLAS behind numpy's LAPACK, or None."""
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except (AttributeError, OSError):
+        return None
+    for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                 "openblas_{}_num_threads"):
+        if hasattr(lib, name.format("set")):
+            get, set_ = getattr(lib, name.format("get")), getattr(lib, name.format("set"))
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+_POOL_MIN_COST = 2e6  # about 20 ms of serial work; a smaller map runs in the calling thread
+_BLOCK_BYTES = 4 << 20  # one cross-spectrum block: a cache-sized share of the padded half-spectrum
+_PIN_LOCK = threading.Lock()
+_pin = [0, 0]  # threads inside the map, BLAS thread count to restore
+
+
+def _pin_blas(step: int) -> None:
+    """+1 entering the map, -1 leaving: BLAS runs one thread while any caller is inside."""
+    controls = _blas_thread_controls()
+    with _PIN_LOCK:
+        if controls and _pin[0] == 0:
+            _pin[1] = controls[0]()
+        _pin[0] += step
+        if controls:
+            controls[1](1 if _pin[0] else _pin[1])
+
+
+def map_workers(count: int, cost: float) -> int:
+    """Threads sharing ``count`` rows: one per usable core, or 1 if BLAS cannot be pinned
+    or ``cost`` (about 10 ns of serial work per unit) is below :data:`_POOL_MIN_COST`."""
+    if _blas_thread_controls() is None or cost < _POOL_MIN_COST:
+        return 1
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(cores or 1, count)
+
+
+def _map_rows(task, weights, cost: float) -> int:
+    """task(lo, hi) on contiguous chunks of the rows, one per worker, with BLAS at one thread;
+    each chunk's weight is within one row of an equal share.  Returns the worker count."""
+    workers, cum = map_workers(len(weights), cost), np.cumsum(weights)
+    bounds = [0, *np.searchsorted(cum, cum[-1] * np.arange(1, workers) / workers, "right"), len(cum)]
+    _pin_blas(+1)
+    try:
+        with ThreadPoolExecutor(max(workers - 1, 1)) as pool:
+            rest = pool.map(task, bounds[1:-1], bounds[2:])
+            task(bounds[0], bounds[1])
+            list(rest)
+    finally:
+        _pin_blas(-1)
+    return workers
+
+
 # ---------------------------------------------------------------------------
 # Sample autocovariances
 # ---------------------------------------------------------------------------
@@ -239,55 +304,70 @@ def _next_fast_len(target: int) -> int:
         n += 1
 
 
-def _padded_lengths(dims, window) -> tuple[int, int, int]:
-    # zero padding past d + B keeps every lag |h| <= B free of wrap-around
-    return tuple(_next_fast_len(d + b + 1) for d, b in zip(dims, window))
-
-
 def _physical_memory_bytes() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-def _spectral_step_bytes(n: int, dims, window) -> int:
-    """Bytes held at once by the spectral step, from the shapes alone.
+def _autocov_layout(n: int, dims, window):
+    """Padded lengths, block width w, per-series lengths of the block arrays (the cross-spectra
+    with one row series, P1 P2 K3 bins with K3 = P3 // 2 + 1, and their transforms over each
+    axis in turn) and the cost, pairs times bins; w series' cross-spectra fill _BLOCK_BYTES."""
+    # zero padding past d + B keeps every lag |h| <= B free of wrap-around
+    pad = tuple(_next_fast_len(d + b + 1) for d, b in zip(dims, window))
+    l1, l2, l3 = (2 * b + 1 for b in window)
+    k3 = pad[2] // 2 + 1
+    sizes = (pad[0] * pad[1] * k3, l1 * pad[1] * k3, l1 * l2 * k3, l1 * l2 * l3)
+    return pad, min(n, max(1, _BLOCK_BYTES // (sizes[0] * 16))), sizes, n * (n + 1) // 2 * sizes[0]
 
-    The real autocovariances on the lag box, the complex half-grid
-    estimate, and the complex padded half-spectrum of the field.
-    """
+
+def _spectral_step_bytes(n: int, dims, window) -> int:
+    """Bytes held at once by the spectral step, from the shapes alone: the real autocovariances
+    on the lag box, the complex half-grid estimate, the complex padded half-spectrum of the
+    field, and each row worker's scratch (one conjugated series and the four block arrays)."""
     grid = FrequencyGrid(tuple(window))
-    p1, p2, p3 = _padded_lengths(dims, window)
-    return n * n * (grid.size * 8 + grid.half_count * 16) + p1 * p2 * (p3 // 2 + 1) * n * 16
+    _, width, sizes, cost = _autocov_layout(n, dims, window)
+    return (n * n * (grid.size * 8 + grid.half_count * 16) + sizes[0] * n * 16
+            + map_workers(n, cost) * (sizes[0] + width * sum(sizes)) * 16)
 
 
 def _autocov_fft(values: np.ndarray, window) -> np.ndarray:
     n = values.shape[0]
-    dims = values.shape[1:]
-    volume = dims[0] * dims[1] * dims[2]
     grid = FrequencyGrid(tuple(window))
-    pad = _padded_lengths(dims, window)
-    # (P1, P2, P3 // 2 + 1, n): series last, so each axis below is one product
-    spec = np.moveaxis(np.fft.rfftn(values, s=pad, axes=(1, 2, 3)), 0, -1)
+    pad, width, sizes, cost = _autocov_layout(n, values.shape[1:], window)
+    # (P1 P2 K3, n): series last, so each axis below is one product
+    spec = np.fft.rfftn(values, s=pad, axes=(1, 2, 3)).reshape(n, -1).T
+    k3 = np.arange(pad[2] // 2 + 1)
     # inverse DFT rows for the lags -B..B only; the half-spectrum axis
     # counts its interior frequencies twice and the real part is kept
     e1, e2, e3 = (np.exp(2j * np.pi * np.outer(np.arange(-b, b + 1), np.arange(k)) / p)
-                  for b, k, p in zip(window, spec.shape[:3], pad))
-    k3 = np.arange(spec.shape[2])
-    e3 = e3 * np.where((k3 == 0) | (2 * k3 == pad[2]), 1.0, 2.0) / (volume * math.prod(pad))
+                  for b, k, p in zip(window, (pad[0], pad[1], len(k3)), pad))
+    e3 = e3 * np.where((k3 == 0) | (2 * k3 == pad[2]), 1.0, 2.0) / (values[0].size * math.prod(pad))
     out = np.empty((grid.size, n, n))
-    for i in range(n):
-        # pairs (j >= i, i): box[h] = Gamma_ji(h), and Gamma_ij(h) = Gamma_ji(-h)
-        # C order, so the reshape below is a view and not a second copy
-        cross = np.multiply(spec[..., i:], np.conj(spec[..., i:i + 1]), order="C")
-        y = (e1 @ cross.reshape(pad[0], -1)).reshape(len(e1), pad[1], -1)
-        y = (e2 @ y).reshape(-1, spec.shape[2], n - i)
-        box = (e3 @ y).real.reshape(grid.size, n - i)
-        out[:, i:, i] = box
-        out[:, i, i:] = box[::-1]
-    # enforce the exact reversal symmetry by mirror-filling transposes
-    half = grid.half_count
-    center = grid.zero_index
-    out[center] = 0.5 * (out[center] + out[center].T)
-    out[grid.size - half:] = out[:half][::-1].transpose(0, 2, 1)
+    # each worker's scratch for all its rows, allocated here: the trim skips a thread's heap top
+    pool = [[np.empty(sizes[0], complex), *(np.empty(s * width, complex) for s in sizes)]
+            for _ in range(map_workers(n, cost))]
+
+    def rows(lo, hi):
+        conj, *scratch = pool.pop()
+        for i in range(lo, hi):
+            np.conj(spec[:, i], out=conj)
+            for j in range(i, n, width):
+                # pairs (j..j + w - 1, i): box[h] = Gamma_ji(h), and Gamma_ij(h) = Gamma_ji(-h)
+                w = min(width, n - j)
+                cross, y1, y2, y3 = (a[:size * w] for a, size in zip(scratch, sizes))
+                np.multiply(spec[:, j:j + w], conj[:, None], out=cross.reshape(-1, w))
+                np.matmul(e1, cross.reshape(pad[0], -1), out=y1.reshape(len(e1), -1))
+                np.matmul(e2, y1.reshape(len(e1), pad[1], -1), out=y2.reshape(len(e1), len(e2), -1))
+                np.matmul(e3, y2.reshape(-1, len(k3), w), out=y3.reshape(-1, len(e3), w))
+                out[:, j:j + w, i] = box = y3.real.reshape(grid.size, w)
+                out[:, i, j:j + w] = box[::-1]
+
+    _map_rows(rows, n - np.arange(n), cost)
+    # the zero lag is symmetric as written; mirror-fill the negative half with transposes
+    out[grid.zero_index + 1:] = out[:grid.zero_index][::-1].transpose(0, 2, 1)
+    del spec, pool  # glibc keeps the freed pages resident unless trimmed
+    if cost >= _POOL_MIN_COST and hasattr(libc := ctypes.CDLL(None), "malloc_trim"):
+        libc.malloc_trim(ctypes.c_size_t(0))
     return out
 
 

@@ -545,6 +545,31 @@ def test_missing_output_directory_exits_2_before_any_work(tmp_path, capsys, monk
     assert list((tmp_path / "dir").iterdir()) == []
 
 
+@pytest.mark.parametrize("command, written", [
+    (["simulate", "--n", "6", "--dims", "5,5,6"], ".settings.json"),
+    (["estimate", "--input", "{tmp}/x.stf", "--q", "1"], ".json"),
+    (["select-q", "--input", "{tmp}/x.stf"], ".csv"),
+    (["eigengap", "--input", "{tmp}/x.stf"], ".settings.json"),
+    (["mc-study", "--n", "6", "--dims", "5,5,6"], ".json"),
+    (["compare-gdfm", "--n", "6", "--dims", "5,5,6"], ".settings.json"),
+], ids=["simulate", "estimate", "select_q", "eigengap", "mc_study", "compare_gdfm"])
+def test_derived_output_directory_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
+                                                          command, written):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the output check")
+
+    for name in ("simulate_field", "run_mc_study", "load_field"):
+        monkeypatch.setattr(f"stfactor.cli.{name}", no_work)
+    (tmp_path / f"out{written}").mkdir()
+    rc = main([a.format(tmp=tmp_path) for a in command] + ["--output", f"{tmp_path}/out"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"--output {tmp_path}/out{written} is a directory" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [tmp_path / f"out{written}"]
+    assert list((tmp_path / f"out{written}").iterdir()) == []
+
+
 def test_config_radius_with_model_b_exits_2(tmp_path, capsys):
     (tmp_path / "cfg.json").write_text(json.dumps({"r_a": 3}))
     rc = main(["mc-study", "--model", "b", "--config", f"{tmp_path}/cfg.json", "--n", "6",

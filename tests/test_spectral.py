@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,9 +20,10 @@ from stfactor import (
     sample_autocovariance,
     store_field,
 )
+import stfactor
 from stfactor import spectral
 from stfactor.cli import main
-from stfactor.spectral import validate_bandwidths
+from stfactor.spectral import spectral_from_autocovariance, validate_bandwidths
 from conftest import random_field
 from oracles import gamma, mirror, spectral_full_reference
 
@@ -354,3 +359,101 @@ class TestMemoryBound:
         assert peak - base <= 1.1 * need
         # the estimate keeps its matrices and nothing grid-sized besides
         assert held - base <= 1.05 * est.matrices.nbytes
+
+
+def force_blocks(monkeypatch, n, dims, window, width):
+    """Column blocks of ``width`` series, and row threads even at a tiny shape."""
+    bins = spectral._autocov_layout(n, dims, window)[2][0]
+    monkeypatch.setattr(spectral, "_BLOCK_BYTES", width * bins * 16)
+    monkeypatch.setattr(spectral, "_POOL_MIN_COST", 0)
+    assert spectral._autocov_layout(n, dims, window)[1] == min(width, n)
+
+
+# the child's numbers at one and two row workers, one sha256 line each
+_BLOCKED_CHILD = """
+import hashlib
+import numpy as np
+from stfactor import LatticeField, demean, eigendecompose_all, spectral
+spectral._POOL_MIN_COST = 0
+field = demean(LatticeField(np.random.default_rng(7).standard_normal((30, 6, 6, 10))))
+spectral._BLOCK_BYTES = 3 * spectral._autocov_layout(30, field.dims, (2, 2, 3))[2][0] * 16
+for cores in (1, 2):
+    spectral.os.sched_getaffinity = lambda pid: set(range(cores))
+    ac = spectral.sample_autocovariance(field, (2, 2, 3))
+    system = eigendecompose_all(spectral.spectral_from_autocovariance(ac, "ep"), 3)
+    digest = hashlib.sha256()
+    for a in (ac.gammas, system.eigenvalues, system.eigenvectors):
+        digest.update(a.tobytes())
+    print(digest.hexdigest())
+"""
+
+
+class TestBlockedRows:
+    """Autocovariance rows in column blocks of w series, shared by the row map's threads."""
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    @pytest.mark.parametrize("n, dims, window", [
+        (3, (5, 4, 20), (2, 1, 4)),
+        (3, (9, 1, 1), (4, 0, 0)),
+        (3, (1, 7, 3), (0, 3, 2)),
+        (4, (6, 5, 7), (2, 2, 3)),
+    ], ids=["odd_pad", "two_degenerate_axes", "degenerate_first_axis", "four_series"])
+    def test_matches_direct_with_exact_reversal(self, monkeypatch, n, dims, window, width):
+        force_blocks(monkeypatch, n, dims, window, width)
+        field = random_field((n, *dims), seed=8)
+        direct = direct_autocovariance(field.values, window)
+        fft = sample_autocovariance(field, window).gammas
+        assert np.max(np.abs(direct - fft)) < 1e-12 * np.abs(direct).max()
+        assert np.array_equal(fft[::-1], fft.transpose(0, 2, 1))  # Gamma(-h) = Gamma(h)^T
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_bits_do_not_depend_on_row_workers(self, monkeypatch, width):
+        # up to more workers than cores, switching threads often, all write one array
+        field = random_field((7, 6, 5, 7), seed=9)
+        force_blocks(monkeypatch, 7, field.dims, (2, 2, 3), width)
+        runs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for cores in (1, 2, 4):
+                monkeypatch.setattr(spectral.os, "sched_getaffinity", lambda pid: set(range(cores)))
+                pinned = spectral._blas_thread_controls() is not None
+                assert spectral.map_workers(7, 0) == (cores if pinned else 1)
+                runs.append(sample_autocovariance(field, (2, 2, 3)).gammas)
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(np.array_equal(run, runs[0]) for run in runs[1:])
+
+    def test_bits_do_not_depend_on_workers_or_blas_threads(self):
+        # each BLAS thread count in its own interpreter, set before numpy loads
+        src = str(Path(stfactor.__file__).resolve().parents[1])
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       MKL_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            child = subprocess.run([sys.executable, "-c", _BLOCKED_CHILD], env=env, check=True,
+                                   capture_output=True, text=True, timeout=120)
+            digests += child.stdout.split()
+        assert len(digests) == 4 and len(set(digests)) == 1
+
+    def test_traced_peaks_within_the_bound(self, monkeypatch):
+        # three-series blocks on two workers; the scratch is about a fifth of the bound
+        n, dims, bw = 20, (8, 8, 40), (2, 2, 5)
+        field = random_field((n, *dims), seed=17)
+        force_blocks(monkeypatch, n, dims, bw, 3)
+        monkeypatch.setattr(spectral.os, "sched_getaffinity", lambda pid: {0, 1})
+        need = spectral._spectral_step_bytes(n, dims, bw)
+        peaks = []
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            ac = sample_autocovariance(field, bw)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            spectral_from_autocovariance(ac, "ep")
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+        assert max(peaks) <= need
