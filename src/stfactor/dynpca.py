@@ -20,9 +20,11 @@ the standard estimator runs on the panel's r <= V principal coordinates,
 with rows mapped back by U, instead of forming the huge n x n spectral
 matrices; see :func:`eigensystem_from_field`, which picks the route by
 shape.  Eigenvalue curves need top_k >= 1.
-The solves run on the row map of :mod:`spectral`, one half-grid chunk per
+The solves run on the row map of :mod:`_rowmap`, one half-grid chunk per
 usable core with BLAS at one thread, so each matrix gets the same LAPACK
-call, and the same bits, whatever the core count.
+call, and the same bits, whatever the core count.  A worker decomposes
+its chunk about 1 MiB of eigenvectors at a time: glibc keeps a worker
+thread's freed heap resident, so its transients are kept small.
 """
 
 from __future__ import annotations
@@ -31,12 +33,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._rowmap import _map_rows
 from .errors import ConfigError, NumericError
 from .field import LatticeField, as_demeaned_field
 from .spectral import (
     FrequencyGrid,
     SpectralDensityEstimate,
-    _map_rows,
     estimate_spectral_density,
     sample_autocovariance,
     spectral_from_autocovariance,
@@ -96,6 +98,9 @@ def _fix_phases(rows: np.ndarray) -> np.ndarray:
     return rows * (np.conj(pivot) / mod)[..., None]
 
 
+_EIGH_BATCH_BYTES = 1 << 20
+
+
 def _solve_rows(solve, vals: np.ndarray, lo: int, hi: int) -> None:
     """vals[lo:hi] = solve(lo, hi); a failed or non-finite decomposition names its grid index."""
     try:
@@ -110,11 +115,18 @@ def _solve_rows(solve, vals: np.ndarray, lo: int, hi: int) -> None:
         raise NumericError(f"eigendecomposition failed at grid index {lo + int(np.argmax(bad))}")
 
 
-def _map_half_grid(solve, shape):
-    """Eigenvalues ``shape`` = (half, m) from solve(lo, hi) on the row map, and its worker count."""
+def _map_half_grid(solve, shape, step=None):
+    """Eigenvalues ``shape`` = (half, m) from solve(lo, hi) on the row map, and its worker count;
+    each worker calls solve on at most ``step`` matrices at a time."""
     vals = np.empty(shape)
     cost = shape[0] * shape[1]**3  # eigensolves of m x m matrices
-    return vals, _map_rows(lambda lo, hi: _solve_rows(solve, vals, lo, hi), np.ones(shape[0]), cost)
+    step = step or shape[0]
+
+    def rows(lo, hi):
+        for start in range(lo, hi, step):
+            _solve_rows(solve, vals, start, min(start + step, hi))
+
+    return vals, _map_rows(rows, np.ones(shape[0]), cost)
 
 
 def eigendecompose_all(estimate: SpectralDensityEstimate, q_keep: int) -> DynamicEigenSystem:
@@ -136,7 +148,8 @@ def eigendecompose_all(estimate: SpectralDensityEstimate, q_keep: int) -> Dynami
         np.conj(v[:, :, ::-1][:, :, :q_keep].transpose(0, 2, 1), out=rows[lo:hi])
         return w[:, ::-1]
 
-    vals, workers = _map_half_grid(solve, mats.shape[:2])
+    # eigenvectors of about 1 MiB a call: a worker thread's freed heap stays resident
+    vals, workers = _map_half_grid(solve, mats.shape[:2], max(1, _EIGH_BATCH_BYTES // (16 * n * n)))
     return DynamicEigenSystem(estimate.grid, vals, _fix_phases(rows), q_keep, workers)
 
 

@@ -33,11 +33,11 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from ._rowmap import map_workers
 from .dynpca import weighted_submatrix_eigenvalues
 from .errors import ConfigError, NumericError
 from .field import LatticeField
 from .spectral import (
-    map_workers,
     resolve_kernels,
     sample_autocovariance,
     spectral_from_autocovariance,

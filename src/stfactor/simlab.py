@@ -47,6 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._rowmap import blas_pinned
 from .errors import ConfigError, DataError, NumericError
 from .field import (
     LatticeField,
@@ -434,11 +435,12 @@ def run_mc_study(
         except Exception as exc:
             raise NumericError(f"replication {rep} (seed {cfg.seed}) failed: {exc}") from exc
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one, range(n_reps)))
-    else:
-        rows = [one(rep) for rep in range(n_reps)]
+    with blas_pinned():  # one BLAS thread for the whole study, between the row maps too
+        if threads > 1:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                rows = list(pool.map(one, range(n_reps)))
+        else:
+            rows = [one(rep) for rep in range(n_reps)]
 
     names = list(rows[0])
     metrics = {name: np.array([row[name] for row in rows]) for name in names}

@@ -33,25 +33,22 @@ Sigma_hat(theta)^dagger == Sigma_hat(theta) holds exactly, with a real
 diagonal and a real zero-frequency matrix.  Every later layer reads
 only this half, weighting each point by :attr:`FrequencyGrid.pair_weights`.
 
-The autocovariance rows (in column blocks of about 4 MiB) and dynpca's
-eigensolves share one row map: a chunk per usable core, BLAS at one
-thread, bits independent of both counts.  The spectral step is the
-largest allocation; its bytes, the workers' scratch included, are
+The autocovariance rows (in column blocks of about 4 MiB) and the
+assembly's rows run on the row map of :mod:`_rowmap`.  The spectral step
+is the largest allocation; its bytes, the workers' scratch included, are
 estimated from the shapes and checked before the first array exists.
 """
 
 from __future__ import annotations
 
 import ctypes
-import functools
 import math
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _rowmap
 from .errors import ConfigError
 from .field import LatticeField
 
@@ -214,63 +211,7 @@ class FrequencyGrid:
         return w
 
 
-@functools.cache
-def _blas_thread_controls():
-    """(get, set) of the thread count of the OpenBLAS behind numpy's LAPACK, or None."""
-    try:
-        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-    except (AttributeError, OSError):
-        return None
-    for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
-                 "openblas_{}_num_threads"):
-        if hasattr(lib, name.format("set")):
-            get, set_ = getattr(lib, name.format("get")), getattr(lib, name.format("set"))
-            get.argtypes, get.restype = [], ctypes.c_int
-            set_.argtypes, set_.restype = [ctypes.c_int], None
-            return get, set_
-    return None
-
-
-_POOL_MIN_COST = 2e6  # about 20 ms of serial work; a smaller map runs in the calling thread
 _BLOCK_BYTES = 4 << 20  # one cross-spectrum block: a cache-sized share of the padded half-spectrum
-_PIN_LOCK = threading.Lock()
-_pin = [0, 0]  # threads inside the map, BLAS thread count to restore
-
-
-def _pin_blas(step: int) -> None:
-    """+1 entering the map, -1 leaving: BLAS runs one thread while any caller is inside."""
-    controls = _blas_thread_controls()
-    with _PIN_LOCK:
-        if controls and _pin[0] == 0:
-            _pin[1] = controls[0]()
-        _pin[0] += step
-        if controls:
-            controls[1](1 if _pin[0] else _pin[1])
-
-
-def map_workers(count: int, cost: float) -> int:
-    """Threads sharing ``count`` rows: one per usable core, or 1 if BLAS cannot be pinned
-    or ``cost`` (about 10 ns of serial work per unit) is below :data:`_POOL_MIN_COST`."""
-    if _blas_thread_controls() is None or cost < _POOL_MIN_COST:
-        return 1
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return min(cores or 1, count)
-
-
-def _map_rows(task, weights, cost: float) -> int:
-    """task(lo, hi) on contiguous chunks of the rows, one per worker, with BLAS at one thread;
-    each chunk's weight is within one row of an equal share.  Returns the worker count."""
-    workers, cum = map_workers(len(weights), cost), np.cumsum(weights)
-    bounds = [0, *np.searchsorted(cum, cum[-1] * np.arange(1, workers) / workers, "right"), len(cum)]
-    _pin_blas(+1)
-    try:
-        with ThreadPoolExecutor(max(workers - 1, 1)) as pool:
-            rest = pool.map(task, bounds[1:-1], bounds[2:])
-            task(bounds[0], bounds[1])
-            list(rest)
-    finally:
-        _pin_blas(-1)
-    return workers
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +249,12 @@ def _physical_memory_bytes() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
+def _check_memory(step: str, need: int) -> None:
+    """ConfigError, before anything is allocated, if ``step`` needs more than physical memory."""
+    if need > (have := _physical_memory_bytes()):
+        raise ConfigError(f"{step} needs {need} bytes, more than the {have} bytes of physical memory")
+
+
 def _autocov_layout(n: int, dims, window):
     """Padded lengths, block width w, per-series lengths of the block arrays (the cross-spectra
     with one row series, P1 P2 K3 bins with K3 = P3 // 2 + 1, and their transforms over each
@@ -323,20 +270,26 @@ def _autocov_layout(n: int, dims, window):
 def _spectral_step_bytes(n: int, dims, window) -> int:
     """Bytes held at once by the spectral step, from the shapes alone: the real autocovariances
     on the lag box, the complex half-grid estimate, the complex padded half-spectrum of the
-    field, and each row worker's scratch (one conjugated series and the four block arrays)."""
+    field, and each row worker's scratch (one conjugated series and the four block arrays) and
+    numpy's iterator buffers for a strided complex ufunc (at most one per operand)."""
     grid = FrequencyGrid(tuple(window))
     _, width, sizes, cost = _autocov_layout(n, dims, window)
+    worker = sizes[0] + width * sum(sizes) + 3 * np.getbufsize()
     return (n * n * (grid.size * 8 + grid.half_count * 16) + sizes[0] * n * 16
-            + map_workers(n, cost) * (sizes[0] + width * sum(sizes)) * 16)
+            + _rowmap.map_workers(n, cost) * worker * 16)
 
 
 def _autocov_fft(values: np.ndarray, window) -> np.ndarray:
     n = values.shape[0]
     grid = FrequencyGrid(tuple(window))
     pad, width, sizes, cost = _autocov_layout(n, values.shape[1:], window)
-    # (P1 P2 K3, n): series last, so each axis below is one product
-    spec = np.fft.rfftn(values, s=pad, axes=(1, 2, 3)).reshape(n, -1).T
     k3 = np.arange(pad[2] // 2 + 1)
+    # one padded array, transformed axis by axis in place: rfftn would hold two at once
+    spec = np.zeros((n, pad[0], pad[1], len(k3)), complex)
+    np.fft.rfft(values, pad[2], axis=3, out=spec[:, :values.shape[1], :values.shape[2]])
+    np.fft.fft(spec[:, :values.shape[1]], axis=2, out=spec[:, :values.shape[1]])
+    np.fft.fft(spec, axis=1, out=spec)
+    spec = spec.reshape(n, -1).T  # (P1 P2 K3, n): series last, so each axis below is one product
     # inverse DFT rows for the lags -B..B only; the half-spectrum axis
     # counts its interior frequencies twice and the real part is kept
     e1, e2, e3 = (np.exp(2j * np.pi * np.outer(np.arange(-b, b + 1), np.arange(k)) / p)
@@ -345,7 +298,7 @@ def _autocov_fft(values: np.ndarray, window) -> np.ndarray:
     out = np.empty((grid.size, n, n))
     # each worker's scratch for all its rows, allocated here: the trim skips a thread's heap top
     pool = [[np.empty(sizes[0], complex), *(np.empty(s * width, complex) for s in sizes)]
-            for _ in range(map_workers(n, cost))]
+            for _ in range(_rowmap.map_workers(n, cost))]
 
     def rows(lo, hi):
         conj, *scratch = pool.pop()
@@ -362,11 +315,11 @@ def _autocov_fft(values: np.ndarray, window) -> np.ndarray:
                 out[:, j:j + w, i] = box = y3.real.reshape(grid.size, w)
                 out[:, i, j:j + w] = box[::-1]
 
-    _map_rows(rows, n - np.arange(n), cost)
+    _rowmap._map_rows(rows, n - np.arange(n), cost)
     # the zero lag is symmetric as written; mirror-fill the negative half with transposes
     out[grid.zero_index + 1:] = out[:grid.zero_index][::-1].transpose(0, 2, 1)
     del spec, pool  # glibc keeps the freed pages resident unless trimmed
-    if cost >= _POOL_MIN_COST and hasattr(libc := ctypes.CDLL(None), "malloc_trim"):
+    if cost >= _rowmap._POOL_MIN_COST and hasattr(libc := ctypes.CDLL(None), "malloc_trim"):
         libc.malloc_trim(ctypes.c_size_t(0))
     return out
 
@@ -387,13 +340,8 @@ def sample_autocovariance(field: LatticeField, window) -> AutocovarianceSet:
     if not field.demeaned:
         raise ConfigError("sample_autocovariance requires a demeaned field")
     window = validate_bandwidths(window, field.dims)
-    need = _spectral_step_bytes(field.n, field.dims, window)
-    have = _physical_memory_bytes()
-    if need > have:
-        raise ConfigError(
-            f"the spectral step for n={field.n}, dims={tuple(field.dims)}, bandwidths={window} "
-            f"needs {need} bytes, more than the {have} bytes of physical memory"
-        )
+    _check_memory(f"the spectral step for n={field.n}, dims={tuple(field.dims)}, bandwidths={window}",
+                  _spectral_step_bytes(field.n, field.dims, window))
     return AutocovarianceSet(window, _autocov_fft(field.values, window))
 
 
@@ -459,15 +407,29 @@ def spectral_from_autocovariance(autocov: AutocovarianceSet, kernels) -> Spectra
     e1 = e1[:r1]
     half = grid.half_count
     mats = np.empty((half, n, n), dtype=complex)
-    # separable DFT, one matrix product per axis, for row i on and right of
-    # the diagonal; the column below it is its conjugate
-    for i in range(n):
-        out = (e1 @ (autocov.gammas[:, i, i:] * w[:, None]).reshape(s1, -1)).reshape(r1, s2, -1)
-        out = (e2 @ out).reshape(r1 * s2, s3, -1)
-        row = (e3 @ out).reshape(-1, n - i)[:half]
-        mats[:, i, i:] = row
-        mats[:, i + 1:, i] = np.conj(row[:, 1:])
-        mats[:, i, i].imag = 0.0
+    # cost: pairs x lags x axis lengths / 8, measured at about 10 ns a unit
+    cost = n * (n + 1) // 2 * grid.size * sum(grid.shape) / 8
+    # each worker's scratch (the weighted lag block, then every product), allocated here, as the
+    # autocovariance's is, and dropped when the worker's rows are done
+    pool = [(np.empty(grid.size * n, complex), np.empty(r1 * s2 * s3 * n, complex))
+            for _ in range(_rowmap.map_workers(n, cost))]
+
+    def rows(lo, hi):  # row i on and right of the diagonal, one product per axis; conjugated below
+        lags, prod = pool.pop()
+        for i in range(lo, hi):
+            cols = n - i
+            block = lags[:grid.size * cols].reshape(grid.size, cols)
+            np.multiply(autocov.gammas[:, i, i:], w[:, None], out=block.real)  # no cast buffer
+            block.imag = 0.0
+            out = np.matmul(e1, block.reshape(s1, -1), out=prod[:block.size // s1 * r1].reshape(r1, -1))
+            out = np.matmul(e2, out.reshape(r1, s2, -1), out=lags[:out.size].reshape(r1, s2, -1))
+            out = np.matmul(e3, out.reshape(r1 * s2, s3, -1), out=prod[:out.size].reshape(r1 * s2, s3, -1))
+            row = out.reshape(-1, cols)[:half]
+            mats[:, i, i:] = row
+            np.conjugate(row[:, 1:], out=mats[:, i + 1:, i])
+            mats[:, i, i].imag = 0.0
+
+    _rowmap._map_rows(rows, n - np.arange(n), cost)
     mats[-1].imag = 0.0  # zero frequency is a real matrix
     return SpectralDensityEstimate(grid, mats, kernels)
 

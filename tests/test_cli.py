@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -41,13 +42,16 @@ def sha256(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def run_cli_child(args, blas_threads):
-    """``stfactor`` in its own interpreter, with BLAS limited to ``blas_threads`` from the start."""
+def run_cli_child(args, blas_threads, one_core=False):
+    """``stfactor`` in its own interpreter, with BLAS limited to ``blas_threads`` from the start
+    and, with ``one_core``, the process held to one core, so every row map runs one worker."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads, OMP_NUM_THREADS=blas_threads,
                MKL_NUM_THREADS=blas_threads)
     src = str(Path(stfactor.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    subprocess.run([sys.executable, "-m", "stfactor.cli"] + args, env=env, check=True, timeout=120)
+    core = {min(os.sched_getaffinity(0))}
+    subprocess.run([sys.executable, "-m", "stfactor.cli"] + args, env=env, check=True, timeout=120,
+                   preexec_fn=(lambda: os.sched_setaffinity(0, core)) if one_core else None)
 
 
 class TestSimulate:
@@ -99,22 +103,25 @@ class TestEstimate:
         sidecar = json.loads((tmp_path / "chi.stf.json").read_text())
         assert sidecar["q"] == 3
 
-    # model_a at n=30, 10x10x16 runs its convolution in two blocks of series
-    @pytest.mark.parametrize("model,n", [("b", "24"), ("a", "30")], ids=["b", "a"])
-    def test_chi_bit_identical_across_blas_threads(self, tmp_path, model, n):
-        # the settings echo promises bit-exact reproduction; hold it to
-        # that across BLAS thread counts, each run in its own interpreter
+    # model_a at n=30, 10x10x16 runs its convolution in two blocks of series; at 10x10x16
+    # the eigensolves run on the row map's threads, and at 12x12x20 the filter's chunks too
+    @pytest.mark.parametrize("model,n,dims", [
+        ("b", "24", "10,10,16"), ("a", "30", "10,10,16"), ("b", "30", "12,12,20"),
+    ], ids=["b", "a", "b_filter_map"])
+    def test_chi_bit_identical_across_blas_threads(self, tmp_path, model, n, dims):
+        # the settings echo promises bit-exact reproduction; hold it to that across
+        # BLAS thread counts and row-map workers, each run in its own interpreter
         digests = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"threads{threads}"
+        for threads, one_core in itertools.product(("1", "2"), (True, False)):
+            out = tmp_path / f"threads{threads}_{'one_core' if one_core else 'all_cores'}"
             out.mkdir()
-            for args in (["simulate", "--model", model, "--n", n, "--dims", "10,10,16",
+            for args in (["simulate", "--model", model, "--n", n, "--dims", dims,
                           "--q", "2", "--seed", "13", "--output", f"{out}/x.stf"],
                          ["estimate", "--input", f"{out}/x.stf", "--q", "2",
                           "--output", f"{out}/chi.stf"]):
-                run_cli_child(args, threads)
+                run_cli_child(args, threads, one_core)
             digests.append([sha256(out / "x.stf"), sha256(out / "chi.stf")])
-        assert digests[0] == digests[1]
+        assert all(digest == digests[0] for digest in digests[1:])
 
     def test_sidecar_interior_bounds(self, tmp_path):
         store_field(random_field((3, 5, 5, 6), seed=63, demeaned=False), tmp_path / "x.stf")

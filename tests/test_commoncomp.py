@@ -1,4 +1,6 @@
 import itertools
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from stfactor import (
     estimate_common_component,
     interior_mask,
 )
+from stfactor import _rowmap, commoncomp, spectral
 from stfactor.commoncomp import validate_truncation
 from conftest import random_field
 from oracles import (
@@ -278,3 +281,63 @@ class TestCommonComponent:
         raw = LatticeField(np.random.default_rng(0).standard_normal((2, 4, 4, 4)))
         with pytest.raises(ConfigError):
             estimate_common_component(raw, 1, "ep", (1, 1, 1))
+
+
+class TestChunkedFilter:
+    """The filter's half-grid rows in a fixed number of chunks, shared by the row map's threads."""
+
+    @pytest.mark.parametrize("shape, bw", [
+        ((4, 5, 1, 8), (1, 0, 2)),  # 2 rows: fewer than the chunks
+        ((4, 8, 1, 8), (3, 0, 2)),  # 4 rows: one per chunk
+        ((4, 5, 5, 8), (1, 1, 2)),  # 5 rows: not a multiple of the chunk count
+    ], ids=["below", "equal", "uneven"])
+    def test_bits_do_not_depend_on_row_workers(self, monkeypatch, shape, bw):
+        field = random_field(shape, seed=70)
+        system = eigensystem_from_field(field, "ep", bw, q_keep=2)
+        grid = system.grid
+        rows = -(-grid.half_count // grid.shape[2])
+        chunks = commoncomp._filter_plan(shape[0], shape[1:], 2, grid, bw)[0]
+        assert len(chunks) == min(rows, commoncomp._FILTER_CHUNKS)
+        autocov = spectral.sample_autocovariance(field, bw)
+        monkeypatch.setattr(_rowmap, "_POOL_MIN_COST", 0)
+        chis, mats = [], []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for cores in (1, 2, 4):
+                monkeypatch.setattr(_rowmap.os, "sched_getaffinity", lambda pid: set(range(cores)))
+                pinned = _rowmap._blas_thread_controls() is not None
+                assert _rowmap.map_workers(len(chunks), 0) == (min(cores, len(chunks)) if pinned else 1)
+                chis.append(commoncomp._apply_projection_frequency(field.values, system, 2, bw))
+                mats.append(spectral.spectral_from_autocovariance(autocov, "ep").matrices)
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(np.array_equal(chi, chis[0]) for chi in chis[1:])
+        assert all(np.array_equal(m, mats[0]) for m in mats[1:])
+        direct = convolve_lags(lag_coefficients(grid, full_rows(system, 2), bw), field.values)
+        assert np.abs(chis[0] - direct).max() <= 1e-12 * np.abs(direct).max()
+
+    def test_traced_peak_within_the_estimate(self, monkeypatch):
+        # many series and one factor: the chunks' partials are most of the estimate
+        n, dims, bw, q = 60, (8, 8, 10), (2, 2, 3), 1
+        field = random_field((n, *dims), seed=71)
+        system = eigensystem_from_field(field, "ep", bw, q_keep=q)
+        monkeypatch.setattr(_rowmap, "_POOL_MIN_COST", 0)
+        monkeypatch.setattr(_rowmap.os, "sched_getaffinity", lambda pid: {0, 1})
+        need = commoncomp._filter_plan(n, dims, q, system.grid, bw)[2]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            commoncomp._apply_projection_frequency(field.values, system, q, bw)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= need
+
+    def test_memory_check_before_the_spectral_step(self, monkeypatch):
+        field = random_field((6, 5, 5, 6), seed=72)
+        need = commoncomp._filter_plan(6, (5, 5, 6), 1, FrequencyGrid((2, 2, 2)), (2, 2, 2))[2]
+        monkeypatch.setattr(spectral, "_physical_memory_bytes", lambda: need - 1)
+        monkeypatch.setattr(commoncomp, "eigensystem_from_field", None)  # fails if reached
+        with pytest.raises(ConfigError, match=f"projection filter .* needs {need} bytes"):
+            estimate_common_component(field, 1, "ep", (2, 2, 2))

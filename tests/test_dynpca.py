@@ -23,7 +23,7 @@ from stfactor import (
     stack_to_time_series,
     stacked_series_as_field,
 )
-from stfactor import dynpca, spectral
+from stfactor import _rowmap, dynpca, spectral
 from stfactor.dynpca import weighted_submatrix_eigenvalues
 from stfactor.spectral import SpectralDensityEstimate, make_kernel
 from conftest import random_field
@@ -287,7 +287,7 @@ def hermitian_stack(count, m, seed=0):
 
 
 needs_blas_pin = pytest.mark.skipif(
-    spectral._blas_thread_controls() is None, reason="numpy's LAPACK has no OpenBLAS thread setter"
+    _rowmap._blas_thread_controls() is None, reason="numpy's LAPACK has no OpenBLAS thread setter"
 )
 
 
@@ -297,9 +297,9 @@ class TestHalfGridMap:
     @pytest.mark.parametrize("count, cores", [(1, None), (2, None), (7, None), (3, 8)],
                              ids=["one", "two", "odd", "fewer_than_workers"])
     def test_matches_single_call(self, monkeypatch, count, cores):
-        monkeypatch.setattr(spectral, "_POOL_MIN_COST", 0)  # threads even for these tiny batches
+        monkeypatch.setattr(_rowmap, "_POOL_MIN_COST", 0)  # threads even for these tiny batches
         if cores is not None:
-            monkeypatch.setattr(spectral.os, "sched_getaffinity", lambda pid: set(range(cores)))
+            monkeypatch.setattr(_rowmap.os, "sched_getaffinity", lambda pid: set(range(cores)))
         chunks = []
         solve_rows = dynpca._solve_rows
 
@@ -312,7 +312,7 @@ class TestHalfGridMap:
             bounds = sorted(chunks)
             assert bounds[0][0] == 0 and bounds[-1][1] == count
             assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
-            assert len(bounds) == spectral.map_workers(count, count * 6**3)
+            assert len(bounds) == _rowmap.map_workers(count, count * 6**3)
             chunks.clear()
 
         monkeypatch.setattr(dynpca, "_solve_rows", spy)
@@ -330,21 +330,44 @@ class TestHalfGridMap:
         ref = np.linalg.eigvalsh(mats[:, :4, :4])[:, ::-1] * weights
         assert np.array_equal(weighted_submatrix_eigenvalues(est, 4), ref)
         assert_contiguous_chunks()
-        usable = len(spectral.os.sched_getaffinity(0))
-        assert spectral.map_workers(count, count * 6**3) == (
-            min(usable, count) if spectral._blas_thread_controls() else 1
+        usable = len(_rowmap.os.sched_getaffinity(0))
+        assert _rowmap.map_workers(count, count * 6**3) == (
+            min(usable, count) if _rowmap._blas_thread_controls() else 1
         )
+
+    @pytest.mark.parametrize("g", [0, 4, 6])
+    def test_batched_eigensolves_keep_the_bits(self, monkeypatch, g):
+        # each worker solves at most two matrices a call: the same bits, and a failure names its index
+        monkeypatch.setattr(_rowmap, "_POOL_MIN_COST", 0)
+        est = hermitian_stack(7, 6, seed=3)
+        whole = eigendecompose_all(est, 2)
+        monkeypatch.setattr(dynpca, "_EIGH_BATCH_BYTES", 2 * 16 * 6 * 6)
+        calls = []
+        solve_rows = dynpca._solve_rows
+
+        def spy(solve, vals, lo, hi):
+            calls.append(hi - lo)
+            solve_rows(solve, vals, lo, hi)
+
+        monkeypatch.setattr(dynpca, "_solve_rows", spy)
+        batched = eigendecompose_all(est, 2)
+        assert max(calls) == 2 and sum(calls) == 7
+        assert np.array_equal(batched.eigenvalues, whole.eigenvalues)
+        assert np.array_equal(batched.eigenvectors, whole.eigenvectors)
+        est.matrices[g, 1, 0] = est.matrices[g, 0, 1] = np.nan
+        with pytest.raises(NumericError, match=f"grid index {g}$"):
+            eigendecompose_all(est, 1)
 
     @pytest.mark.parametrize("n, cores", [(2, 2), (7, 2), (30, 3), (100, 2), (5, 8)])
     def test_weighted_chunks_balance_pairs(self, monkeypatch, n, cores):
         # the autocovariance's rows: row i carries the n - i pairs (j >= i, i)
-        monkeypatch.setattr(spectral, "_POOL_MIN_COST", 0)
-        monkeypatch.setattr(spectral.os, "sched_getaffinity", lambda pid: set(range(cores)))
+        monkeypatch.setattr(_rowmap, "_POOL_MIN_COST", 0)
+        monkeypatch.setattr(_rowmap.os, "sched_getaffinity", lambda pid: set(range(cores)))
         weights = n - np.arange(n)
         chunks = []
-        workers = spectral._map_rows(lambda lo, hi: chunks.append((lo, hi)), weights, 0)
+        workers = _rowmap._map_rows(lambda lo, hi: chunks.append((lo, hi)), weights, 0)
         bounds = sorted(chunks)
-        assert len(bounds) == workers == spectral.map_workers(n, 0)
+        assert len(bounds) == workers == _rowmap.map_workers(n, 0)
         assert bounds[0][0] == 0 and bounds[-1][1] == n
         assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
         share = weights.sum() / workers
@@ -352,18 +375,18 @@ class TestHalfGridMap:
 
     def test_small_batches_run_inline(self):
         # below the cost floor a thread start costs what the second core saves
-        assert spectral.map_workers(5, 5 * 19**3) == 1
-        assert spectral._POOL_MIN_COST > 5 * 19**3
-        usable = len(spectral.os.sched_getaffinity(0))
-        pinned = spectral._blas_thread_controls() is not None
-        assert spectral.map_workers(221, 221 * 30**3) == (min(usable, 221) if pinned else 1)
+        assert _rowmap.map_workers(5, 5 * 19**3) == 1
+        assert _rowmap._POOL_MIN_COST > 5 * 19**3
+        usable = len(_rowmap.os.sched_getaffinity(0))
+        pinned = _rowmap._blas_thread_controls() is not None
+        assert _rowmap.map_workers(221, 221 * 30**3) == (min(usable, 221) if pinned else 1)
 
     @pytest.mark.parametrize("threads", [False, True], ids=["inline", "threads"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     @pytest.mark.parametrize("g", [0, 4, 6])
     def test_non_finite_matrix_names_its_index(self, monkeypatch, threads, bad, g):
         if threads:
-            monkeypatch.setattr(spectral, "_POOL_MIN_COST", 0)
+            monkeypatch.setattr(_rowmap, "_POOL_MIN_COST", 0)
         est = hermitian_stack(7, 5)
         est.matrices[g, 1, 0] = est.matrices[g, 0, 1] = bad
         with pytest.raises(NumericError, match=f"grid index {g}$"):
@@ -373,11 +396,11 @@ class TestHalfGridMap:
 
     def test_without_blas_pin_runs_inline_with_the_same_bits(self, monkeypatch):
         field = random_field((6, 4, 4, 6), seed=8)
-        monkeypatch.setattr(spectral, "_POOL_MIN_COST", 0)
+        monkeypatch.setattr(_rowmap, "_POOL_MIN_COST", 0)
         est = estimate_common_component(field, 2, "ep", (1, 1, 2))
         half = FrequencyGrid((1, 1, 2)).half_count
-        assert est.settings["eigen_workers"] == spectral.map_workers(half, half * 6**3)
-        monkeypatch.setattr(spectral, "_blas_thread_controls", lambda: None)
+        assert est.settings["eigen_workers"] == _rowmap.map_workers(half, half * 6**3)
+        monkeypatch.setattr(_rowmap, "_blas_thread_controls", lambda: None)
         inline = estimate_common_component(field, 2, "ep", (1, 1, 2))
         assert inline.settings["eigen_workers"] == 1
         assert np.array_equal(inline.chi, est.chi)
@@ -393,8 +416,8 @@ class TestBlasPin:
 
     @pytest.fixture
     def blas_threads(self, monkeypatch):
-        monkeypatch.setattr(spectral, "_POOL_MIN_COST", 0)  # threads even for small test batches
-        get, set_ = spectral._blas_thread_controls()
+        monkeypatch.setattr(_rowmap, "_POOL_MIN_COST", 0)  # threads even for small test batches
+        get, set_ = _rowmap._blas_thread_controls()
         before = get()
         set_(2)  # a count the map must change and restore
         yield get
@@ -428,7 +451,7 @@ class TestBlasPin:
         est = hermitian_stack(14, 100, seed=3)
         runs = []
         for threads in (2, 1, 2):
-            spectral._blas_thread_controls()[1](threads)
+            _rowmap._blas_thread_controls()[1](threads)
             system = eigendecompose_all(est, 3)
             runs.append((system.eigenvalues, system.eigenvectors))
         for vals, vecs in runs[1:]:

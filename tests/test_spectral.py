@@ -21,7 +21,7 @@ from stfactor import (
     store_field,
 )
 import stfactor
-from stfactor import spectral
+from stfactor import _rowmap, spectral
 from stfactor.cli import main
 from stfactor.spectral import spectral_from_autocovariance, validate_bandwidths
 from conftest import random_field
@@ -322,7 +322,7 @@ class TestMemoryBound:
 
         # the 6 x 5 x 5 x 6 field below needs about 100 kB for its spectral step
         monkeypatch.setattr(spectral, "_physical_memory_bytes", lambda: 16 * 1024)
-        monkeypatch.setattr(np.fft, "rfftn", no_fft)
+        monkeypatch.setattr(np.fft, "rfft", no_fft)
 
     def test_raises_before_fft(self, tiny_memory):
         field = random_field((6, 5, 5, 6), seed=16)
@@ -361,11 +361,29 @@ class TestMemoryBound:
         assert held - base <= 1.05 * est.matrices.nbytes
 
 
+    # a lattice large against n: the padded spectrum is most of the step.  On the first two
+    # the peak is the row loop's ufunc buffers; on the third, rfftn's second padded array
+    @pytest.mark.parametrize("n, side", [(12, 16), (4, 20), (60, 30)])
+    def test_padded_transform_within_the_bound(self, n, side):
+        dims, bw = (side,) * 3, (1, 1, 1)
+        field = random_field((n, *dims), seed=18)
+        need = spectral._spectral_step_bytes(n, dims, bw)
+        sample_autocovariance(field, bw)  # numpy's FFT modules load on first use
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            sample_autocovariance(field, bw)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= need
+
+
 def force_blocks(monkeypatch, n, dims, window, width):
     """Column blocks of ``width`` series, and row threads even at a tiny shape."""
     bins = spectral._autocov_layout(n, dims, window)[2][0]
     monkeypatch.setattr(spectral, "_BLOCK_BYTES", width * bins * 16)
-    monkeypatch.setattr(spectral, "_POOL_MIN_COST", 0)
+    monkeypatch.setattr(_rowmap, "_POOL_MIN_COST", 0)
     assert spectral._autocov_layout(n, dims, window)[1] == min(width, n)
 
 
@@ -373,12 +391,12 @@ def force_blocks(monkeypatch, n, dims, window, width):
 _BLOCKED_CHILD = """
 import hashlib
 import numpy as np
-from stfactor import LatticeField, demean, eigendecompose_all, spectral
-spectral._POOL_MIN_COST = 0
+from stfactor import LatticeField, _rowmap, demean, eigendecompose_all, spectral
+_rowmap._POOL_MIN_COST = 0
 field = demean(LatticeField(np.random.default_rng(7).standard_normal((30, 6, 6, 10))))
 spectral._BLOCK_BYTES = 3 * spectral._autocov_layout(30, field.dims, (2, 2, 3))[2][0] * 16
 for cores in (1, 2):
-    spectral.os.sched_getaffinity = lambda pid: set(range(cores))
+    _rowmap.os.sched_getaffinity = lambda pid: set(range(cores))
     ac = spectral.sample_autocovariance(field, (2, 2, 3))
     system = eigendecompose_all(spectral.spectral_from_autocovariance(ac, "ep"), 3)
     digest = hashlib.sha256()
@@ -416,9 +434,9 @@ class TestBlockedRows:
         sys.setswitchinterval(1e-6)
         try:
             for cores in (1, 2, 4):
-                monkeypatch.setattr(spectral.os, "sched_getaffinity", lambda pid: set(range(cores)))
-                pinned = spectral._blas_thread_controls() is not None
-                assert spectral.map_workers(7, 0) == (cores if pinned else 1)
+                monkeypatch.setattr(_rowmap.os, "sched_getaffinity", lambda pid: set(range(cores)))
+                pinned = _rowmap._blas_thread_controls() is not None
+                assert _rowmap.map_workers(7, 0) == (cores if pinned else 1)
                 runs.append(sample_autocovariance(field, (2, 2, 3)).gammas)
         finally:
             sys.setswitchinterval(interval)
@@ -442,7 +460,7 @@ class TestBlockedRows:
         n, dims, bw = 20, (8, 8, 40), (2, 2, 5)
         field = random_field((n, *dims), seed=17)
         force_blocks(monkeypatch, n, dims, bw, 3)
-        monkeypatch.setattr(spectral.os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(_rowmap.os, "sched_getaffinity", lambda pid: {0, 1})
         need = spectral._spectral_step_bytes(n, dims, bw)
         peaks = []
         tracemalloc.start()
