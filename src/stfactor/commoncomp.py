@@ -146,12 +146,8 @@ def _apply_projection_frequency(
     volume, points, weights = x.shape[1], grid.points, grid.pair_weights / grid.size
     chunks, cost, _ = _filter_plan(n, values.shape[1:], q, grid, trunc)
     partials = [np.zeros_like(x) for _ in chunks]
-    # each worker's buffers, allocated here: glibc keeps a worker thread's freed heap top
-    pool = [(np.empty((2, volume * grid.shape[2] * q), complex), np.empty_like(x))
-            for _ in range(map_workers(len(chunks), cost))]
 
-    def rows(lo, hi):
-        bufs, product = pool.pop()
+    def rows(lo, hi, bufs, product):  # the map's scratch: two score buffers, the back-projection
         for chunk, start in ((c, start) for c in range(lo, hi) for start in chunks[c]):
             batch = slice(start, min(start + grid.shape[2], grid.half_count))
             size = (batch.stop - start) * q
@@ -174,7 +170,8 @@ def _apply_projection_frequency(
             back = proj * np.repeat(weights[batch], 2 * q)[:, None]
             partials[chunk] += np.matmul(back.T, b.reshape(volume, -1).T, out=product)
 
-    _map_rows(rows, np.ones(len(chunks)), cost)
+    _map_rows(rows, np.ones(len(chunks)), cost,
+              lambda: (np.empty((2, volume * grid.shape[2] * q), complex), np.empty_like(x)))
     for part in partials[1:]:
         partials[0] += part
     return partials[0].reshape(values.shape)

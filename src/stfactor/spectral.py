@@ -34,9 +34,9 @@ diagonal and a real zero-frequency matrix.  Every later layer reads
 only this half, weighting each point by :attr:`FrequencyGrid.pair_weights`.
 
 The autocovariance rows (in column blocks of about 4 MiB) and the
-assembly's rows run on the row map of :mod:`_rowmap`.  The spectral step
-is the largest allocation; its bytes, the workers' scratch included, are
-estimated from the shapes and checked before the first array exists.
+assembly's rows run on the row map of :mod:`_rowmap`, which makes each
+worker's scratch in the calling thread.  The spectral step is the largest
+allocation (that scratch included) and is checked before any array exists.
 """
 
 from __future__ import annotations
@@ -296,12 +296,8 @@ def _autocov_fft(values: np.ndarray, window) -> np.ndarray:
                   for b, k, p in zip(window, (pad[0], pad[1], len(k3)), pad))
     e3 = e3 * np.where((k3 == 0) | (2 * k3 == pad[2]), 1.0, 2.0) / (values[0].size * math.prod(pad))
     out = np.empty((grid.size, n, n))
-    # each worker's scratch for all its rows, allocated here: the trim skips a thread's heap top
-    pool = [[np.empty(sizes[0], complex), *(np.empty(s * width, complex) for s in sizes)]
-            for _ in range(_rowmap.map_workers(n, cost))]
 
-    def rows(lo, hi):
-        conj, *scratch = pool.pop()
+    def rows(lo, hi, conj, *scratch):
         for i in range(lo, hi):
             np.conj(spec[:, i], out=conj)
             for j in range(i, n, width):
@@ -315,10 +311,11 @@ def _autocov_fft(values: np.ndarray, window) -> np.ndarray:
                 out[:, j:j + w, i] = box = y3.real.reshape(grid.size, w)
                 out[:, i, j:j + w] = box[::-1]
 
-    _rowmap._map_rows(rows, n - np.arange(n), cost)
+    lengths = (sizes[0], *(s * width for s in sizes))  # per worker: a conjugated series, the blocks
+    _rowmap._map_rows(rows, n - np.arange(n), cost, lambda: [np.empty(k, complex) for k in lengths])
     # the zero lag is symmetric as written; mirror-fill the negative half with transposes
     out[grid.zero_index + 1:] = out[:grid.zero_index][::-1].transpose(0, 2, 1)
-    del spec, pool  # glibc keeps the freed pages resident unless trimmed
+    del spec  # glibc keeps the freed pages resident unless trimmed
     if cost >= _rowmap._POOL_MIN_COST and hasattr(libc := ctypes.CDLL(None), "malloc_trim"):
         libc.malloc_trim(ctypes.c_size_t(0))
     return out
@@ -409,13 +406,8 @@ def spectral_from_autocovariance(autocov: AutocovarianceSet, kernels) -> Spectra
     mats = np.empty((half, n, n), dtype=complex)
     # cost: pairs x lags x axis lengths / 8, measured at about 10 ns a unit
     cost = n * (n + 1) // 2 * grid.size * sum(grid.shape) / 8
-    # each worker's scratch (the weighted lag block, then every product), allocated here, as the
-    # autocovariance's is, and dropped when the worker's rows are done
-    pool = [(np.empty(grid.size * n, complex), np.empty(r1 * s2 * s3 * n, complex))
-            for _ in range(_rowmap.map_workers(n, cost))]
 
-    def rows(lo, hi):  # row i on and right of the diagonal, one product per axis; conjugated below
-        lags, prod = pool.pop()
+    def rows(lo, hi, lags, prod):  # row i on and right of the diagonal, conjugated below
         for i in range(lo, hi):
             cols = n - i
             block = lags[:grid.size * cols].reshape(grid.size, cols)
@@ -429,7 +421,8 @@ def spectral_from_autocovariance(autocov: AutocovarianceSet, kernels) -> Spectra
             np.conjugate(row[:, 1:], out=mats[:, i + 1:, i])
             mats[:, i, i].imag = 0.0
 
-    _rowmap._map_rows(rows, n - np.arange(n), cost)
+    lengths = (grid.size * n, r1 * s2 * s3 * n)  # per worker: weighted lags, then each axis product
+    _rowmap._map_rows(rows, n - np.arange(n), cost, lambda: [np.empty(k, complex) for k in lengths])
     mats[-1].imag = 0.0  # zero frequency is a real matrix
     return SpectralDensityEstimate(grid, mats, kernels)
 

@@ -126,11 +126,27 @@ def test_only_the_config_and_the_simulator_branch_on_the_model():
     assert scopes_where(asks_model) == {"SimConfig.__post_init__", "simulate_field"}
 
 
+def calls_named(name):
+    """A ``scopes_where`` predicate: a call of a function or attribute called ``name``."""
+
+    def predicate(node):
+        func = node.func if isinstance(node, ast.Call) else None
+        return getattr(func, "id", getattr(func, "attr", None)) == name
+
+    return predicate
+
+
 def test_only_eigensystem_from_field_enters_the_gram_route():
     """The principal coordinates are formed in one place, which every Gram-route caller goes through."""
+    assert scopes_where(calls_named("_principal_field")) == {"eigensystem_from_field"}
 
-    def calls_principal_field(node):
-        func = node.func if isinstance(node, ast.Call) else None
-        return getattr(func, "id", getattr(func, "attr", None)) == "_principal_field"
 
-    assert scopes_where(calls_principal_field) == {"eigensystem_from_field"}
+def test_only_the_row_map_and_the_study_start_worker_threads():
+    """The row map owns the worker policy; the study's replication pool is the one other."""
+    assert scopes_where(calls_named("ThreadPoolExecutor")) == {"_map_rows", "run_mc_study"}
+
+
+def test_workers_are_counted_by_the_row_map_the_byte_estimates_and_the_echo():
+    """No layer counts the cores a second time to size per-worker buffers: the map makes them."""
+    assert scopes_where(calls_named("map_workers")) == {
+        "_map_rows", "_spectral_step_bytes", "_filter_plan", "stability_scan"}

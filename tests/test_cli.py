@@ -21,6 +21,7 @@ from stfactor import (
     stability_scan,
     store_field,
 )
+from stfactor import _rowmap, cli
 from stfactor.cli import main
 from conftest import random_field
 
@@ -691,3 +692,32 @@ def test_tables_parse_back_bit_equal_to_the_library(tmp_path):
     result = run_mc_study(cfg, "accuracy", bw=(2, 2, 2))
     assert header == ["rep", *result.metrics]
     assert np.array_equal(cells, np.column_stack([np.arange(2), *result.metrics.values()]))
+
+
+@pytest.mark.skipif(_rowmap._blas_thread_controls() is None,
+                    reason="numpy's LAPACK has no OpenBLAS thread setter")
+class TestBlasPin:
+    """estimate, select-q and eigengap run on one BLAS thread throughout, and restore the count."""
+
+    def test_analyses_hold_one_blas_thread(self, tmp_path, monkeypatch):
+        get, set_ = _rowmap._blas_thread_controls()
+        entered = {}
+        for name in ("estimate_common_component", "stability_scan", "eigenvalue_curve_by_size"):
+            def spy(*args, _name=name, _call=getattr(cli, name), **kwargs):
+                entered[_name] = get()  # before the library's own row maps pin it
+                return _call(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, spy)
+        store_field(random_field((6, 5, 5, 8), seed=64, demeaned=False), tmp_path / "x.stf")
+        before = get()
+        set_(2)  # a count the commands must change and restore
+        try:
+            for args in (["estimate", "--q", "1", "--output", f"{tmp_path}/chi.stf"],
+                         ["select-q", "--qmax", "2", "--cgrid", "0:0.5:2", "--subsamples", "5,4",
+                          "--output", f"{tmp_path}/scan"],
+                         ["eigengap", "--m-values", "3,6", "--output", f"{tmp_path}/gap.csv"]):
+                main(args + ["--input", f"{tmp_path}/x.stf", "--bw", "1,1,1"])
+                assert get() == 2, args[0]
+        finally:
+            set_(before)
+        assert entered == dict.fromkeys(entered, 1) and len(entered) == 3

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -475,3 +476,44 @@ class TestBlockedRows:
         finally:
             tracemalloc.stop()
         assert max(peaks) <= need
+
+
+class TestRowScratch:
+    """The row map makes each worker's scratch in the calling thread, from its own worker count."""
+
+    def test_cores_growing_mid_step_keep_the_gammas(self, monkeypatch):
+        # usable cores go from one to two between readings, as ``taskset -p`` or a cpuset can do
+        field = random_field((6, 4, 4, 6), seed=21)
+        want = sample_autocovariance(field, (1, 1, 1)).gammas
+        monkeypatch.setattr(_rowmap, "_POOL_MIN_COST", 0)
+        readings = []
+
+        def growing(pid):
+            readings.append(pid)
+            return {0} if len(readings) <= 2 else {0, 1}
+
+        monkeypatch.setattr(_rowmap.os, "sched_getaffinity", growing)
+        assert np.array_equal(sample_autocovariance(field, (1, 1, 1)).gammas, want)
+
+    @pytest.mark.parametrize("cores", [1, 2, 4])
+    def test_scratch_once_per_worker_on_the_calling_thread(self, monkeypatch, cores):
+        monkeypatch.setattr(_rowmap, "_POOL_MIN_COST", 0)
+        monkeypatch.setattr(_rowmap.os, "sched_getaffinity", lambda pid: set(range(cores)))
+        makers, chunks = [], []
+
+        def scratch():
+            makers.append(threading.get_ident())
+            return np.empty(3), []
+
+        def task(lo, hi, buf, log):
+            log.append((lo, hi))
+            chunks.append((lo, hi, buf, log))
+
+        workers = _rowmap._map_rows(task, np.ones(7), 0, scratch)
+        pinned = _rowmap._blas_thread_controls() is not None
+        assert workers == (min(cores, 7) if pinned else 1)
+        assert makers == [threading.get_ident()] * workers
+        assert len(chunks) == workers
+        for owned in (2, 3):  # each chunk had buffers no other chunk saw
+            assert len({id(chunk[owned]) for chunk in chunks}) == workers
+        assert all(log == [(lo, hi)] for lo, hi, _, log in chunks)
