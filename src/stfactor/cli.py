@@ -30,7 +30,7 @@ from .field import (
     stacked_series_as_field,
     store_field,
 )
-from .spectral import make_kernel, validate_bandwidths
+from .spectral import _check_memory, make_kernel, validate_bandwidths
 from .dynpca import eigenvalue_curve_by_size
 from .commoncomp import estimate_common_component
 from .qselect import NoSecondIntervalError, stability_scan
@@ -57,10 +57,12 @@ def _parse_cgrid(text: str) -> np.ndarray:
         start, step, stop = (float(p) for p in text.split(":"))
     except ValueError:
         raise ConfigError(f"--cgrid expects start:step:stop, got {text!r}")
-    if step <= 0 or stop < start:
-        raise ConfigError(f"invalid c grid {text!r}")
-    count = int(np.floor((stop - start) / step + 1e-9)) + 1
-    return start + step * np.arange(count)
+    if not np.isfinite([start, step, stop]).all() or step <= 0 or stop < start:
+        raise ConfigError(f"--cgrid {text!r} needs finite start <= stop and step > 0")
+    count = np.floor((stop - start) / step + 1e-9) + 1
+    # the grid and the arange it is scaled from, before either exists
+    _check_memory(f"--cgrid {text}", 16 * count)
+    return start + step * np.arange(int(count))
 
 
 def _design(args) -> dict:
@@ -220,7 +222,7 @@ def cmd_mc_study(args) -> int:
     result = run_mc_study(
         cfg, study=args.study, q_fit=args.q_fit, kernels=args.kernel,
         bw=_parse_ints(args.bw, "bw"), trunc=_parse_ints(args.trunc, "trunc"),
-        q_max=args.qmax, threads=args.threads, region=args.region,
+        q_max=args.qmax, threads=args.threads,
     )
     _write_table(f"{args.output}.csv", {"rep": range(result.n_reps), **result.metrics})
     _write_json(f"{args.output}.json", result.summary())
@@ -302,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--ra", type=int, default=None, help="model_a only (default 40)")
         p.add_argument("--reps", type=int, default=20)
         p.add_argument("--trunc", default=None)
-        p.add_argument("--region", choices=["all", "interior"], default="all")
         p.add_argument("--output", required=True, help="output prefix")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--threads", type=int, default=1)

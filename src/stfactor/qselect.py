@@ -38,6 +38,7 @@ from .dynpca import weighted_submatrix_eigenvalues
 from .errors import ConfigError, NumericError
 from .field import LatticeField
 from .spectral import (
+    _check_memory,
     resolve_kernels,
     sample_autocovariance,
     spectral_from_autocovariance,
@@ -197,8 +198,10 @@ def stability_scan(
     c_grid = np.asarray(list(c_grid), dtype=np.float64)
     if c_grid.ndim != 1 or len(c_grid) < 2:
         raise ConfigError("c_grid must contain at least two scales")
-    if np.any(np.diff(c_grid) <= 0) or c_grid[0] < 0:
-        raise ConfigError("c_grid must be non-negative and strictly increasing")
+    if not np.isfinite(c_grid).all() or np.any(np.diff(c_grid) <= 0) or c_grid[0] < 0:
+        raise ConfigError("c_grid must be finite, non-negative and strictly increasing")
+    if c_manual is not None and not np.isfinite(c_manual):
+        raise ConfigError(f"c_manual={c_manual} must be finite")
     kernels = resolve_kernels(kernels)
     bw = validate_bandwidths(bw, field.dims)
     if subsample_sizes is None:
@@ -210,6 +213,9 @@ def stability_scan(
         raise ConfigError(f"smallest subsample {sizes[0]} must exceed q_max={q_max}")
     if sizes[0] < 1 or sizes[-1] > n:
         raise ConfigError("subsample sizes must lie in 1..n")
+    n_c, n_j = len(c_grid), len(sizes)
+    # per c: qhat plus s_curve's two temporaries, or plus one subsample's scores and their sum
+    _check_memory(f"the scan over {n_c} c_grid scales", 8 * n_c * (3 * n_j + 2 * (q_max + 1)))
 
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     perm = rng.permutation(n)
@@ -218,7 +224,6 @@ def stability_scan(
     estimate = spectral_from_autocovariance(sample_autocovariance(permuted, bw), kernels)
     smoothness = tuple(k.smoothness for k in kernels)
 
-    n_c, n_j = len(c_grid), len(sizes)
     qhat = np.empty((n_c, n_j), dtype=np.int64)
     for j, m in enumerate(sizes):
         means = np.maximum(weighted_submatrix_eigenvalues(estimate, m), 0.0).sum(axis=0)

@@ -337,17 +337,18 @@ def _accuracy_rep(cfg, rep, q_fit, kernels, bw, trunc):
     return {"E1": e1, "E2": e2, "E1_interior": e1_int, "E2_interior": e2_int}
 
 
-def _comparison_rep(cfg, rep, q_fit, kernels, bw, trunc, region="all"):
+def _comparison_rep(cfg, rep, q_fit, kernels, bw, trunc):
     x, chi_true = simulate_field(cfg, rep)
     xd = demean(x)
     est = estimate_common_component(xd, q_fit, kernels, bw, trunc)
     base = gdfm_baseline(xd, q_fit, kernels, bw[2], trunc[2])
-    # for interior scoring both estimates are restricted to the stricter
-    # (spatio-temporal) support region so the comparison is like for like
-    mask = est.mask if region == "interior" else None
-    e1, e2 = error_metrics(est.chi, chi_true.values, mask)
-    g1, g2 = error_metrics(base.chi, chi_true.values, mask)
-    return {"E1": e1, "E2": e2, "E1_gdfm": g1, "E2_gdfm": g2}
+    # the interior is the stricter (spatio-temporal) one, so both are scored like for like
+    row = {}
+    for region, mask in (("", None), ("_interior", est.mask)):
+        for method, chi in (("", est.chi), ("_gdfm", base.chi)):
+            row[f"E1{method}{region}"], row[f"E2{method}{region}"] = error_metrics(
+                chi, chi_true.values, mask)
+    return row
 
 
 def _selection_rep(cfg, rep, q_max, kernels, bw, c_grid, subsample_sizes):
@@ -379,7 +380,6 @@ def run_mc_study(
     c_grid=None,
     subsample_sizes=None,
     threads: int = 1,
-    region: str = "all",
 ) -> MCResult:
     """Repeat simulate -> estimate -> score over seeded replications.
 
@@ -389,15 +389,11 @@ def run_mc_study(
     index and seed, except that a configuration or data error propagates
     unchanged.  ``q_max``, ``c_grid`` and ``subsample_sizes`` (defaults
     as in ``stability_scan``) are read by the selection study only;
-    giving one to another study is an error.  A study that scores the
-    interior fails before any replication if the lattice has none.
+    giving one to another study is an error.  Both estimate studies also
+    score the interior, and fail before any replication if there is none.
     """
     if study not in ("accuracy", "comparison", "selection"):
         raise ConfigError(f"unknown study {study!r}")
-    if region not in ("all", "interior"):
-        raise ConfigError(f"unknown region {region!r}")
-    if region != "all" and study != "comparison":
-        raise ConfigError(f"region={region!r} applies to the comparison study only, not {study!r}")
     if study == "selection" and (trunc is not None or q_fit is not None):
         raise ConfigError("the selection study estimates q and filters nothing: "
                           "it takes neither trunc nor q_fit")
@@ -410,16 +406,15 @@ def run_mc_study(
         raise ConfigError("n_reps must be >= 1")
     if threads < 1:
         raise ConfigError(f"threads={threads} must be >= 1")
-    q_fit = cfg.q if q_fit is None else int(q_fit)
     # resolved once, so every replication and the echo use the same values
     kernels = resolve_kernels(kernels)
     bw = validate_bandwidths(bw, cfg.dims)
     if study == "selection":
         q_max = DEFAULT_Q_MAX if q_max is None else q_max
     else:
+        q_fit = cfg.q if q_fit is None else int(q_fit)
         trunc = validate_truncation(trunc, bw, cfg.dims)
-        scores_interior = study == "accuracy" or region == "interior"
-        if scores_interior and not interior_mask(cfg.dims, trunc).any():
+        if not interior_mask(cfg.dims, trunc).any():
             raise ConfigError(f"dims {list(cfg.dims)} leave no interior point at truncation "
                               f"{list(trunc)}, which the {study} study scores")
 
@@ -428,7 +423,7 @@ def run_mc_study(
             if study == "accuracy":
                 return _accuracy_rep(cfg, rep, q_fit, kernels, bw, trunc)
             if study == "comparison":
-                return _comparison_rep(cfg, rep, q_fit, kernels, bw, trunc, region)
+                return _comparison_rep(cfg, rep, q_fit, kernels, bw, trunc)
             return _selection_rep(cfg, rep, q_max, kernels, bw, c_grid, subsample_sizes)
         except (ConfigError, DataError):
             raise  # bad settings or data: the same in every replication
@@ -452,7 +447,6 @@ def run_mc_study(
         "bw": list(bw),
         "trunc": None if trunc is None else list(trunc),
         "threads": threads,
-        "region": region,
         "truth_retained": False,
     }
     return MCResult(study, n_reps, metrics, settings, cfg.seed)

@@ -252,7 +252,7 @@ def _physical_memory_bytes() -> int:
 def _check_memory(step: str, need: int) -> None:
     """ConfigError, before anything is allocated, if ``step`` needs more than physical memory."""
     if need > (have := _physical_memory_bytes()):
-        raise ConfigError(f"{step} needs {need} bytes, more than the {have} bytes of physical memory")
+        raise ConfigError(f"{step} needs {need:.0f} bytes, more than the {have} bytes of physical memory")
 
 
 def _autocov_layout(n: int, dims, window):

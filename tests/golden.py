@@ -1,10 +1,13 @@
 """A checked-in record of the pipeline's numbers on tiny simulated panels.
 
-Each case is one ``simulate_field`` panel run through the layers on the row
-map: the sample autocovariances, the half-grid spectral matrices, the
-eigenvalues and phase-fixed eigenvector rows, chi with its mask, and the
-stacked baseline's chi (the Gram route).  ``tests/test_golden.py`` recomputes
-every case and compares it with the record.
+Each case of ``rowmap.npz`` is one ``simulate_field`` panel run through the
+layers on the row map: the sample autocovariances, the half-grid spectral
+matrices, the eigenvalues and phase-fixed eigenvector rows, chi with its mask,
+and the stacked baseline's chi (the Gram route).  ``studies.npz`` holds the
+per-replication metrics of the three Monte Carlo studies (the comparison's
+whole-lattice columns), one stability scan and both eigengap curves (nested
+submatrices and the Gram route).  ``tests/test_golden.py`` recomputes every
+array and compares it with the record.
 
 Rewrite the record only on purpose, and say which values moved and why:
 
@@ -18,13 +21,23 @@ from pathlib import Path
 
 import numpy as np
 
-from stfactor import SimConfig, demean, simulate_field
+from stfactor import (
+    SimConfig,
+    as_demeaned_field,
+    demean,
+    eigenvalue_curve_by_size,
+    simulate_field,
+    stability_scan,
+    stack_to_time_series,
+    stacked_series_as_field,
+)
 from stfactor.commoncomp import estimate_common_component
 from stfactor.dynpca import eigendecompose_all
-from stfactor.simlab import gdfm_baseline
+from stfactor.simlab import gdfm_baseline, run_mc_study
 from stfactor.spectral import sample_autocovariance, spectral_from_autocovariance
 
 PATH = Path(__file__).with_name("golden") / "rowmap.npz"
+STUDIES_PATH = PATH.with_name("studies.npz")
 
 # case name: (design, bandwidths); each has at least two autocovariance rows and filter chunks
 CASES = {
@@ -55,12 +68,48 @@ def compute(cfg: SimConfig, bw) -> dict[str, np.ndarray]:
     }
 
 
+# study: (design, run_mc_study arguments, recorded metrics; None records every one)
+STUDIES = {
+    "accuracy": (SimConfig("model_a", n=5, dims=(5, 5, 8), q=1, idio="correlated", seed=23,
+                           r_a=3, n_reps=2), {"bw": (1, 1, 2)}, None),
+    "comparison": (SimConfig("model_b", n=6, dims=(5, 5, 8), q=1, seed=22, n_reps=2),
+                   {"bw": (1, 1, 2)}, ("E1", "E2", "E1_gdfm", "E2_gdfm")),
+    "selection": (SimConfig("model_b", n=12, dims=(5, 5, 8), q=1, seed=21, n_reps=2),
+                  {"bw": (2, 2, 2), "q_max": 3, "c_grid": np.arange(0, 401) / 100,
+                   "subsample_sizes": [8, 10]}, None),
+}
+
+
+def compute_studies() -> dict[str, np.ndarray]:
+    """Every array of the studies' record."""
+    arrays = {}
+    for study, (cfg, kwargs, names) in STUDIES.items():
+        metrics = run_mc_study(cfg, study, **kwargs).metrics
+        arrays.update({f"{study}.{name}": metrics[name] for name in names or metrics})
+    field = demean(simulate_field(SimConfig("model_b", n=12, dims=(5, 5, 8), q=2, seed=24))[0])
+    scan = stability_scan(field, 3, np.arange(0, 401) / 100, subsample_sizes=[8, 10],
+                          bw=(2, 2, 2), seed=5)
+    arrays.update({
+        "scan.qhat_table": scan.qhat_table, "scan.s_curve": scan.s_curve,
+        "scan.intervals": np.array(scan.intervals),
+        "scan.selected": np.array([scan.selected_c, scan.selected_q]),
+        "curve.nested": eigenvalue_curve_by_size(field, [4, 8, 12], 3, "epanechnikov", (2, 2, 2)),
+    })
+    # 36 stacked (series, site) pairs on a (1, 1, 8) lattice: every size m > 8 is a Gram route
+    small = demean(simulate_field(SimConfig("model_b", n=4, dims=(3, 3, 8), q=1, seed=25))[0])
+    stacked = as_demeaned_field(stacked_series_as_field(stack_to_time_series(small)).values)
+    arrays["curve.gram"] = eigenvalue_curve_by_size(stacked, [12, 24, 36], 3, "epanechnikov",
+                                                    (0, 0, 2))
+    return arrays
+
+
 def write() -> None:
     arrays = {f"{case}.{name}": value for case, (cfg, bw) in CASES.items()
               for name, value in compute(cfg, bw).items()}
     PATH.parent.mkdir(exist_ok=True)
-    np.savez_compressed(PATH, versions=np.array(versions()), **arrays)
-    print(f"wrote {PATH} ({PATH.stat().st_size} bytes) from {versions()}")
+    for path, record in ((PATH, arrays), (STUDIES_PATH, compute_studies())):
+        np.savez_compressed(path, versions=np.array(versions()), **record)
+        print(f"wrote {path} ({path.stat().st_size} bytes) from {versions()}")
 
 
 if __name__ == "__main__":

@@ -1,10 +1,13 @@
+import argparse
 import csv
 import hashlib
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +15,7 @@ import pytest
 
 import stfactor
 from stfactor import (
+    ConfigError,
     SimConfig,
     default_bandwidths,
     demean,
@@ -21,7 +25,7 @@ from stfactor import (
     stability_scan,
     store_field,
 )
-from stfactor import _rowmap, cli
+from stfactor import _rowmap, cli, spectral
 from stfactor.cli import main
 from conftest import random_field
 
@@ -41,6 +45,14 @@ GOLDEN = {
 
 def sha256(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def exit_status(argv):
+    """main's return value, or the status of the SystemExit argparse raises."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 def run_cli_child(args, blas_threads, one_core=False):
@@ -231,6 +243,24 @@ class TestSelectQ:
         assert echo["command"] == "select-q"
         assert echo["selected_q"] is None and echo["selected_c"] is None
 
+    @pytest.mark.parametrize("text", ["nan:1:2", "0:nan:1", "0:0.1:nan", "-inf:1:2", "0:inf:1",
+                                      "0:0.1:inf"])
+    def test_non_finite_cgrid_is_config_error(self, text):
+        with pytest.raises(ConfigError, match="--cgrid .* needs finite"):
+            cli._parse_cgrid(text)
+
+    def test_cgrid_memory_checked_before_allocation(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_physical_memory_bytes", lambda: 2**20)
+        tracemalloc.start()
+        try:
+            # 3,000,001 scales: 48 MB of grid and arange
+            with pytest.raises(ConfigError, match="--cgrid 0:1e-6:3 needs 48000016 bytes, more than"):
+                cli._parse_cgrid("0:1e-6:3")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
+
 
 class TestEigengap:
     def test_csv_columns(self, tmp_path):
@@ -404,8 +434,9 @@ class TestMcStudy:
     ], ids=["accuracy_region", "selection_trunc", "selection_q_fit", "accuracy_qmax",
             "comparison_qmax"])
     def test_flag_the_study_does_not_read_is_config_error(self, tmp_path, args):
-        rc = main(["mc-study", "--n", "12", "--dims", "5,5,6", "--q", "1", "--qmax", "3",
-                   "--reps", "1", "--bw", "2,2,2", "--output", f"{tmp_path}/mc"] + args)
+        # --region is no flag of any study: argparse rejects it
+        rc = exit_status(["mc-study", "--n", "12", "--dims", "5,5,6", "--q", "1", "--qmax", "3",
+                          "--reps", "1", "--bw", "2,2,2", "--output", f"{tmp_path}/mc"] + args)
         assert rc == 2
         assert not (tmp_path / "mc.json").exists()
 
@@ -447,8 +478,9 @@ class TestMcStudy:
         echo = json.loads((tmp_path / "mc.settings.json").read_text())
         bw = list(default_bandwidths((6, 6, 8)))
         assert echo["kernels"] == ["epanechnikov"] * 3 and echo["bw"] == bw
-        # the selection study filters nothing, so it has no truncation
+        # the selection study fits and filters nothing, so it has no q_fit and no truncation
         assert echo["trunc"] == (bw if study == "accuracy" else None)
+        assert echo["q_fit"] == (1 if study == "accuracy" else None)
 
     def test_resolved_values_reproduce_the_study(self, tmp_path):
         common = ["mc-study", "--n", "6", "--dims", "6,6,8", "--q", "1", "--reps", "1"]
@@ -635,7 +667,7 @@ ECHO_KEYS = {
                  "c_grid", "eigen_workers", "cgrid", "c_manual", "selected_q", "selected_c"],
     "eigengap": ["command", "input", "m_values", "topk", "kernel", "bw", "gdfm"],
     "mc-study": ["command", "model", "n", "dims", "q", "idio", "r_a", "study", "q_fit", "q_max",
-                 "kernels", "bw", "trunc", "threads", "region", "truth_retained", "seed"],
+                 "kernels", "bw", "trunc", "threads", "truth_retained", "seed"],
 }
 
 
@@ -721,3 +753,75 @@ class TestBlasPin:
         finally:
             set_(before)
         assert entered == dict.fromkeys(entered, 1) and len(entered) == 3
+
+
+# generated from the parser: every flag that takes a number, a number list or a grid, fed nan,
+# inf and a non-number in each of its places in turn; a valid value of every such flag
+NUMERIC_VALUES = {
+    "--n": "6", "--dims": "5,5,6", "--q": "1", "--ra": "3", "--rep": "0", "--seed": "0",
+    "--trunc": "1,1,1", "--bw": "1,1,1", "--qmax": "2", "--cgrid": "0:0.5:3",
+    "--subsamples": "8,10", "--c-manual": "0.5", "--m-values": "4,8", "--topk": "2",
+    "--q-fit": "1", "--reps": "1", "--threads": "1",
+}
+NOT_NUMERIC = {"--input", "--output", "--truth-output", "--config", "--kernel"}
+# a minimal valid argv of each subcommand, less --output; {x} is a tiny simulated panel
+MINIMAL_ARGV = {
+    "simulate": ["--n", "4", "--dims", "4,4,6"],
+    "estimate": ["--input", "{x}", "--q", "1", "--bw", "1,1,1"],
+    "select-q": ["--input", "{x}", "--qmax", "2", "--subsamples", "8,10", "--c-manual", "0.5",
+                 "--bw", "2,2,2"],
+    "eigengap": ["--input", "{x}", "--bw", "1,1,1"],
+    "mc-study": ["--n", "6", "--dims", "5,5,6", "--reps", "1", "--bw", "1,1,1"],
+    "compare-gdfm": ["--n", "6", "--dims", "5,5,6", "--reps", "1", "--bw", "1,1,1"],
+}
+
+
+def _numeric_flags():
+    subcommands = next(a for a in cli.build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction)).choices
+    return [(command, action) for command, sub in subcommands.items() for action in sub._actions
+            if action.option_strings and action.option_strings[0] not in NOT_NUMERIC
+            and action.nargs != 0 and action.choices is None]
+
+
+NUMERIC_FLAGS = _numeric_flags()
+
+
+@pytest.fixture(scope="module")
+def tiny_panel(tmp_path_factory):
+    path = tmp_path_factory.mktemp("panel") / "x.stf"
+    store_field(random_field((12, 5, 5, 6), seed=81, demeaned=False), path)
+    return str(path)
+
+
+def _argv(command, tiny_panel, flag=None, value=None):
+    args = [a.format(x=tiny_panel) for a in MINIMAL_ARGV[command]]
+    if flag in args:
+        del args[args.index(flag):args.index(flag) + 2]
+    return [command] + args + ([flag, value] if flag else [])
+
+
+@pytest.mark.parametrize("command", MINIMAL_ARGV)
+def test_minimal_argv_succeeds(tmp_path, tiny_panel, command):
+    assert main(_argv(command, tiny_panel) + ["--output", f"{tmp_path}/out"]) == 0
+
+
+def test_every_numeric_flag_has_a_value():
+    assert {action.option_strings[0] for _, action in NUMERIC_FLAGS} == set(NUMERIC_VALUES)
+    assert {command for command, _ in NUMERIC_FLAGS} == set(MINIMAL_ARGV)
+
+
+@pytest.mark.parametrize("command, action", NUMERIC_FLAGS,
+                         ids=[f"{c}{a.option_strings[0]}" for c, a in NUMERIC_FLAGS])
+def test_non_finite_or_non_numeric_flag_exits_2(tmp_path, capsys, tiny_panel, command, action):
+    flag = action.option_strings[0]
+    parts = re.split(r"([,:])", NUMERIC_VALUES[flag])  # numbers at even places, separators between
+    for place in range(0, len(parts), 2):
+        for token in ("nan", "inf", "x"):
+            value = "".join(token if k == place else part for k, part in enumerate(parts))
+            argv = _argv(command, tiny_panel, flag, value) + ["--output", f"{tmp_path}/out"]
+            status = exit_status(argv)
+            err = capsys.readouterr().err
+            assert status == 2, argv
+            assert "Traceback" not in err, argv
+            assert flag in err or action.dest in err, (argv, err)

@@ -10,6 +10,7 @@ from stfactor import (
     penalty_value,
     stability_scan,
 )
+from stfactor import qselect, spectral
 from stfactor.qselect import _stable_runs, _tail_means
 from stfactor.simlab import SimConfig, simulate_field
 from stfactor import demean
@@ -224,3 +225,22 @@ class TestStabilityScan:
             stability_scan(panel, 3, np.array([0.3, 0.2, 0.1]))
         with pytest.raises(ConfigError):
             stability_scan(panel, 3, np.arange(0, 10) / 10.0, subsample_sizes=[2])
+
+    @pytest.mark.parametrize("bad", [
+        {"c_grid": [0.0, 1.0, np.nan]}, {"c_grid": [np.nan, 1.0]}, {"c_grid": [0.0, np.inf]},
+        {"c_manual": np.nan}, {"c_manual": np.inf}, {"c_manual": -np.inf},
+    ], ids=["grid_nan_last", "grid_nan_first", "grid_inf", "manual_nan", "manual_inf",
+            "manual_minus_inf"])
+    def test_non_finite_c_is_config_error_before_the_spectral_step(self, monkeypatch, panel, bad):
+        monkeypatch.setattr(qselect, "sample_autocovariance", None)  # fails if reached
+        args = {"c_grid": np.arange(0, 10) / 10.0, **bad}
+        with pytest.raises(ConfigError, match="must be finite"):
+            stability_scan(panel, 3, subsample_sizes=[27], bw=(2, 2, 2), **args)
+
+    def test_memory_check_before_the_spectral_step(self, monkeypatch, panel):
+        monkeypatch.setattr(spectral, "_physical_memory_bytes", lambda: 4 * 2**20)
+        monkeypatch.setattr(qselect, "sample_autocovariance", None)  # fails if reached
+        # qhat and its temporaries for sizes (27, 30), scores for q = 0..3
+        need = 8 * 200_000 * (3 * 2 + 2 * 4)
+        with pytest.raises(ConfigError, match=f"200000 c_grid scales needs {need} bytes"):
+            stability_scan(panel, 3, np.arange(200_000) / 1e5, subsample_sizes=[27], bw=(2, 2, 2))

@@ -321,15 +321,22 @@ class TestRunMcStudy:
     def test_comparison_study(self):
         cfg = SimConfig(model="model_b", n=10, dims=(5, 5, 12), q=1, seed=43, n_reps=2)
         out = run_mc_study(cfg, "comparison", bw=(1, 1, 3))
-        assert "E1_gdfm" in out.metrics
+        assert list(out.metrics) == ["E1", "E2", "E1_gdfm", "E2_gdfm", "E1_interior",
+                                     "E2_interior", "E1_gdfm_interior", "E2_gdfm_interior"]
+        assert "region" not in out.settings
 
     def test_comparison_baseline_uses_temporal_bw_and_trunc(self):
         cfg = SimConfig(model="model_b", n=6, dims=(5, 5, 16), q=1, seed=45)
         out = run_mc_study(cfg, "comparison", bw=(2, 2, 7), trunc=(1, 1, 3))
         assert out.settings["bw"] == [2, 2, 7] and out.settings["trunc"] == [1, 1, 3]
         x, chi = simulate_field(cfg)
+        est = estimate_common_component(demean(x), 1, "ep", (2, 2, 7), (1, 1, 3))
         base = gdfm_baseline(demean(x), 1, "ep", 7, 3)
         assert out.metrics["E1_gdfm"][0] == error_metrics(base.chi, chi.values)[0]
+        # both interior columns score the spatio-temporal estimate's mask
+        assert out.metrics["E1_interior"][0] == error_metrics(est.chi, chi.values, est.mask)[0]
+        assert out.metrics["E1_gdfm_interior"][0] == error_metrics(base.chi, chi.values,
+                                                                   est.mask)[0]
 
     def test_failing_replication_names_itself(self):
         cfg = SimConfig(model="model_b", n=10, dims=(5, 5, 8), q=1, seed=44, n_reps=2)
@@ -353,8 +360,8 @@ class TestRunMcStudy:
         assert out.settings["q_max"] == 10
         assert run_mc_study(cfg, "accuracy", bw=(2, 2, 2)).settings["q_max"] is None
 
-    @pytest.mark.parametrize("study, region", [("accuracy", "all"), ("comparison", "interior")])
-    def test_empty_interior_fails_before_any_work(self, monkeypatch, study, region):
+    @pytest.mark.parametrize("study", ["accuracy", "comparison"])
+    def test_empty_interior_fails_before_any_work(self, monkeypatch, study):
         def no_work(*args, **kwargs):
             raise AssertionError("a replication started")
 
@@ -362,4 +369,4 @@ class TestRunMcStudy:
         # the default M = B = (2, 2, 2) leaves no interior point on 4 x 4 x 6
         cfg = SimConfig(model="model_b", n=4, dims=(4, 4, 6), q=1)
         with pytest.raises(ConfigError, match=r"dims \[4, 4, 6\] .* truncation \[2, 2, 2\]"):
-            run_mc_study(cfg, study, n_reps=1, region=region)
+            run_mc_study(cfg, study, n_reps=1)
