@@ -39,6 +39,7 @@ from .field import LatticeField, as_demeaned_field
 from .spectral import (
     FrequencyGrid,
     SpectralDensityEstimate,
+    _check_memory,
     estimate_spectral_density,
     sample_autocovariance,
     spectral_from_autocovariance,
@@ -200,6 +201,10 @@ def eigensystem_from_field(
         return eigendecompose_all(estimate_spectral_density(field, kernels, bw), q_keep)
     if q_keep > volume:
         raise ConfigError(f"q_keep={q_keep} exceeds the rank bound min(n, S1*S2*T)={volume}")
+    # the n-sized arrays: eigenvalues; rows, their norm's and phases' temporaries; x2d @ back, cast
+    half = FrequencyGrid(bw).half_count
+    _check_memory(f"the Gram route's rows for n={n}, dims={tuple(field.dims)}, q_keep={q_keep}",
+                  8 * n * (half + 6 * half * q_keep + 3 * volume))
     x2d = field.values.reshape(n, volume)
     coords, back = _principal_field(x2d, field.dims)
     if q_keep > coords.n:

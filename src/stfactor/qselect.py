@@ -183,9 +183,9 @@ def stability_scan(
     ``subsample_sizes`` defaults to n - 5j, j = 1..16 (clipped to stay
     above q_max + 2); the full size n is always included.  ``c_manual``
     bypasses interval detection and reads the estimate at the nearest
-    grid scale.  Runs shorter than :data:`MIN_RUN_FRACTION` of the grid
-    are ignored when choosing the second interval (the reported interval
-    list is unfiltered).
+    grid scale; it must lie between the grid's ends.  Runs shorter than
+    :data:`MIN_RUN_FRACTION` of the grid are ignored when choosing the
+    second interval (the reported interval list is unfiltered).
     """
     n = field.n
     q_max = DEFAULT_Q_MAX if q_max is None else q_max
@@ -202,6 +202,8 @@ def stability_scan(
         raise ConfigError("c_grid must be finite, non-negative and strictly increasing")
     if c_manual is not None and not np.isfinite(c_manual):
         raise ConfigError(f"c_manual={c_manual} must be finite")
+    if c_manual is not None and not c_grid[0] <= c_manual <= c_grid[-1]:
+        raise ConfigError(f"c_manual={c_manual} lies outside the c grid [{c_grid[0]}, {c_grid[-1]}]")
     kernels = resolve_kernels(kernels)
     bw = validate_bandwidths(bw, field.dims)
     if subsample_sizes is None:
@@ -220,8 +222,9 @@ def stability_scan(
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     perm = rng.permutation(n)
 
-    permuted = LatticeField(field.values[perm], demeaned=field.demeaned)
-    estimate = spectral_from_autocovariance(sample_autocovariance(permuted, bw), kernels)
+    # temporaries: the permuted copy is freed once the autocovariance returns, the lag box after the assembly
+    estimate = spectral_from_autocovariance(
+        sample_autocovariance(LatticeField(field.values[perm], demeaned=field.demeaned), bw), kernels)
     smoothness = tuple(k.smoothness for k in kernels)
 
     qhat = np.empty((n_c, n_j), dtype=np.int64)

@@ -352,8 +352,7 @@ def _comparison_rep(cfg, rep, q_fit, kernels, bw, trunc):
 
 
 def _selection_rep(cfg, rep, q_max, kernels, bw, c_grid, subsample_sizes):
-    x, _ = simulate_field(cfg, rep)
-    xd = demean(x)
+    xd = demean(simulate_field(cfg, rep)[0])  # the raw panel and the truth are not kept
     scan_seed = int(substream(cfg.seed, rep, "scan").integers(0, 2**63 - 1))
     scan = stability_scan(
         xd, q_max, c_grid, subsample_sizes=subsample_sizes,

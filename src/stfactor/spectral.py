@@ -32,6 +32,8 @@ on and above its diagonal and conjugated below it, so
 Sigma_hat(theta)^dagger == Sigma_hat(theta) holds exactly, with a real
 diagonal and a real zero-frequency matrix.  Every later layer reads
 only this half, weighting each point by :attr:`FrequencyGrid.pair_weights`.
+So is the lag box: Gamma_hat(-h) == Gamma_hat(h)^T, so only its non-negative
+half (G // 2 + 1 lags, zero first) is stored, and the assembly transposes it.
 
 The autocovariance rows (in column blocks of about 4 MiB) and the
 assembly's rows run on the row map of :mod:`_rowmap`, which makes each
@@ -221,15 +223,20 @@ _BLOCK_BYTES = 4 << 20  # one cross-spectrum block: a cache-sized share of the p
 
 @dataclass(frozen=True)
 class AutocovarianceSet:
-    """Sample autocovariance matrices on the lag window |h_d| <= B_d.
+    """Sample autocovariance matrices on the non-negative half of the lag window |h_d| <= B_d.
 
-    ``gammas`` is (L, n, n) in C order over (h1 + B1, h2 + B2, h3 + B3);
-    the reversal Gamma(-h) = Gamma(h)^T holds exactly by construction
-    (negative-half lags are mirror-filled transposes).
+    ``gammas`` is (grid.half_count, n, n): the lags of the window in C
+    order over (h1 + B1, h2 + B2, h3 + B3) from the zero lag on, the
+    zero lag first.  The other half is the transposes,
+    Gamma(-h) = Gamma(h)^T, and is not stored.
     """
 
     window: tuple[int, int, int]
     gammas: np.ndarray
+
+    def __post_init__(self):
+        if self.gammas.shape[0] != (half := FrequencyGrid(self.window).half_count):
+            raise ConfigError(f"expected {half} half-box lags, got {self.gammas.shape[0]}")
 
 
 def _next_fast_len(target: int) -> int:
@@ -269,13 +276,13 @@ def _autocov_layout(n: int, dims, window):
 
 def _spectral_step_bytes(n: int, dims, window) -> int:
     """Bytes held at once by the spectral step, from the shapes alone: the real autocovariances
-    on the lag box, the complex half-grid estimate, the complex padded half-spectrum of the
+    on the half lag box, the complex half-grid estimate, the complex padded half-spectrum of the
     field, and each row worker's scratch (one conjugated series and the four block arrays) and
     numpy's iterator buffers for a strided complex ufunc (at most one per operand)."""
     grid = FrequencyGrid(tuple(window))
     _, width, sizes, cost = _autocov_layout(n, dims, window)
     worker = sizes[0] + width * sum(sizes) + 3 * np.getbufsize()
-    return (n * n * (grid.size * 8 + grid.half_count * 16) + sizes[0] * n * 16
+    return (n * n * grid.half_count * 24 + sizes[0] * n * 16
             + _rowmap.map_workers(n, cost) * worker * 16)
 
 
@@ -295,7 +302,8 @@ def _autocov_fft(values: np.ndarray, window) -> np.ndarray:
     e1, e2, e3 = (np.exp(2j * np.pi * np.outer(np.arange(-b, b + 1), np.arange(k)) / p)
                   for b, k, p in zip(window, (pad[0], pad[1], len(k3)), pad))
     e3 = e3 * np.where((k3 == 0) | (2 * k3 == pad[2]), 1.0, 2.0) / (values[0].size * math.prod(pad))
-    out = np.empty((grid.size, n, n))
+    half = grid.half_count
+    out = np.empty((half, n, n))
 
     def rows(lo, hi, conj, *scratch):
         for i in range(lo, hi):
@@ -308,13 +316,12 @@ def _autocov_fft(values: np.ndarray, window) -> np.ndarray:
                 np.matmul(e1, cross.reshape(pad[0], -1), out=y1.reshape(len(e1), -1))
                 np.matmul(e2, y1.reshape(len(e1), pad[1], -1), out=y2.reshape(len(e1), len(e2), -1))
                 np.matmul(e3, y2.reshape(-1, len(k3), w), out=y3.reshape(-1, len(e3), w))
-                out[:, j:j + w, i] = box = y3.real.reshape(grid.size, w)
-                out[:, i, j:j + w] = box[::-1]
+                box = y3.real.reshape(grid.size, w)
+                out[:, i, j:j + w] = box[half - 1::-1]  # Gamma_ij first: the diagonal keeps Gamma_ii(h)
+                out[:, j:j + w, i] = box[half - 1:]
 
     lengths = (sizes[0], *(s * width for s in sizes))  # per worker: a conjugated series, the blocks
     _rowmap._map_rows(rows, n - np.arange(n), cost, lambda: [np.empty(k, complex) for k in lengths])
-    # the zero lag is symmetric as written; mirror-fill the negative half with transposes
-    out[grid.zero_index + 1:] = out[:grid.zero_index][::-1].transpose(0, 2, 1)
     del spec  # glibc keeps the freed pages resident unless trimmed
     if cost >= _rowmap._POOL_MIN_COST and hasattr(libc := ctypes.CDLL(None), "malloc_trim"):
         libc.malloc_trim(ctypes.c_size_t(0))
@@ -329,7 +336,8 @@ def sample_autocovariance(field: LatticeField, window) -> AutocovarianceSet:
     range; the divisor is always the full lattice size (triangular /
     biased normalization).  Lags with empty overlap are exactly zero.
     Computed from zero-padded FFTs (cross-spectra inverted onto the lag
-    box only); the reversal invariant is exact.  Raises ConfigError
+    box only) and stored on the box's non-negative half, zero lag first
+    (see :class:`AutocovarianceSet`).  Raises ConfigError
     before allocating when the spectral step (these autocovariances,
     the half-grid estimate assembled from them and the padded FFT)
     would not fit in physical memory.
@@ -411,7 +419,9 @@ def spectral_from_autocovariance(autocov: AutocovarianceSet, kernels) -> Spectra
         for i in range(lo, hi):
             cols = n - i
             block = lags[:grid.size * cols].reshape(grid.size, cols)
-            np.multiply(autocov.gammas[:, i, i:], w[:, None], out=block.real)  # no cast buffer
+            # Gamma_ij(-h) = Gamma_ji(h): the negative lags are column i of the half, reversed
+            np.multiply(autocov.gammas[:0:-1, i:, i], w[:half - 1, None], out=block.real[:half - 1])
+            np.multiply(autocov.gammas[:, i, i:], w[half - 1:, None], out=block.real[half - 1:])
             block.imag = 0.0
             out = np.matmul(e1, block.reshape(s1, -1), out=prod[:block.size // s1 * r1].reshape(r1, -1))
             out = np.matmul(e2, out.reshape(r1, s2, -1), out=lags[:out.size].reshape(r1, s2, -1))

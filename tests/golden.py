@@ -1,7 +1,8 @@
 """A checked-in record of the pipeline's numbers on tiny simulated panels.
 
 Each case of ``rowmap.npz`` is one ``simulate_field`` panel run through the
-layers on the row map: the sample autocovariances, the half-grid spectral
+layers on the row map: the sample autocovariances (the whole lag box, rebuilt
+from the stored half by ``oracles.full_box``), the half-grid spectral
 matrices, the eigenvalues and phase-fixed eigenvector rows, chi with its mask,
 and the stacked baseline's chi (the Gram route).  ``studies.npz`` holds the
 per-replication metrics of the three Monte Carlo studies (the comparison's
@@ -35,6 +36,7 @@ from stfactor.commoncomp import estimate_common_component
 from stfactor.dynpca import eigendecompose_all
 from stfactor.simlab import gdfm_baseline, run_mc_study
 from stfactor.spectral import sample_autocovariance, spectral_from_autocovariance
+from oracles import full_box
 
 PATH = Path(__file__).with_name("golden") / "rowmap.npz"
 STUDIES_PATH = PATH.with_name("studies.npz")
@@ -44,6 +46,8 @@ CASES = {
     "model_b": (SimConfig("model_b", n=6, dims=(5, 5, 6), q=2, seed=11), (1, 1, 1)),
     "model_a": (SimConfig("model_a", n=5, dims=(4, 5, 8), q=1, idio="correlated", seed=12, r_a=3),
                 (1, 1, 2)),
+    "q0": (SimConfig("model_b", n=4, dims=(4, 4, 6), q=0, seed=13), (1, 1, 1)),
+    "q3": (SimConfig("model_b", n=7, dims=(4, 5, 6), q=3, seed=14), (1, 1, 2)),
 }
 
 
@@ -61,7 +65,7 @@ def compute(cfg: SimConfig, bw) -> dict[str, np.ndarray]:
     system = eigendecompose_all(spectral, cfg.q)
     est = estimate_common_component(field, cfg.q, "epanechnikov", bw)
     return {
-        "gammas": autocov.gammas, "matrices": spectral.matrices,
+        "gammas": full_box(autocov), "matrices": spectral.matrices,
         "eigenvalues": system.eigenvalues, "rows": system.eigenvectors,
         "chi": est.chi, "mask": est.mask,
         "gdfm_chi": gdfm_baseline(field, cfg.q, "epanechnikov").chi,

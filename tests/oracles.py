@@ -54,13 +54,19 @@ def mirror(half):
     return np.concatenate([half, np.conj(half[-2::-1])])
 
 
+def full_box(autocov):
+    """(G, n, n) autocovariances on the whole lag box, in C order over (h1 + B1, h2 + B2, h3 + B3):
+    the negative lags as the stored half reversed and transposed, Gamma(-h) = Gamma(h)^T, then the half."""
+    return np.concatenate([autocov.gammas[:0:-1].transpose(0, 2, 1), autocov.gammas])
+
+
 def gamma(autocov, h):
     """Gamma_hat(h) for one lag triple of an AutocovarianceSet."""
     if any(abs(c) > b for c, b in zip(h, autocov.window)):
         raise ConfigError(f"lag {tuple(h)} outside window {autocov.window}")
     lag = np.ravel_multi_index([c + b for c, b in zip(h, autocov.window)],
                                [2 * b + 1 for b in autocov.window])
-    return autocov.gammas[lag]
+    return full_box(autocov)[lag]
 
 
 def subfield(field, m):
@@ -177,14 +183,15 @@ def separable_convolution_reference(loadings, weights, shocks, dims):
 def spectral_full_reference(autocov, kernels):
     """(G, n, n) spectral matrices, every grid point transformed and symmetrized."""
     grid = FrequencyGrid(autocov.window)
-    n = autocov.gammas.shape[1]
+    gammas = full_box(autocov)
+    n = gammas.shape[1]
     w = kernel_lag_weights(resolve_kernels(kernels), autocov.window)
     s1, s2, s3 = grid.shape
     e1, e2, e3 = (np.exp(-1j * np.outer(grid.axis_frequencies(d), grid.axis_offsets(d)))
                   for d in range(3))
     mats = np.empty((grid.size, n, n), dtype=complex)
     for i in range(n):
-        out = (e1 @ (autocov.gammas[:, i] * w[:, None]).reshape(s1, -1)).reshape(s1, s2, -1)
+        out = (e1 @ (gammas[:, i] * w[:, None]).reshape(s1, -1)).reshape(s1, s2, -1)
         out = (e2 @ out).reshape(s1 * s2, s3, -1)
         mats[:, i] = (e3 @ out).reshape(grid.size, n)
     for i in range(n):

@@ -25,7 +25,7 @@ from stfactor import (
     stability_scan,
     store_field,
 )
-from stfactor import _rowmap, cli, spectral
+from stfactor import _rowmap, cli, dynpca, spectral
 from stfactor.cli import main
 from conftest import random_field
 
@@ -825,3 +825,34 @@ def test_non_finite_or_non_numeric_flag_exits_2(tmp_path, capsys, tiny_panel, co
             assert status == 2, argv
             assert "Traceback" not in err, argv
             assert flag in err or action.dest in err, (argv, err)
+
+
+@pytest.mark.parametrize("value", ["-5", "1e9"])
+def test_c_manual_outside_the_grid_exits_2(tmp_path, capsys, tiny_panel, value):
+    # the default grid is 0:0.0005:3; a scale outside it used to read the nearest end
+    argv = _argv("select-q", tiny_panel, "--c-manual", value) + ["--output", f"{tmp_path}/out"]
+    assert exit_status(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"c_manual={float(value)} lies outside the c grid [0.0, 3.0]" in err
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["compare-gdfm", "--n", "6", "--dims", "5,5,6", "--reps", "1", "--bw", "1,1,1"],
+    ["eigengap", "--input", "{x}", "--gdfm", "--m-values", "300", "--bw", "1,1,1"],
+], ids=["compare_gdfm", "eigengap_gdfm"])
+def test_gram_route_short_of_memory_exits_2(tmp_path, capsys, monkeypatch, tiny_panel, command):
+    # one byte short of the Gram route's rows; the comparison's panel estimate and stacked filter
+    # need more, so it stops at an earlier check, the stacked curve at the Gram route's own
+    argv = [a.format(x=tiny_panel) for a in command] + ["--output", f"{tmp_path}/out"]
+    needs = []
+    check = dynpca._check_memory
+    monkeypatch.setattr(dynpca, "_check_memory", lambda step, need: needs.append(need) or check(step, need))
+    assert main(argv) == 0
+    monkeypatch.setattr(spectral, "_physical_memory_bytes", lambda: needs[0] - 1)
+    capsys.readouterr()
+    assert exit_status(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "bytes of physical memory" in err
+    assert ("Gram route's rows for n=300" in err) == (command[0] == "eigengap")

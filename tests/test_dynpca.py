@@ -1,6 +1,7 @@
 import multiprocessing
 import sys
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -232,6 +233,39 @@ class TestGramRoute:
             eigensystem_from_field(field, "bartlett", (1, 1, 1), q_keep=3)
         with pytest.raises(NumericError, match="degenerate eigenvector in Gram route"):
             estimate_common_component(field, 3, "bartlett", (1, 1, 1), (1, 1, 1))
+
+    @pytest.mark.parametrize("q_keep", [0, 2, 5])
+    def test_traced_rows_within_the_checked_bound(self, monkeypatch, q_keep):
+        # a stacked shape: 600 series on a (1, 1, 10) lattice, traced from the small eigensystem
+        # on, so that only the n-sized arrays count
+        field = random_field((600, 1, 1, 10), seed=36)
+        eigensystem_from_field(field, "ep", (0, 0, 3), q_keep)  # numpy's lazy set-up
+        needs, marks = [], {}
+        decompose = dynpca.eigendecompose_all
+
+        def traced_from_here(*args):
+            system = decompose(*args)
+            tracemalloc.reset_peak()
+            marks["base"] = tracemalloc.get_traced_memory()[0]
+            return system
+
+        monkeypatch.setattr(dynpca, "_check_memory", lambda step, need: needs.append(need))
+        monkeypatch.setattr(dynpca, "eigendecompose_all", traced_from_here)
+        tracemalloc.start()
+        try:
+            eigensystem_from_field(field, "ep", (0, 0, 3), q_keep)
+            peak = tracemalloc.get_traced_memory()[1] - marks["base"]
+        finally:
+            tracemalloc.stop()
+        assert len(needs) == 1 and peak <= needs[0]
+
+    def test_memory_check_before_the_principal_field(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_physical_memory_bytes", lambda: 64 * 1024)
+        monkeypatch.setattr(dynpca, "_principal_field", None)  # fails if reached
+        need = 8 * 600 * (4 + 6 * 4 * 2 + 3 * 10)  # eigenvalues, rows and temporaries, x2d @ back
+        with pytest.raises(ConfigError, match=rf"Gram route's rows for n=600, dims=\(1, 1, 10\), "
+                                              rf"q_keep=2 needs {need} bytes"):
+            eigensystem_from_field(random_field((600, 1, 1, 10), seed=36), "ep", (0, 0, 3), 2)
 
     def test_zero_panel(self):
         field = LatticeField(np.zeros((12, 2, 2, 2)), demeaned=True)

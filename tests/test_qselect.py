@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -236,6 +238,33 @@ class TestStabilityScan:
         args = {"c_grid": np.arange(0, 10) / 10.0, **bad}
         with pytest.raises(ConfigError, match="must be finite"):
             stability_scan(panel, 3, subsample_sizes=[27], bw=(2, 2, 2), **args)
+
+    @pytest.mark.parametrize("c_manual", [-5.0, -1e-9, 0.9 + 1e-9, 1e9])
+    def test_c_manual_outside_the_grid_is_config_error_before_the_spectral_step(
+            self, monkeypatch, panel, c_manual):
+        monkeypatch.setattr(qselect, "sample_autocovariance", None)  # fails if reached
+        with pytest.raises(ConfigError, match=rf"c_manual={c_manual} lies outside the c grid \[0.0, 0.9\]"):
+            stability_scan(panel, 3, np.arange(0, 10) / 10.0, subsample_sizes=[27], bw=(2, 2, 2),
+                           c_manual=c_manual)
+
+    def test_traced_peak_within_the_spectral_step_and_one_panel(self):
+        # n large against the lattice: the whole lag box beside the estimate would not fit
+        n, dims, bw = 80, (3, 3, 5), (2, 2, 2)
+        field = random_field((n, *dims), seed=49)
+        grid = FrequencyGrid(bw)
+        need = spectral._spectral_step_bytes(n, dims, bw) + field.values.nbytes
+        assert n * n * (grid.size * 8 + grid.half_count * 16) > need
+        args = (field, 3, np.arange(0, 101) / 50.0)
+        kwargs = {"subsample_sizes": [70], "bw": bw}
+        stability_scan(*args, **kwargs)  # numpy's lazy set-up
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            stability_scan(*args, **kwargs)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= need
 
     def test_memory_check_before_the_spectral_step(self, monkeypatch, panel):
         monkeypatch.setattr(spectral, "_physical_memory_bytes", lambda: 4 * 2**20)

@@ -26,7 +26,7 @@ from stfactor import _rowmap, spectral
 from stfactor.cli import main
 from stfactor.spectral import spectral_from_autocovariance, validate_bandwidths
 from conftest import random_field
-from oracles import gamma, mirror, spectral_full_reference
+from oracles import full_box, gamma, mirror, spectral_full_reference
 
 
 class TestKernels:
@@ -180,12 +180,10 @@ class TestAutocovariance:
         field = random_field((4, 6, 5, 7), seed=6)
         direct = direct_autocovariance(field.values, (2, 2, 3))
         fft = sample_autocovariance(field, (2, 2, 3))
+        assert fft.gammas.shape == (FrequencyGrid((2, 2, 3)).half_count, 4, 4)  # the non-negative half
         scale = np.abs(direct).max()
-        assert np.max(np.abs(direct - fft.gammas)) < 1e-12 * scale
-        half = len(fft.gammas) // 2
-        np.testing.assert_array_equal(
-            fft.gammas[: half + 1][::-1].transpose(0, 2, 1), fft.gammas[half:]
-        )
+        assert np.max(np.abs(direct - full_box(fft))) < 1e-12 * scale
+        np.testing.assert_array_equal(fft.gammas[0], fft.gammas[0].T)  # the zero lag, as written
 
     @pytest.mark.parametrize("dims, window", [
         ((5, 4, 20), (2, 1, 4)),  # odd padded last axis: no Nyquist bin
@@ -197,7 +195,7 @@ class TestAutocovariance:
         direct = direct_autocovariance(field.values, window)
         fft = sample_autocovariance(field, window)
         scale = np.abs(direct).max()
-        assert np.max(np.abs(direct - fft.gammas)) < 1e-12 * scale
+        assert np.max(np.abs(direct - full_box(fft))) < 1e-12 * scale
 
 
 def brute_force_spectral(values, kernels, bw, theta):
@@ -219,6 +217,11 @@ def brute_force_spectral(values, kernels, bw, theta):
 
 
 class TestSpectralDensity:
+    def test_autocovariance_set_rejects_the_whole_lag_box(self):
+        ac = sample_autocovariance(random_field((3, 4, 4, 5), seed=15), (1, 1, 2))
+        with pytest.raises(ConfigError, match=f"expected {FrequencyGrid((1, 1, 2)).half_count} half-box"):
+            stfactor.AutocovarianceSet(ac.window, full_box(ac))
+
     @pytest.mark.parametrize("kind", ["epanechnikov", "bartlett", "truncated"])
     def test_equals_direct_double_sum(self, kind):
         field = random_field((3, 5, 4, 6), seed=7)
@@ -361,6 +364,20 @@ class TestMemoryBound:
         # the estimate keeps its matrices and nothing grid-sized besides
         assert held - base <= 1.05 * est.matrices.nbytes
 
+    def test_autocovariance_holds_the_half_lag_box(self):
+        n, bw = 30, (2, 2, 3)
+        field = random_field((n, 6, 6, 8), seed=19)
+        sample_autocovariance(field, bw)  # numpy's FFT modules load on first use
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            ac = sample_autocovariance(field, bw)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert held <= 1.05 * n * n * FrequencyGrid(bw).half_count * 8
+        assert ac.gammas.nbytes == n * n * FrequencyGrid(bw).half_count * 8
+
 
     # a lattice large against n: the padded spectrum is most of the step.  On the first two
     # the peak is the row loop's ufunc buffers; on the third, rfftn's second padded array
@@ -421,7 +438,7 @@ class TestBlockedRows:
         force_blocks(monkeypatch, n, dims, window, width)
         field = random_field((n, *dims), seed=8)
         direct = direct_autocovariance(field.values, window)
-        fft = sample_autocovariance(field, window).gammas
+        fft = full_box(sample_autocovariance(field, window))
         assert np.max(np.abs(direct - fft)) < 1e-12 * np.abs(direct).max()
         assert np.array_equal(fft[::-1], fft.transpose(0, 2, 1))  # Gamma(-h) = Gamma(h)^T
 
