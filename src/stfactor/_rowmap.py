@@ -33,13 +33,13 @@ _pin = [0, 0]  # threads inside the map, BLAS thread count to restore
 
 
 def _pin_blas(step: int) -> None:
-    """+1 entering the map, -1 leaving: BLAS runs one thread while any caller is inside."""
+    """+1 entering, -1 leaving: the first caller in sets BLAS to one thread, the last out restores it."""
     controls = _blas_thread_controls()
     with _PIN_LOCK:
         if controls and _pin[0] == 0:
             _pin[1] = controls[0]()
         _pin[0] += step
-        if controls:
+        if controls and _pin[0] == (step > 0):  # 1 after entering, 0 after leaving
             controls[1](1 if _pin[0] else _pin[1])
 
 

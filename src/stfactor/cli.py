@@ -35,7 +35,6 @@ from .dynpca import eigenvalue_curve_by_size
 from .commoncomp import estimate_common_component
 from .qselect import NoSecondIntervalError, stability_scan
 from .simlab import SimConfig, run_mc_study, simulate_field
-from ._rowmap import blas_pinned
 
 
 def _parse_ints(text: str | None, flag: str, count: int | None = 3) -> tuple[int, ...] | None:
@@ -262,8 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--trunc", default=None, help="truncations M1,M2,M3")
     add_common(p)
-    # analyses hold BLAS at one thread (see blas_pinned); simulate's GEMMs gain from its threads
-    p.set_defaults(func=blas_pinned()(cmd_estimate))
+    p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("select-q", help="stability scan for the factor count")
     p.add_argument("--input", required=True)
@@ -274,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c-manual", type=float, default=None, dest="c_manual")
     p.add_argument("--seed", type=int, default=0)
     add_common(p)
-    p.set_defaults(func=blas_pinned()(cmd_select_q))
+    p.set_defaults(func=cmd_select_q)
 
     p = sub.add_parser("eigengap", help="averaged eigenvalues vs panel size")
     p.add_argument("--input", required=True)
@@ -284,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="eigenvalues per size (default: 10, at most the smallest size)")
     p.add_argument("--gdfm", action="store_true", help="stacked purely-temporal variant")
     add_common(p)
-    p.set_defaults(func=blas_pinned()(cmd_eigengap))
+    p.set_defaults(func=cmd_eigengap)
 
     for name, study_default in (("mc-study", None), ("compare-gdfm", "comparison")):
         p = sub.add_parser(name, help="Monte Carlo reproduction study")

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rowmap import _map_rows, map_workers
+from ._rowmap import _map_rows, blas_pinned, map_workers
 from .errors import ConfigError
 from .field import LatticeField
 from .dynpca import DynamicEigenSystem, eigensystem_from_field
@@ -186,6 +186,7 @@ class CommonComponentEstimate:
     settings: dict
 
 
+@blas_pinned()
 def estimate_common_component(
     field: LatticeField, q: int, kernels="epanechnikov", bw=None, trunc=None
 ) -> CommonComponentEstimate:

@@ -22,9 +22,11 @@ matrices; see :func:`eigensystem_from_field`, which picks the route by
 shape.  Eigenvalue curves need top_k >= 1.
 The solves run on the row map of :mod:`_rowmap`, one half-grid chunk per
 usable core with BLAS at one thread, so each matrix gets the same LAPACK
-call, and the same bits, whatever the core count.  A worker decomposes
-its chunk about 1 MiB of eigenvectors at a time: glibc keeps a worker
-thread's freed heap resident, so its transients are kept small.
+call, and the same bits, whatever the core count.  A worker builds its
+chunk's complex matrices from the packed estimate about 1 MiB at a time,
+in a buffer made by the calling thread (glibc keeps a worker thread's
+freed heap resident), and LAPACK reads their lower triangles.  The public
+entries hold BLAS at one thread for their whole call.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rowmap import _map_rows
+from ._rowmap import _map_rows, blas_pinned
 from .errors import ConfigError, NumericError
 from .field import LatticeField, as_demeaned_field
 from .spectral import (
@@ -62,7 +64,7 @@ class DynamicEigenSystem:
     ``eigenvectors`` is (grid.half_count, q_keep, n) whose rows
     p_j(theta) are unit norm and satisfy p_j(theta) Sigma(theta) =
     lambda_j(theta) p_j(theta).  Both are in grid order with the zero
-    frequency last, like ``SpectralDensityEstimate.matrices``.
+    frequency last, like ``SpectralDensityEstimate.packed``.
     ``eigen_workers`` threads solved the eigenproblems.
     """
 
@@ -100,6 +102,7 @@ def _fix_phases(rows: np.ndarray) -> np.ndarray:
 
 
 _EIGH_BATCH_BYTES = 1 << 20
+_GIL_ROWS = 500  # numpy's gufuncs keep the GIL over a call of at most this many matrix rows
 
 
 def _solve_rows(solve, vals: np.ndarray, lo: int, hi: int) -> None:
@@ -116,18 +119,27 @@ def _solve_rows(solve, vals: np.ndarray, lo: int, hi: int) -> None:
         raise NumericError(f"eigendecomposition failed at grid index {lo + int(np.argmax(bad))}")
 
 
-def _map_half_grid(solve, shape, step=None):
-    """Eigenvalues ``shape`` = (half, m) from solve(lo, hi) on the row map, and its worker count;
-    each worker calls solve on at most ``step`` matrices at a time."""
-    vals = np.empty(shape)
-    cost = shape[0] * shape[1]**3  # eigensolves of m x m matrices
-    step = step or shape[0]
+def _map_half_grid(solve, packed, sizes):
+    """Per size m, eigenvalues (half, m) from solve(matrices, lo, hi) on the leading m x m blocks,
+    and the worker count, in one row map.  Each worker builds complex matrices from ``packed``,
+    about _EIGH_BATCH_BYTES but over _GIL_ROWS rows at a time, exact in the lower triangle that
+    LAPACK reads (the upper one holds the packing's other half)."""
+    half = len(packed)
+    vals = [np.empty((half, m)) for m in sizes]
+    steps = [max(_EIGH_BATCH_BYTES // (16 * m * m), _GIL_ROWS // m + 1) for m in sizes]
 
-    def rows(lo, hi):
-        for start in range(lo, hi, step):
-            _solve_rows(solve, vals, start, min(start + step, hi))
+    def rows(lo, hi, buffer):
+        for m, step, out in zip(sizes, steps, vals):
+            for start in range(lo, hi, step):
+                block = packed[start:min(start + step, hi), :m, :m]
+                batch = buffer[:block.size].reshape(block.shape)
+                batch.real, batch.imag = block, block.transpose(0, 2, 1)
+                _solve_rows(lambda a, b: solve(batch[a - start:b - start], a, b), out,
+                            start, start + len(block))
 
-    return vals, _map_rows(rows, np.ones(shape[0]), cost)
+    scratch = max(min(step, half) * m * m for m, step in zip(sizes, steps))
+    return vals, _map_rows(rows, np.ones(half), half * sum(m**3 for m in sizes),  # m x m eigensolves
+                           lambda: [np.empty(scratch, complex)])
 
 
 def eigendecompose_all(estimate: SpectralDensityEstimate, q_keep: int) -> DynamicEigenSystem:
@@ -137,20 +149,19 @@ def eigendecompose_all(estimate: SpectralDensityEstimate, q_keep: int) -> Dynami
     kept for the top ``q_keep`` only.  The zero frequency, last, is
     decomposed in real arithmetic so its rows are exactly real.
     """
-    mats, n = estimate.matrices, estimate.n
+    packed, n = estimate.packed, estimate.n
     if not 0 <= q_keep <= n:
         raise ConfigError(f"q_keep={q_keep} out of range 0..{n}")
-    rows = np.empty((len(mats), q_keep, n), dtype=mats.dtype)
+    rows = np.empty((len(packed), q_keep, n), dtype=complex)
 
-    def solve(lo, hi):
-        w, v = np.linalg.eigh(mats[lo:hi])
-        if hi == len(mats):
-            w[-1], v[-1] = np.linalg.eigh(mats[-1].real)
+    def solve(mats, lo, hi):
+        w, v = np.linalg.eigh(mats)
+        if hi == len(packed):
+            w[-1], v[-1] = np.linalg.eigh(packed[-1])
         np.conj(v[:, :, ::-1][:, :, :q_keep].transpose(0, 2, 1), out=rows[lo:hi])
         return w[:, ::-1]
 
-    # eigenvectors of about 1 MiB a call: a worker thread's freed heap stays resident
-    vals, workers = _map_half_grid(solve, mats.shape[:2], max(1, _EIGH_BATCH_BYTES // (16 * n * n)))
+    (vals,), workers = _map_half_grid(solve, packed, [n])
     return DynamicEigenSystem(estimate.grid, vals, _fix_phases(rows), q_keep, workers)
 
 
@@ -181,6 +192,7 @@ def _principal_field(x2d: np.ndarray, dims):
     return as_demeaned_field(coords), gvecs[:, pos] / scale
 
 
+@blas_pinned()
 def eigensystem_from_field(
     field: LatticeField, kernels="epanechnikov", bw=None, q_keep: int = 0
 ) -> DynamicEigenSystem:
@@ -226,6 +238,7 @@ def eigensystem_from_field(
 # ---------------------------------------------------------------------------
 
 
+@blas_pinned()
 def eigenvalue_curve_by_size(
     field: LatticeField, m_values, top_k: int, kernels="epanechnikov", bw=None
 ) -> np.ndarray:
@@ -254,13 +267,11 @@ def eigenvalue_curve_by_size(
             out[r] = eigensystem_from_field(sub, kernels, bw).eigenvalue_means()[:top_k]
         return out
     estimate = estimate_spectral_density(field, kernels, bw)
-    for r, m in enumerate(m_values):
-        out[r] = weighted_submatrix_eigenvalues(estimate, m)[:, :top_k].sum(axis=0)
-    return out
+    return np.array([v[:, :top_k].sum(axis=0) for v in weighted_submatrix_eigenvalues(estimate, m_values)])
 
 
-def weighted_submatrix_eigenvalues(estimate: SpectralDensityEstimate, m: int) -> np.ndarray:
-    """Descending eigenvalues of the leading m x m submatrices, weighted for grid means.
+def weighted_submatrix_eigenvalues(estimate: SpectralDensityEstimate, sizes) -> list[np.ndarray]:
+    """Per size m, descending eigenvalues of the leading m x m submatrices, weighted for grid means.
 
     Row g holds the eigenvalues at stored half-grid point g times its
     pair weight over the grid size, so a column sum is the full-grid
@@ -268,8 +279,7 @@ def weighted_submatrix_eigenvalues(estimate: SpectralDensityEstimate, m: int) ->
     clamping the weighted values at zero clamps the eigenvalues.
     """
     grid = estimate.grid
-    mats = estimate.matrices
-    vals, _ = _map_half_grid(lambda lo, hi: np.linalg.eigvalsh(mats[lo:hi, :m, :m])[:, ::-1],
-                             (grid.half_count, m))
-    return vals * (grid.pair_weights / grid.size)[:, None]
+    vals, _ = _map_half_grid(lambda mats, lo, hi: np.linalg.eigvalsh(mats)[:, ::-1],
+                             estimate.packed, [int(m) for m in sizes])
+    return [v * (grid.pair_weights / grid.size)[:, None] for v in vals]
 

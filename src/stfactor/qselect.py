@@ -33,7 +33,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from ._rowmap import map_workers
+from ._rowmap import blas_pinned, map_workers
 from .dynpca import weighted_submatrix_eigenvalues
 from .errors import ConfigError, NumericError
 from .field import LatticeField
@@ -157,6 +157,7 @@ def _stable_runs(qhat_table: np.ndarray, q_full: np.ndarray):
     return runs
 
 
+@blas_pinned()
 def stability_scan(
     field: LatticeField,
     q_max: int | None = None,
@@ -228,8 +229,8 @@ def stability_scan(
     smoothness = tuple(k.smoothness for k in kernels)
 
     qhat = np.empty((n_c, n_j), dtype=np.int64)
-    for j, m in enumerate(sizes):
-        means = np.maximum(weighted_submatrix_eigenvalues(estimate, m), 0.0).sum(axis=0)
+    for j, (m, weighted) in enumerate(zip(sizes, weighted_submatrix_eigenvalues(estimate, sizes))):
+        means = np.maximum(weighted, 0.0).sum(axis=0)
         pen = penalty_value(m, field.dims, bw, smoothness)
         tails = _tail_means(means, q_max)
         if np.any(tails <= 0.0):

@@ -42,6 +42,7 @@ on execution order or thread count.
 from __future__ import annotations
 
 import itertools
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -63,7 +64,7 @@ from .commoncomp import (
     validate_truncation,
 )
 from .qselect import DEFAULT_Q_MAX, stability_scan
-from .spectral import resolve_kernels, validate_bandwidths
+from .spectral import _check_memory, resolve_kernels, validate_bandwidths
 
 __all__ = [
     "SimConfig",
@@ -131,6 +132,13 @@ class SimConfig:
 _CONV_BUDGET_BYTES = 16 * 2**20
 
 
+def _conv_block(dims, padded):
+    """Filters per block of _convolve_separable and one filter's scratch floats (held at most twice)."""
+    (s1, s2, t), (p1, p2, p3) = dims, padded
+    per_filter = s1 * p2 * p3 + s1 * p1 + s2 * p2 + t * p3
+    return max(1, _CONV_BUDGET_BYTES // (8 * per_filter)), per_filter
+
+
 def _convolve_separable(shock: np.ndarray, weights, out: np.ndarray) -> None:
     """Add k separable lag filters of one padded shock field into ``out``.
 
@@ -149,7 +157,7 @@ def _convolve_separable(shock: np.ndarray, weights, out: np.ndarray) -> None:
         kappa = np.arange(s)[:, None] + (p - s) // 2 - np.arange(p)
         cols.append(np.where(np.abs(kappa) <= radius, kappa + radius, 2 * radius + 1))
         padded.append(np.pad(w, ((0, 0), (0, 1))))
-    block = max(1, _CONV_BUDGET_BYTES // (8 * (s1 * p2 * p3 + s1 * p1 + s2 * p2 + t * p3)))
+    block = _conv_block(out.shape[1:], shock.shape)[0]
     flat = shock.reshape(p1, p2 * p3)
     for lo in range(0, k, block):
         m0, m1, m2 = (w[lo:lo + block, c] for w, c in zip(padded, cols))
@@ -203,11 +211,18 @@ def simulate_field(cfg: SimConfig, rep: int = 0):
     """Draw replication ``rep`` of the configured design; returns (x, chi_true).
 
     With q = 0 the loadings and shocks are empty, chi is zero and x is
-    the idiosyncratic draw itself.
+    the idiosyncratic draw itself.  Raises ConfigError before the first
+    draw when the design would not fit in physical memory.
     """
-    a = substream(cfg.seed, rep, "loadings_a").standard_normal((cfg.n, cfg.q))
     pad = cfg.r_a if cfg.model == "model_a" else 1
     padded = tuple(d + 2 * pad for d in cfg.dims)
+    # at once: the shocks, four panels (chi, a product or xi, x), the correlated draws, a block
+    block, per_filter = _conv_block(cfg.dims, padded)
+    draws = (cfg.n + 4) * math.prod(d + 2 for d in cfg.dims) if cfg.idio == "correlated" else 0
+    _check_memory(f"the {cfg.model} design with n={cfg.n}, dims={cfg.dims}, q={cfg.q}, idio={cfg.idio}",
+                  8 * (cfg.q * math.prod(padded) + 4 * cfg.n * math.prod(cfg.dims) + draws
+                       + 2 * min(block, cfg.n) * per_filter))
+    a = substream(cfg.seed, rep, "loadings_a").standard_normal((cfg.n, cfg.q))
     shocks = substream(cfg.seed, rep, "shocks").standard_normal((cfg.q,) + padded)
     if cfg.model == "model_a":
         b = substream(cfg.seed, rep, "decay_b").uniform(0.5, 0.8, size=(cfg.n, cfg.q))

@@ -27,11 +27,12 @@ grid mean of the estimate recovers Gamma_hat(0) identically.
 
 For a real field Sigma_hat(-theta) == conj(Sigma_hat(theta)), so only
 the non-redundant half of the grid (the first G // 2 + 1 points, zero
-frequency last) is computed and stored.  Each stored matrix is formed
-on and above its diagonal and conjugated below it, so
-Sigma_hat(theta)^dagger == Sigma_hat(theta) holds exactly, with a real
-diagonal and a real zero-frequency matrix.  Every later layer reads
-only this half, weighting each point by :attr:`FrequencyGrid.pair_weights`.
+frequency last) is computed and stored.  Each matrix is formed on and
+above its diagonal and stored Hermitian-packed in n^2 reals (see
+:class:`SpectralDensityEstimate`), so Sigma_hat(theta)^dagger ==
+Sigma_hat(theta) holds exactly, with a real diagonal and a real
+zero-frequency matrix.  Every later layer reads only this half,
+weighting each point by :attr:`FrequencyGrid.pair_weights`.
 So is the lag box: Gamma_hat(-h) == Gamma_hat(h)^T, so only its non-negative
 half (G // 2 + 1 lags, zero first) is stored, and the assembly transposes it.
 
@@ -276,13 +277,13 @@ def _autocov_layout(n: int, dims, window):
 
 def _spectral_step_bytes(n: int, dims, window) -> int:
     """Bytes held at once by the spectral step, from the shapes alone: the real autocovariances
-    on the half lag box, the complex half-grid estimate, the complex padded half-spectrum of the
+    on the half lag box, the packed half-grid estimate, the complex padded half-spectrum of the
     field, and each row worker's scratch (one conjugated series and the four block arrays) and
     numpy's iterator buffers for a strided complex ufunc (at most one per operand)."""
     grid = FrequencyGrid(tuple(window))
     _, width, sizes, cost = _autocov_layout(n, dims, window)
     worker = sizes[0] + width * sum(sizes) + 3 * np.getbufsize()
-    return (n * n * grid.half_count * 24 + sizes[0] * n * 16
+    return (n * n * grid.half_count * 16 + sizes[0] * n * 16
             + _rowmap.map_workers(n, cost) * worker * 16)
 
 
@@ -359,26 +360,34 @@ def sample_autocovariance(field: LatticeField, window) -> AutocovarianceSet:
 class SpectralDensityEstimate:
     """Kernel-smoothed spectral density matrices on the non-redundant half grid.
 
-    ``matrices`` is (grid.half_count, n, n) complex: the first half of
-    the grid in grid order, the zero frequency last.  The other half is
-    its conjugate, Sigma(-theta) = conj(Sigma(theta)), and is not
-    stored.  Stored matrices are exactly Hermitian, with a real
-    diagonal; the zero-frequency matrix is real.
+    ``packed`` is (grid.half_count, n, n) real: the first half of the
+    grid in grid order, the zero frequency last.  The other half is its
+    conjugate, Sigma(-theta) = conj(Sigma(theta)), and is not stored.
+    Each exactly Hermitian Sigma is packed in n^2 reals: real parts on
+    and below the diagonal, and above it packed[g, j, i] = Im Sigma_g[i, j]
+    for i > j (zero at the zero frequency), so leading blocks pack leading
+    submatrices.
     """
 
     grid: FrequencyGrid
-    matrices: np.ndarray
+    packed: np.ndarray
     kernels: tuple[Kernel, Kernel, Kernel]
 
     def __post_init__(self):
-        if self.matrices.shape[0] != self.grid.half_count:
+        if self.packed.shape[0] != self.grid.half_count:
             raise ConfigError(
-                f"expected {self.grid.half_count} half-grid matrices, got {self.matrices.shape[0]}"
+                f"expected {self.grid.half_count} half-grid matrices, got {self.packed.shape[0]}"
             )
 
     @property
     def n(self) -> int:
-        return self.matrices.shape[1]
+        return self.packed.shape[1]
+
+    @property
+    def matrices(self) -> np.ndarray:
+        """The (half_count, n, n) complex matrices, rebuilt from ``packed`` at every read."""
+        low, up = np.tril(self.packed), np.triu(self.packed, 1)
+        return low + np.triu(low.transpose(0, 2, 1), 1) + 1j * (up.transpose(0, 2, 1) - up)
 
 
 def kernel_lag_weights(kernels, window) -> np.ndarray:
@@ -411,11 +420,11 @@ def spectral_from_autocovariance(autocov: AutocovarianceSet, kernels) -> Spectra
     r1 = grid.bandwidths[0] + 1
     e1 = e1[:r1]
     half = grid.half_count
-    mats = np.empty((half, n, n), dtype=complex)
+    packed = np.empty((half, n, n))
     # cost: pairs x lags x axis lengths / 8, measured at about 10 ns a unit
     cost = n * (n + 1) // 2 * grid.size * sum(grid.shape) / 8
 
-    def rows(lo, hi, lags, prod):  # row i on and right of the diagonal, conjugated below
+    def rows(lo, hi, lags, prod):  # row i on and right of the diagonal, packed down column i
         for i in range(lo, hi):
             cols = n - i
             block = lags[:grid.size * cols].reshape(grid.size, cols)
@@ -427,14 +436,13 @@ def spectral_from_autocovariance(autocov: AutocovarianceSet, kernels) -> Spectra
             out = np.matmul(e2, out.reshape(r1, s2, -1), out=lags[:out.size].reshape(r1, s2, -1))
             out = np.matmul(e3, out.reshape(r1 * s2, s3, -1), out=prod[:out.size].reshape(r1 * s2, s3, -1))
             row = out.reshape(-1, cols)[:half]
-            mats[:, i, i:] = row
-            np.conjugate(row[:, 1:], out=mats[:, i + 1:, i])
-            mats[:, i, i].imag = 0.0
+            packed[:, i:, i] = row.real  # Sigma_ji = conj(Sigma_ij): Im Sigma_ji on row i
+            np.negative(row.imag[:, 1:], out=packed[:, i, i + 1:])
+            packed[-1, i, i + 1:] = 0.0  # zero frequency is a real matrix
 
     lengths = (grid.size * n, r1 * s2 * s3 * n)  # per worker: weighted lags, then each axis product
     _rowmap._map_rows(rows, n - np.arange(n), cost, lambda: [np.empty(k, complex) for k in lengths])
-    mats[-1].imag = 0.0  # zero frequency is a real matrix
-    return SpectralDensityEstimate(grid, mats, kernels)
+    return SpectralDensityEstimate(grid, packed, kernels)
 
 
 def estimate_spectral_density(

@@ -4,7 +4,9 @@ The library stores every per-frequency array (spectral matrices,
 eigenvalues, eigenvector rows) on the non-redundant half of the grid,
 zero frequency last.  ``mirror`` is the one place that rebuilds the
 whole grid, by conjugation, for the references below and for tests
-that compare against full-grid formulas.
+that compare against full-grid formulas.  The spectral estimate keeps
+each Hermitian matrix in n^2 reals; ``pack`` makes that packing from
+complex matrices, for tests that build an estimate by hand.
 
 The library filters in the frequency domain (project, then window).
 The filter functions below compute the same estimate as the paper
@@ -52,6 +54,13 @@ COEFF_IMAG_RTOL = 1e-9
 def mirror(half):
     """Whole-grid array from its half-grid first axis: the negated half by conjugation."""
     return np.concatenate([half, np.conj(half[-2::-1])])
+
+
+def pack(mats):
+    """The real (count, n, n) Hermitian packing of a stack of Hermitian matrices, as
+    ``SpectralDensityEstimate.packed`` stores it: real parts on and below the diagonal, and
+    above it the imaginary parts of the entries below."""
+    return np.tril(mats.real) + np.triu(mats.imag.transpose(0, 2, 1), 1)
 
 
 def full_box(autocov):

@@ -141,6 +141,12 @@ def test_only_eigensystem_from_field_enters_the_gram_route():
     assert scopes_where(calls_named("_principal_field")) == {"eigensystem_from_field"}
 
 
+def test_no_layer_reads_the_complex_spectral_matrices():
+    """``SpectralDensityEstimate.matrices`` rebuilds n^2 complex numbers a point for tests and tools:
+    the library reads the packed half grid only."""
+    assert scopes_where(lambda node: isinstance(node, ast.Attribute) and node.attr == "matrices") == set()
+
+
 def test_only_the_row_map_and_the_study_start_worker_threads():
     """The row map owns the worker policy; the study's replication pool is the one other."""
     assert scopes_where(calls_named("ThreadPoolExecutor")) == {"_map_rows", "run_mc_study"}

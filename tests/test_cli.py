@@ -25,7 +25,7 @@ from stfactor import (
     stability_scan,
     store_field,
 )
-from stfactor import _rowmap, cli, dynpca, spectral
+from stfactor import _rowmap, cli, commoncomp, dynpca, qselect, spectral
 from stfactor.cli import main
 from conftest import random_field
 
@@ -734,12 +734,15 @@ class TestBlasPin:
     def test_analyses_hold_one_blas_thread(self, tmp_path, monkeypatch):
         get, set_ = _rowmap._blas_thread_controls()
         entered = {}
-        for name in ("estimate_common_component", "stability_scan", "eigenvalue_curve_by_size"):
-            def spy(*args, _name=name, _call=getattr(cli, name), **kwargs):
-                entered[_name] = get()  # before the library's own row maps pin it
+        # each analysis entry's first step, before its row maps pin BLAS
+        for module, name in ((commoncomp, "eigensystem_from_field"),
+                             (qselect, "sample_autocovariance"),
+                             (dynpca, "estimate_spectral_density")):
+            def spy(*args, _name=name, _call=getattr(module, name), **kwargs):
+                entered[_name] = get()
                 return _call(*args, **kwargs)
 
-            monkeypatch.setattr(cli, name, spy)
+            monkeypatch.setattr(module, name, spy)
         store_field(random_field((6, 5, 5, 8), seed=64, demeaned=False), tmp_path / "x.stf")
         before = get()
         set_(2)  # a count the commands must change and restore
@@ -836,6 +839,21 @@ def test_c_manual_outside_the_grid_exits_2(tmp_path, capsys, tiny_panel, value):
     assert "Traceback" not in err
     assert f"c_manual={float(value)} lies outside the c grid [0.0, 3.0]" in err
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--model", "a", "--ra", "2", "--n", "5", "--dims", "4,4,6", "--q", "1"],
+    ["mc-study", "--model", "b", "--idio", "correlated", "--n", "5", "--dims", "4,4,6", "--q", "1",
+     "--reps", "1", "--bw", "1,1,1"],
+], ids=["simulate", "mc_study"])
+def test_simulation_short_of_memory_exits_2(tmp_path, capsys, monkeypatch, command):
+    # the design is checked before its first draw; the CLI names it and its bytes
+    monkeypatch.setattr(spectral, "_physical_memory_bytes", lambda: 4096)
+    assert exit_status(command + ["--output", f"{tmp_path}/out"]) == 2
+    err = capsys.readouterr().err
+    design = "model_a design with n=5" if command[0] == "simulate" else "model_b design with n=5"
+    assert "Traceback" not in err and re.search(f"{design}, .* needs \\d+ bytes, more than the 4096", err)
+    assert not os.path.exists(f"{tmp_path}/out")
 
 
 @pytest.mark.parametrize("command", [

@@ -14,6 +14,7 @@ from stfactor import (
     LatticeField,
     NumericError,
     SimConfig,
+    as_demeaned_field,
     demean,
     eigendecompose_all,
     eigensystem_from_field,
@@ -21,6 +22,7 @@ from stfactor import (
     estimate_common_component,
     estimate_spectral_density,
     run_mc_study,
+    stability_scan,
     stack_to_time_series,
     stacked_series_as_field,
 )
@@ -28,14 +30,14 @@ from stfactor import _rowmap, dynpca, spectral
 from stfactor.dynpca import weighted_submatrix_eigenvalues
 from stfactor.spectral import SpectralDensityEstimate, make_kernel
 from conftest import random_field
-from oracles import convolve_lags, full_rows, lag_coefficients, mirror, projector_stack, subfield
+from oracles import convolve_lags, full_rows, lag_coefficients, mirror, pack, projector_stack, subfield
 
 
 def synthetic_estimate(matrix_fn, bw=(1, 1, 1), n=None):
     """SpectralDensityEstimate with matrices produced by matrix_fn(theta)."""
     grid = FrequencyGrid(bw)
     mats = np.stack([matrix_fn(theta) for theta in grid.points])
-    return SpectralDensityEstimate(grid, mats[: grid.half_count].astype(np.complex128),
+    return SpectralDensityEstimate(grid, pack(mats[: grid.half_count].astype(np.complex128)),
                                    (make_kernel("ep"),) * 3)
 
 
@@ -97,7 +99,7 @@ class TestEigendecomposeAll:
             return np.eye(2)
 
         est = synthetic_estimate(matrix)
-        est.matrices[3] = np.nan
+        est.packed[3] = np.nan
         with pytest.raises(NumericError, match="grid index 3"):
             eigendecompose_all(est, 1)
 
@@ -317,7 +319,7 @@ def hermitian_stack(count, m, seed=0):
     mats = a @ np.conj(a.transpose(0, 2, 1))
     mats[-1] = mats[-1].real  # the zero frequency is a real matrix
     grid = FrequencyGrid((0, 0, count - 1))
-    return SpectralDensityEstimate(grid, mats, (make_kernel("ep"),) * 3)
+    return SpectralDensityEstimate(grid, pack(mats), (make_kernel("ep"),) * 3)
 
 
 needs_blas_pin = pytest.mark.skipif(
@@ -362,7 +364,7 @@ class TestHalfGridMap:
         assert not system.eigenvectors[-1].imag.any()  # zero frequency in real arithmetic
         weights = (est.grid.pair_weights / est.grid.size)[:, None]
         ref = np.linalg.eigvalsh(mats[:, :4, :4])[:, ::-1] * weights
-        assert np.array_equal(weighted_submatrix_eigenvalues(est, 4), ref)
+        assert np.array_equal(weighted_submatrix_eigenvalues(est, [4])[0], ref)
         assert_contiguous_chunks()
         usable = len(_rowmap.os.sched_getaffinity(0))
         assert _rowmap.map_workers(count, count * 6**3) == (
@@ -376,6 +378,7 @@ class TestHalfGridMap:
         est = hermitian_stack(7, 6, seed=3)
         whole = eigendecompose_all(est, 2)
         monkeypatch.setattr(dynpca, "_EIGH_BATCH_BYTES", 2 * 16 * 6 * 6)
+        monkeypatch.setattr(dynpca, "_GIL_ROWS", 0)
         calls = []
         solve_rows = dynpca._solve_rows
 
@@ -388,9 +391,26 @@ class TestHalfGridMap:
         assert max(calls) == 2 and sum(calls) == 7
         assert np.array_equal(batched.eigenvalues, whole.eigenvalues)
         assert np.array_equal(batched.eigenvectors, whole.eigenvectors)
-        est.matrices[g, 1, 0] = est.matrices[g, 0, 1] = np.nan
+        est.packed[g, 1, 0] = np.nan  # the real part of entries (1, 0) and (0, 1)
         with pytest.raises(NumericError, match=f"grid index {g}$"):
             eigendecompose_all(est, 1)
+
+    def test_batches_hold_enough_rows_to_release_the_gil(self, monkeypatch):
+        # one matrix of bytes, but numpy solves a batch of at most 500 rows holding the GIL
+        monkeypatch.setattr(dynpca, "_EIGH_BATCH_BYTES", 16 * 4 * 4)
+        calls = []
+        solve_rows = dynpca._solve_rows
+
+        def spy(solve, vals, lo, hi):
+            calls.append(hi - lo)
+            solve_rows(solve, vals, lo, hi)
+
+        monkeypatch.setattr(dynpca, "_solve_rows", spy)
+        est = hermitian_stack(300, 4, seed=5)
+        (vals,) = weighted_submatrix_eigenvalues(est, [4])
+        assert calls == [126, 126, 48] and 126 * 4 > dynpca._GIL_ROWS
+        weights = (est.grid.pair_weights / est.grid.size)[:, None]
+        assert np.array_equal(vals, np.linalg.eigvalsh(est.matrices)[:, ::-1] * weights)
 
     @pytest.mark.parametrize("n, cores", [(2, 2), (7, 2), (30, 3), (100, 2), (5, 8)])
     def test_weighted_chunks_balance_pairs(self, monkeypatch, n, cores):
@@ -422,11 +442,55 @@ class TestHalfGridMap:
         if threads:
             monkeypatch.setattr(_rowmap, "_POOL_MIN_COST", 0)
         est = hermitian_stack(7, 5)
-        est.matrices[g, 1, 0] = est.matrices[g, 0, 1] = bad
+        est.packed[g, 1, 0] = bad
         with pytest.raises(NumericError, match=f"grid index {g}$"):
             eigendecompose_all(est, 1)
         with pytest.raises(NumericError, match=f"grid index {g}$"):
-            weighted_submatrix_eigenvalues(est, 5)
+            weighted_submatrix_eigenvalues(est, [3, 5])
+
+    @pytest.mark.parametrize("threads", [False, True], ids=["inline", "threads"])
+    @pytest.mark.parametrize("g", [0, 4])  # not the zero frequency, which has no imaginary part
+    def test_non_finite_imaginary_part_names_its_index(self, monkeypatch, threads, g):
+        if threads:
+            monkeypatch.setattr(_rowmap, "_POOL_MIN_COST", 0)
+        est = hermitian_stack(7, 5)
+        est.packed[g, 1, 3] = np.nan  # Im of entry (3, 1), above the diagonal
+        with pytest.raises(NumericError, match=f"grid index {g}$"):
+            eigendecompose_all(est, 1)
+        with pytest.raises(NumericError, match=f"grid index {g}$"):
+            weighted_submatrix_eigenvalues(est, [4])
+
+    @pytest.mark.parametrize("cores", [1, 2], ids=["inline", "two_workers"])
+    def test_packed_path_matches_lapack_on_the_rebuilt_matrices(self, monkeypatch, cores):
+        # the complex batches built from the packing give LAPACK today's lower triangles
+        monkeypatch.setattr(_rowmap, "_POOL_MIN_COST", 0)
+        monkeypatch.setattr(_rowmap.os, "sched_getaffinity", lambda pid: set(range(cores)))
+        solved = []
+        decompose = dynpca.eigendecompose_all
+
+        def checked(est, q_keep):
+            system = decompose(est, q_keep)
+            mats = est.matrices
+            vals, vecs = np.linalg.eigh(mats)
+            vals[-1], vecs[-1] = np.linalg.eigh(mats[-1].real)
+            rows = np.conj(vecs[:, :, ::-1][:, :, :q_keep]).transpose(0, 2, 1)
+            assert np.array_equal(system.eigenvalues, vals[:, ::-1])
+            assert np.array_equal(system.eigenvectors, dynpca._fix_phases(rows))
+            solved.append(est.n)
+            return system
+
+        monkeypatch.setattr(dynpca, "eigendecompose_all", checked)
+        field = random_field((9, 4, 3, 6), seed=31)
+        est = estimate_spectral_density(field, "ep", (1, 1, 2))
+        checked(est, 3)
+        weights = (est.grid.pair_weights / est.grid.size)[:, None]
+        for m, vals in zip((4, 9, 2), weighted_submatrix_eigenvalues(est, [4, 9, 2])):
+            ref = np.linalg.eigvalsh(est.matrices[:, :m, :m])[:, ::-1] * weights
+            assert np.array_equal(vals, ref), m
+        # the Gram route decomposes the estimate of the panel's principal coordinates
+        stacked = as_demeaned_field(stacked_series_as_field(stack_to_time_series(field)).values)
+        eigensystem_from_field(stacked, "ep", (0, 0, 2), q_keep=2)
+        assert len(solved) == 2 and solved[1] <= 6  # r <= V principal coordinates
 
     def test_without_blas_pin_runs_inline_with_the_same_bits(self, monkeypatch):
         field = random_field((6, 4, 4, 6), seed=8)
@@ -442,6 +506,25 @@ class TestHalfGridMap:
 
 def _estimate_in_child(values):
     estimate_common_component(LatticeField(values, demeaned=True), 1, "ep", (1, 1, 1))
+
+
+@pytest.mark.parametrize("entry", [
+    lambda f: estimate_common_component(f, 1, "ep", (2, 2, 2)),
+    lambda f: stability_scan(f, 2, np.arange(0, 201) / 50, subsample_sizes=[4, 5], bw=(2, 2, 2)),
+    lambda f: eigenvalue_curve_by_size(f, [3, 6], 2, "ep", (2, 2, 2)),
+    lambda f: eigensystem_from_field(f, "ep", (2, 2, 2), q_keep=1),
+], ids=["estimate_common_component", "stability_scan", "eigenvalue_curve_by_size",
+        "eigensystem_from_field"])
+def test_public_entries_hold_the_blas_pin(monkeypatch, entry):
+    # BLAS is set to one thread once, stays there between the row maps, and is restored once
+    sets, maps = [], []
+    monkeypatch.setattr(_rowmap, "_POOL_MIN_COST", 0)
+    monkeypatch.setattr(_rowmap, "_blas_thread_controls", lambda: (lambda: 3, sets.append))
+    workers = _rowmap.map_workers
+    monkeypatch.setattr(_rowmap, "map_workers", lambda *a: maps.append(sets[:]) or workers(*a))
+    entry(random_field((6, 5, 5, 8), seed=35))
+    assert sets == [1, 3] and len(maps) >= 2
+    assert all(seen == [1] for seen in maps)
 
 
 @needs_blas_pin
@@ -460,7 +543,7 @@ class TestBlasPin:
     def test_one_thread_inside_overlapping_maps(self, blas_threads):
         seen = []
 
-        def solve(lo, hi):
+        def solve(mats, lo, hi):
             seen.append(blas_threads())
             time.sleep(0.01)  # keep the callers' maps overlapping
             seen.append(blas_threads())
@@ -471,7 +554,7 @@ class TestBlasPin:
         try:
             # more callers than cores, each running its own map
             with ThreadPoolExecutor(4) as pool:
-                maps = pool.map(lambda count: dynpca._map_half_grid(solve, (count, 1)),
+                maps = pool.map(lambda count: dynpca._map_half_grid(solve, np.zeros((count, 1, 1)), [1]),
                                 [5, 1, 3, 2] * 3, timeout=60)
                 list(maps)
         finally:
@@ -497,7 +580,7 @@ class TestBlasPin:
 
     def test_restored_after_a_map_that_raises(self, blas_threads):
         est = hermitian_stack(7, 5)
-        est.matrices[3] = np.nan
+        est.packed[3] = np.nan
         with pytest.raises(NumericError, match="grid index 3"):
             eigendecompose_all(est, 1)
         assert blas_threads() == 2

@@ -18,7 +18,7 @@ from stfactor import (
     simulate_field,
     substream,
 )
-from stfactor import simlab
+from stfactor import simlab, spectral
 from stfactor.simlab import _idio_correlated, _model_a_chi
 
 # blocked products reorder the sums of the per-series contractions
@@ -202,6 +202,39 @@ class TestCorrelatedIdio:
         x, chi = simulate_field(cfg)
         xi = x.values - chi.values
         np.testing.assert_allclose(xi, _idio_correlated(cfg, 0), rtol=1e-12)
+
+
+class TestSimulationMemory:
+    """simulate_field checks its memory against an upper bound before the first draw."""
+
+    @pytest.mark.parametrize("model, idio, n, dims, q, r_a", [
+        ("model_a", "iid_gaussian", 7, (5, 6, 9), 2, 3),
+        ("model_a", "correlated", 9, (4, 5, 7), 3, 4),
+        ("model_b", "iid_gaussian", 12, (6, 5, 8), 2, None),
+        ("model_b", "correlated", 5, (7, 6, 5), 1, None),
+    ], ids=["model_a_iid", "model_a_correlated", "model_b_iid", "model_b_correlated"])
+    def test_traced_peak_within_the_checked_bound(self, monkeypatch, model, idio, n, dims, q, r_a):
+        cfg = SimConfig(model, n=n, dims=dims, q=q, idio=idio, seed=3, r_a=r_a)
+        simulate_field(cfg)  # numpy's modules load on first use
+        needs = []
+        check = simlab._check_memory
+        monkeypatch.setattr(simlab, "_check_memory", lambda step, need: needs.append(need) or check(step, need))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            simulate_field(cfg)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert len(needs) == 1 and peak <= needs[0]
+
+    def test_raises_before_the_first_draw(self, monkeypatch):
+        monkeypatch.setattr(simlab, "substream", None)  # a draw would raise TypeError
+        monkeypatch.setattr(spectral, "_physical_memory_bytes", lambda: 1024)
+        cfg = SimConfig("model_a", n=4, dims=(3, 3, 4), q=1, idio="correlated", r_a=2)
+        with pytest.raises(ConfigError, match=r"model_a design with n=4, dims=\(3, 3, 4\), q=1, "
+                                              r"idio=correlated needs \d+ bytes, more than the 1024"):
+            simulate_field(cfg)
 
 
 class TestErrorMetrics:

@@ -22,11 +22,11 @@ from stfactor import (
     store_field,
 )
 import stfactor
-from stfactor import _rowmap, spectral
+from stfactor import _rowmap, cli, commoncomp, dynpca, qselect, spectral
 from stfactor.cli import main
 from stfactor.spectral import spectral_from_autocovariance, validate_bandwidths
 from conftest import random_field
-from oracles import full_box, gamma, mirror, spectral_full_reference
+from oracles import full_box, gamma, mirror, pack, spectral_full_reference
 
 
 class TestKernels:
@@ -315,7 +315,7 @@ class TestSpectralDensity:
         field = random_field((3, 4, 4, 5), seed=15)
         est = estimate_spectral_density(field, "ep", (1, 1, 2))
         with pytest.raises(ConfigError, match=f"expected {est.grid.half_count} half-grid"):
-            SpectralDensityEstimate(est.grid, mirror(est.matrices), est.kernels)
+            SpectralDensityEstimate(est.grid, pack(mirror(est.matrices)), est.kernels)
 
 
 class TestMemoryBound:
@@ -334,19 +334,25 @@ class TestMemoryBound:
         with pytest.raises(ConfigError, match=f"needs {need} bytes, more than the 16384 bytes"):
             estimate_spectral_density(field)
 
-    @pytest.mark.parametrize("command,memory", [
-        (["estimate", "--q", "1"], 16 * 1024),
-        (["select-q", "--qmax", "2"], 16 * 1024),
-        (["eigengap", "--m-values", "6", "--topk", "1"], 16 * 1024),
-        # the stacked curve's principal field (r = 5, dims (1, 1, 6)) needs 3,800 bytes
-        (["eigengap", "--gdfm", "--m-values", "6", "--topk", "1"], 1024),
-    ], ids=["estimate", "select_q", "eigengap", "eigengap_gdfm"])
-    def test_cli_exits_2(self, tmp_path, capsys, monkeypatch, tiny_memory, command, memory):
-        monkeypatch.setattr(spectral, "_physical_memory_bytes", lambda: memory)
+    @pytest.mark.parametrize("command,step", [
+        (["estimate", "--q", "1"], "the projection filter for n=6"),
+        (["select-q", "--qmax", "2"], "the scan over 6001 c_grid scales"),
+        (["eigengap", "--m-values", "6", "--topk", "1"], "the spectral step for n=6, dims=(5, 5, 6)"),
+        # the leading 6 of the 150 stacked series fit their (1, 1, 6) lattice: the standard route
+        (["eigengap", "--gdfm", "--m-values", "6", "--topk", "1"],
+         "the spectral step for n=6, dims=(1, 1, 6)"),
+    ], ids=["estimate", "select_q", "eigengap", "eigengap_gdfm_standard_route"])
+    def test_cli_exits_2(self, tmp_path, capsys, monkeypatch, tiny_memory, command, step):
+        steps = []
+        for module in (spectral, commoncomp, dynpca, qselect, cli):
+            check = module._check_memory
+            monkeypatch.setattr(module, "_check_memory",
+                                lambda s, need, _check=check: steps.append(s) or _check(s, need))
         store_field(random_field((6, 5, 5, 6), seed=16, demeaned=False), tmp_path / "x.stf")
         rc = main(command + ["--input", f"{tmp_path}/x.stf", "--output", f"{tmp_path}/out"])
         assert rc == 2
         assert "bytes of physical memory" in capsys.readouterr().err
+        assert steps[-1].startswith(step)  # the check that fired
 
     def test_traced_memory_pinned_to_estimate(self):
         # tracemalloc sees numpy's data buffers; the bound is the step's own estimate
@@ -361,8 +367,25 @@ class TestMemoryBound:
         finally:
             tracemalloc.stop()
         assert peak - base <= 1.1 * need
-        # the estimate keeps its matrices and nothing grid-sized besides
-        assert held - base <= 1.05 * est.matrices.nbytes
+        # the estimate keeps its packed matrices and nothing grid-sized besides
+        assert held - base <= 1.05 * est.packed.nbytes
+
+    def test_assembly_holds_the_packed_estimate(self):
+        # n large against the grid: the estimate is most of the assembly's peak, n^2 reals a point
+        n, bw = 80, (1, 1, 2)
+        ac = sample_autocovariance(random_field((n, 4, 4, 8), seed=20), bw)
+        grid = FrequencyGrid(bw)
+        scratch = (grid.size + grid.shape[1] * grid.shape[2] * (bw[0] + 1)) * n * 16
+        assert _rowmap.map_workers(n, n * n * grid.size) == 1  # one row worker's scratch
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            est = spectral_from_autocovariance(ac, "ep")
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert est.packed.nbytes == n * n * grid.half_count * 8
+        assert peak <= 1.05 * (est.packed.nbytes + scratch)
 
     def test_autocovariance_holds_the_half_lag_box(self):
         n, bw = 30, (2, 2, 3)
