@@ -42,6 +42,7 @@ from .spectral import (
     FrequencyGrid,
     SpectralDensityEstimate,
     _check_memory,
+    _lag_window,
     estimate_spectral_density,
     sample_autocovariance,
     spectral_from_autocovariance,
@@ -221,7 +222,8 @@ def eigensystem_from_field(
     coords, back = _principal_field(x2d, field.dims)
     if q_keep > coords.n:
         raise NumericError(f"degenerate eigenvector in Gram route: q_keep={q_keep} > rank {coords.n}")
-    estimate = spectral_from_autocovariance(sample_autocovariance(coords, bw), kernels)
+    estimate = spectral_from_autocovariance(
+        sample_autocovariance(coords, _lag_window(kernels, bw)), kernels, bw)
     small = eigendecompose_all(estimate, q_keep)
     vals = np.zeros((small.grid.half_count, n))
     vals[:, :coords.n] = small.eigenvalues

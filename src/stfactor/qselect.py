@@ -14,9 +14,9 @@ full-sample estimate is checked against it.
 
 The penalty scale c is calibrated by a stability scan: the estimate is
 repeated over nested cross-sectional subsamples (the leading principal
-submatrices of the spectral estimate of the panel, estimated once after
-one seeded random permutation of its series) and, for every c on a
-grid, the across-subsample variance
+submatrices of the spectral estimate of the panel after one seeded
+random permutation of its series: the panel's lag box, re-indexed) and,
+for every c on a grid, the across-subsample variance
 
     S_c = (1/J) sum_j ( qhat_c^(n_j) - mean_j qhat_c^(n_j) )^2
 
@@ -38,7 +38,9 @@ from .dynpca import weighted_submatrix_eigenvalues
 from .errors import ConfigError, NumericError
 from .field import LatticeField
 from .spectral import (
+    AutocovarianceSet,
     _check_memory,
+    _lag_window,
     resolve_kernels,
     sample_autocovariance,
     spectral_from_autocovariance,
@@ -223,9 +225,9 @@ def stability_scan(
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     perm = rng.permutation(n)
 
-    # temporaries: the permuted copy is freed once the autocovariance returns, the lag box after the assembly
-    estimate = spectral_from_autocovariance(
-        sample_autocovariance(LatticeField(field.values[perm], demeaned=field.demeaned), bw), kernels)
+    window = _lag_window(kernels, bw)  # the permuted panel's lag box is re-indexed: P Gamma(h) P^T
+    estimate = spectral_from_autocovariance(AutocovarianceSet(
+        window, sample_autocovariance(field, window).gammas[:, perm[:, None], perm]), kernels, bw)
     smoothness = tuple(k.smoothness for k in kernels)
 
     qhat = np.empty((n_c, n_j), dtype=np.int64)

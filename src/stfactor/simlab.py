@@ -428,7 +428,7 @@ def run_mc_study(
     else:
         q_fit = cfg.q if q_fit is None else int(q_fit)
         trunc = validate_truncation(trunc, bw, cfg.dims)
-        if not interior_mask(cfg.dims, trunc).any():
+        if not all(d > 2 * m for d, m in zip(cfg.dims, trunc)):
             raise ConfigError(f"dims {list(cfg.dims)} leave no interior point at truncation "
                               f"{list(trunc)}, which the {study} study scores")
 

@@ -23,7 +23,9 @@ equispaced modulo 2*pi.  Integrals over frequency become grid averages
 (the continuous normalization 8 pi^3 becomes the grid size G), and the
 spacing makes those quadratures exact for the lag window at hand: any
 lag polynomial of degree up to 2*B_d is integrated exactly, so the
-grid mean of the estimate recovers Gamma_hat(0) identically.
+grid mean of the estimate recovers Gamma_hat(0) identically.  The
+epanechnikov and bartlett kernels are zero at u = +-1, so only the lags
+the kernels weight, |h_d| <= L_d (:func:`_lag_window`), are computed.
 
 For a real field Sigma_hat(-theta) == conj(Sigma_hat(theta)), so only
 the non-redundant half of the grid (the first G // 2 + 1 points, zero
@@ -34,7 +36,7 @@ Sigma_hat(theta) holds exactly, with a real diagonal and a real
 zero-frequency matrix.  Every later layer reads only this half,
 weighting each point by :attr:`FrequencyGrid.pair_weights`.
 So is the lag box: Gamma_hat(-h) == Gamma_hat(h)^T, so only its non-negative
-half (G // 2 + 1 lags, zero first) is stored, and the assembly transposes it.
+half (G // 2 + 1 lags of the lag window, zero first) is stored, and the assembly transposes it.
 
 The autocovariance rows (in column blocks of about 4 MiB) and the
 assembly's rows run on the row map of :mod:`_rowmap`, which makes each
@@ -224,11 +226,12 @@ _BLOCK_BYTES = 4 << 20  # one cross-spectrum block: a cache-sized share of the p
 
 @dataclass(frozen=True)
 class AutocovarianceSet:
-    """Sample autocovariance matrices on the non-negative half of the lag window |h_d| <= B_d.
+    """Sample autocovariance matrices on the non-negative half of the lag window |h_d| <= L_d.
 
-    ``gammas`` is (grid.half_count, n, n): the lags of the window in C
-    order over (h1 + B1, h2 + B2, h3 + B3) from the zero lag on, the
-    zero lag first.  The other half is the transposes,
+    ``window`` is L, smaller than the bandwidths B where the kernel is zero at +-1.
+    ``gammas`` is (half_count, n, n) for the grid of L: the lags of the
+    window in C order over (h1 + L1, h2 + L2, h3 + L3) from the zero lag
+    on, the zero lag first.  The other half is the transposes,
     Gamma(-h) = Gamma(h)^T, and is not stored.
     """
 
@@ -251,6 +254,11 @@ def _next_fast_len(target: int) -> int:
         if m == 1:
             return n
         n += 1
+
+
+def _lag_window(kernels, bw) -> tuple[int, int, int]:
+    """The lags the kernels weight within bandwidths B: L_d = B_d - 1 where K_d(+-1) = 0, else B_d."""
+    return tuple(b - 1 if b and k(1.0) == 0.0 else b for k, b in zip(resolve_kernels(kernels), bw))
 
 
 def _physical_memory_bytes() -> int:
@@ -276,15 +284,16 @@ def _autocov_layout(n: int, dims, window):
 
 
 def _spectral_step_bytes(n: int, dims, window) -> int:
-    """Bytes held at once by the spectral step, from the shapes alone: the real autocovariances
-    on the half lag box, the packed half-grid estimate, the complex padded half-spectrum of the
-    field, and each row worker's scratch (one conjugated series and the four block arrays) and
-    numpy's iterator buffers for a strided complex ufunc (at most one per operand)."""
-    grid = FrequencyGrid(tuple(window))
+    """Bytes held at once by the spectral step, from the shapes alone: the real autocovariances on
+    the half box of the lag window L, the packed estimate on the largest bandwidth grid that has
+    lag window L (B_d = min(L_d + 1, d - 1)), the complex padded half-spectrum of the field, and
+    each row worker's scratch (one conjugated series and the four block arrays) and numpy's
+    iterator buffers for a strided complex ufunc (at most one per operand)."""
+    grid = FrequencyGrid(tuple(min(b + 1, d - 1) for b, d in zip(window, dims)))
     _, width, sizes, cost = _autocov_layout(n, dims, window)
     worker = sizes[0] + width * sum(sizes) + 3 * np.getbufsize()
-    return (n * n * grid.half_count * 16 + sizes[0] * n * 16
-            + _rowmap.map_workers(n, cost) * worker * 16)
+    return (n * n * (FrequencyGrid(tuple(window)).half_count + grid.half_count) * 8
+            + sizes[0] * n * 16 + _rowmap.map_workers(n, cost) * worker * 16)
 
 
 def _autocov_fft(values: np.ndarray, window) -> np.ndarray:
@@ -330,7 +339,7 @@ def _autocov_fft(values: np.ndarray, window) -> np.ndarray:
 
 
 def sample_autocovariance(field: LatticeField, window) -> AutocovarianceSet:
-    """Sample autocovariances over the symmetric lag window.
+    """Sample autocovariances over a lag window |h_d| <= L_d, 0 <= L_d < d (else ConfigError).
 
     Gamma_hat(h) = (1/(S1 S2 T)) sum x_varsigma x_{varsigma-h}^T over
     all lattice points where both varsigma and varsigma - h are in
@@ -345,8 +354,12 @@ def sample_autocovariance(field: LatticeField, window) -> AutocovarianceSet:
     """
     if not field.demeaned:
         raise ConfigError("sample_autocovariance requires a demeaned field")
-    window = validate_bandwidths(window, field.dims)
-    _check_memory(f"the spectral step for n={field.n}, dims={tuple(field.dims)}, bandwidths={window}",
+    if len(window := tuple(int(b) for b in window)) != 3:
+        raise ConfigError("the lag window must be a triple (L_S1, L_S2, L_T)")
+    for b, d, name in zip(window, field.dims, ("S1", "S2", "T")):
+        if not 0 <= b < d:
+            raise ConfigError(f"lag window L_{name}={b} must satisfy 0 <= L_{name} < extent {name}={d}")
+    _check_memory(f"the spectral step for n={field.n}, dims={tuple(field.dims)}, lag window={window}",
                   _spectral_step_bytes(field.n, field.dims, window))
     return AutocovarianceSet(window, _autocov_fft(field.values, window))
 
@@ -408,14 +421,20 @@ def _dft_matrix(grid: FrequencyGrid, axis: int, sign: float) -> np.ndarray:
     return np.exp(sign * 1j * np.outer(theta, h))
 
 
-def spectral_from_autocovariance(autocov: AutocovarianceSet, kernels) -> SpectralDensityEstimate:
-    """Assemble the half-grid spectral estimate from stored autocovariances."""
-    kernels = resolve_kernels(kernels)
-    grid = FrequencyGrid(autocov.window)
+def spectral_from_autocovariance(autocov: AutocovarianceSet, kernels, bw) -> SpectralDensityEstimate:
+    """Half-grid estimate for bandwidths B from autocovariances on a lag window L between the
+    kernels' :func:`_lag_window` and B: lag h weighted K(h / B), and only L's DFT columns."""
+    kernels, window = resolve_kernels(kernels), autocov.window
+    if not all(lo <= l <= b for lo, l, b in zip(_lag_window(kernels, bw), window, bw)):
+        raise ConfigError(f"lag window {window} must lie between {_lag_window(kernels, bw)} and {bw}")
+    grid = FrequencyGrid(tuple(bw))
     n = autocov.gammas.shape[1]
-    w = kernel_lag_weights(kernels, autocov.window)
-    s1, s2, s3 = grid.shape
-    e1, e2, e3 = (_dft_matrix(grid, axis, -1.0) for axis in range(3))
+    inner = tuple(slice(b - l, b + l + 1) for b, l in zip(bw, window))  # the lags |h_d| <= L_d
+    w = kernel_lag_weights(kernels, bw).reshape(grid.shape)[inner].ravel()
+    _, s2, s3 = grid.shape
+    l1, l2, l3 = FrequencyGrid(window).shape
+    box, zero = l1 * l2 * l3, l1 * l2 * l3 // 2  # lags in the box, index of the zero lag
+    e1, e2, e3 = (_dft_matrix(grid, axis, -1.0)[:, inner[axis]] for axis in range(3))
     # the half grid lies in the first-axis rows theta_1 <= 0
     r1 = grid.bandwidths[0] + 1
     e1 = e1[:r1]
@@ -427,20 +446,21 @@ def spectral_from_autocovariance(autocov: AutocovarianceSet, kernels) -> Spectra
     def rows(lo, hi, lags, prod):  # row i on and right of the diagonal, packed down column i
         for i in range(lo, hi):
             cols = n - i
-            block = lags[:grid.size * cols].reshape(grid.size, cols)
+            block = lags[:box * cols].reshape(box, cols)
             # Gamma_ij(-h) = Gamma_ji(h): the negative lags are column i of the half, reversed
-            np.multiply(autocov.gammas[:0:-1, i:, i], w[:half - 1, None], out=block.real[:half - 1])
-            np.multiply(autocov.gammas[:, i, i:], w[half - 1:, None], out=block.real[half - 1:])
+            np.multiply(autocov.gammas[:0:-1, i:, i], w[:zero, None], out=block.real[:zero])
+            np.multiply(autocov.gammas[:, i, i:], w[zero:, None], out=block.real[zero:])
             block.imag = 0.0
-            out = np.matmul(e1, block.reshape(s1, -1), out=prod[:block.size // s1 * r1].reshape(r1, -1))
-            out = np.matmul(e2, out.reshape(r1, s2, -1), out=lags[:out.size].reshape(r1, s2, -1))
-            out = np.matmul(e3, out.reshape(r1 * s2, s3, -1), out=prod[:out.size].reshape(r1 * s2, s3, -1))
+            out = np.matmul(e1, block.reshape(l1, -1), out=prod[:block.size // l1 * r1].reshape(r1, -1))
+            out = np.matmul(e2, out.reshape(r1, l2, -1), out=lags[:out.size // l2 * s2].reshape(r1, s2, -1))
+            out = np.matmul(e3, out.reshape(-1, l3, cols),
+                            out=prod[:out.size // l3 * s3].reshape(-1, s3, cols))
             row = out.reshape(-1, cols)[:half]
             packed[:, i:, i] = row.real  # Sigma_ji = conj(Sigma_ij): Im Sigma_ji on row i
             np.negative(row.imag[:, 1:], out=packed[:, i, i + 1:])
             packed[-1, i, i + 1:] = 0.0  # zero frequency is a real matrix
 
-    lengths = (grid.size * n, r1 * s2 * s3 * n)  # per worker: weighted lags, then each axis product
+    lengths = (max(box, r1 * s2 * l3) * n, r1 * s2 * s3 * n)  # per worker: weighted lags, axis products
     _rowmap._map_rows(rows, n - np.arange(n), cost, lambda: [np.empty(k, complex) for k in lengths])
     return SpectralDensityEstimate(grid, packed, kernels)
 
@@ -461,4 +481,5 @@ def estimate_spectral_density(
     """
     if not field.demeaned:
         raise ConfigError("estimate_spectral_density requires a demeaned field")
-    return spectral_from_autocovariance(sample_autocovariance(field, bw), kernels)
+    kernels, bw = resolve_kernels(kernels), validate_bandwidths(bw, field.dims)
+    return spectral_from_autocovariance(sample_autocovariance(field, _lag_window(kernels, bw)), kernels, bw)

@@ -1,10 +1,10 @@
 """A checked-in record of the pipeline's numbers on tiny simulated panels.
 
 Each case of ``rowmap.npz`` is one ``simulate_field`` panel run through the
-layers on the row map: the sample autocovariances (the whole lag box, rebuilt
-from the stored half by ``oracles.full_box``), the half-grid spectral
-matrices, the eigenvalues and phase-fixed eigenvector rows, chi with its mask,
-and the stacked baseline's chi (the Gram route).  ``studies.npz`` holds the
+layers on the row map: the sample autocovariances (the whole box of the
+kernel's lag window, rebuilt from the stored half by ``oracles.full_box``),
+the half-grid spectral matrices, the eigenvalues and phase-fixed eigenvector
+rows, chi with its mask, and the stacked baseline's chi (the Gram route).  ``studies.npz`` holds the
 per-replication metrics of the three Monte Carlo studies (the comparison's
 whole-lattice columns), one stability scan and both eigengap curves (nested
 submatrices and the Gram route).  ``tests/test_golden.py`` recomputes every
@@ -35,7 +35,7 @@ from stfactor import (
 from stfactor.commoncomp import estimate_common_component
 from stfactor.dynpca import eigendecompose_all
 from stfactor.simlab import gdfm_baseline, run_mc_study
-from stfactor.spectral import sample_autocovariance, spectral_from_autocovariance
+from stfactor.spectral import _lag_window, sample_autocovariance, spectral_from_autocovariance
 from oracles import full_box
 
 PATH = Path(__file__).with_name("golden") / "rowmap.npz"
@@ -60,8 +60,8 @@ def versions() -> str:
 def compute(cfg: SimConfig, bw) -> dict[str, np.ndarray]:
     """Every recorded array of one case."""
     field = demean(simulate_field(cfg)[0])
-    autocov = sample_autocovariance(field, bw)
-    spectral = spectral_from_autocovariance(autocov, "epanechnikov")
+    autocov = sample_autocovariance(field, _lag_window("epanechnikov", bw))
+    spectral = spectral_from_autocovariance(autocov, "epanechnikov", bw)
     system = eigendecompose_all(spectral, cfg.q)
     est = estimate_common_component(field, cfg.q, "epanechnikov", bw)
     return {

@@ -298,7 +298,7 @@ class TestChunkedFilter:
         rows = -(-grid.half_count // grid.shape[2])
         chunks = commoncomp._filter_plan(shape[0], shape[1:], 2, grid, bw)[0]
         assert len(chunks) == min(rows, commoncomp._FILTER_CHUNKS)
-        autocov = spectral.sample_autocovariance(field, bw)
+        autocov = spectral.sample_autocovariance(field, spectral._lag_window("ep", bw))
         monkeypatch.setattr(_rowmap, "_POOL_MIN_COST", 0)
         chis, mats = [], []
         interval = sys.getswitchinterval()
@@ -309,7 +309,7 @@ class TestChunkedFilter:
                 pinned = _rowmap._blas_thread_controls() is not None
                 assert _rowmap.map_workers(len(chunks), 0) == (min(cores, len(chunks)) if pinned else 1)
                 chis.append(commoncomp._apply_projection_frequency(field.values, system, 2, bw))
-                mats.append(spectral.spectral_from_autocovariance(autocov, "ep").matrices)
+                mats.append(spectral.spectral_from_autocovariance(autocov, "ep", bw).matrices)
         finally:
             sys.setswitchinterval(interval)
         assert all(np.array_equal(chi, chis[0]) for chi in chis[1:])

@@ -9,10 +9,11 @@ from stfactor import (
     LatticeField,
     NoSecondIntervalError,
     NumericError,
+    estimate_spectral_density,
     penalty_value,
     stability_scan,
 )
-from stfactor import qselect, spectral
+from stfactor import dynpca, qselect, spectral
 from stfactor.qselect import _stable_runs, _tail_means
 from stfactor.simlab import SimConfig, simulate_field
 from stfactor import demean
@@ -153,6 +154,28 @@ class TestStabilityScan:
         assert scan.intervals[0][2] == 6
         assert scan.intervals[0][0] == 0
 
+    @pytest.mark.parametrize("kernels", ["epanechnikov", ("ep", "bartlett", "trunc")])
+    def test_reindexed_lag_box_matches_a_permuted_panel(self, monkeypatch, panel, kernels):
+        # Gamma'(h) = P Gamma(h) P^T lag by lag: the panel's lag box, re-indexed, is the permuted
+        # panel's, so the estimate and every qhat match a scan of an explicitly permuted copy
+        args = (panel, 6, np.arange(0, 601) / 100.0)
+        kwargs = {"subsample_sizes": [27, 24, 21], "kernels": kernels, "bw": (3, 2, 3), "seed": 4}
+        assemble, estimates = qselect.spectral_from_autocovariance, []
+
+        def recorded_assembly(*parts):
+            estimates.append(assemble(*parts))
+            return estimates[-1]
+
+        monkeypatch.setattr(qselect, "spectral_from_autocovariance", recorded_assembly)
+        scan = stability_scan(*args, **kwargs)
+        permuted = estimate_spectral_density(
+            LatticeField(panel.values[scan.permutation], demeaned=True), kernels, (3, 2, 3))
+        assert not np.array_equal(scan.permutation, np.arange(panel.n))
+        scale = np.abs(permuted.packed).max()
+        assert np.max(np.abs(estimates[0].packed - permuted.packed)) <= 1e-14 * scale
+        monkeypatch.setattr(qselect, "spectral_from_autocovariance", lambda *parts: permuted)
+        assert np.array_equal(stability_scan(*args, **kwargs).qhat_table, scan.qhat_table)
+
     def test_q_by_c_non_increasing(self, panel):
         c_grid = np.arange(0, 301) / 50.0
         scan = stability_scan(panel, 6, c_grid, subsample_sizes=[27, 24, 21], seed=2)
@@ -247,24 +270,37 @@ class TestStabilityScan:
             stability_scan(panel, 3, np.arange(0, 10) / 10.0, subsample_sizes=[27], bw=(2, 2, 2),
                            c_manual=c_manual)
 
-    def test_traced_peak_within_the_spectral_step_and_one_panel(self):
-        # n large against the lattice: the whole lag box beside the estimate would not fit
+    @pytest.mark.parametrize("kind", ["epanechnikov", "bartlett", "truncated"])
+    def test_traced_peak_within_the_spectral_step(self, monkeypatch, kind):
+        # n large against the lattice: the whole lag box beside the estimate would not fit;
+        # the scan re-indexes the panel's lag box and holds no permuted copy of the panel
         n, dims, bw = 80, (3, 3, 5), (2, 2, 2)
         field = random_field((n, *dims), seed=49)
         grid = FrequencyGrid(bw)
-        need = spectral._spectral_step_bytes(n, dims, bw) + field.values.nbytes
+        need = spectral._spectral_step_bytes(n, dims, spectral._lag_window(kind, bw))
         assert n * n * (grid.size * 8 + grid.half_count * 16) > need
         args = (field, 3, np.arange(0, 101) / 50.0)
-        kwargs = {"subsample_sizes": [70], "bw": bw}
+        kwargs = {"subsample_sizes": [70], "bw": bw, "kernels": kind, "c_manual": 1.0}
         stability_scan(*args, **kwargs)  # numpy's lazy set-up
+        assemble, step_peaks = qselect.spectral_from_autocovariance, []
+
+        def traced_assembly(*parts):
+            estimate = assemble(*parts)
+            step_peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            return estimate
+
+        monkeypatch.setattr(qselect, "spectral_from_autocovariance", traced_assembly)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            stability_scan(*args, **kwargs)
+            scan = stability_scan(*args, **kwargs)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= need
+        assert step_peaks[0] <= need  # the spectral step alone, through the assembly
+        # then the eigen map: the estimate (in ``need``) and each worker's batch of at most
+        # _EIGH_BATCH_BYTES (a batch of 10 matrices of order 80 here)
+        assert peak <= need + scan.settings["eigen_workers"] * dynpca._EIGH_BATCH_BYTES
 
     def test_memory_check_before_the_spectral_step(self, monkeypatch, panel):
         monkeypatch.setattr(spectral, "_physical_memory_bytes", lambda: 4 * 2**20)

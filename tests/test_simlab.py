@@ -18,7 +18,7 @@ from stfactor import (
     simulate_field,
     substream,
 )
-from stfactor import simlab, spectral
+from stfactor import _rowmap, simlab, spectral
 from stfactor.simlab import _idio_correlated, _model_a_chi
 
 # blocked products reorder the sums of the per-series contractions
@@ -351,6 +351,19 @@ class TestRunMcStudy:
         for name in seq.metrics:
             assert np.array_equal(seq.metrics[name], par.metrics[name])
 
+    def test_replication_pool_holds_the_blas_pin(self, monkeypatch):
+        # two replications on two threads, each with its row maps: BLAS is set to one thread
+        # once, stays there across every map of both replications, and is restored once
+        sets, maps = [], []
+        monkeypatch.setattr(_rowmap, "_POOL_MIN_COST", 0)
+        monkeypatch.setattr(_rowmap, "_blas_thread_controls", lambda: (lambda: 3, sets.append))
+        workers = _rowmap.map_workers
+        monkeypatch.setattr(_rowmap, "map_workers", lambda *a: maps.append(sets[:]) or workers(*a))
+        cfg = SimConfig(model="model_b", n=8, dims=(6, 6, 8), q=1, seed=42)
+        run_mc_study(cfg, "accuracy", bw=(2, 2, 2), n_reps=2, threads=2)
+        assert sets == [1, 3] and len(maps) >= 4
+        assert all(seen == [1] for seen in maps)
+
     def test_comparison_study(self):
         cfg = SimConfig(model="model_b", n=10, dims=(5, 5, 12), q=1, seed=43, n_reps=2)
         out = run_mc_study(cfg, "comparison", bw=(1, 1, 3))
@@ -403,3 +416,17 @@ class TestRunMcStudy:
         cfg = SimConfig(model="model_b", n=4, dims=(4, 4, 6), q=1)
         with pytest.raises(ConfigError, match=r"dims \[4, 4, 6\] .* truncation \[2, 2, 2\]"):
             run_mc_study(cfg, study, n_reps=1)
+
+    def test_interior_check_builds_no_mask(self, monkeypatch):
+        # a 400^3 interior mask alone is 64 MB: the simulator's memory check fires first
+        monkeypatch.setattr(spectral, "_physical_memory_bytes", lambda: 2**20)
+        cfg = SimConfig(model="model_b", n=4, dims=(400, 400, 400), q=1)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with pytest.raises(ConfigError, match=r"model_b design with n=4, dims=\(400, 400, 400\)"):
+                run_mc_study(cfg, "accuracy", n_reps=1)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20

@@ -16,9 +16,13 @@ from stfactor import (
     SpectralDensityEstimate,
     default_bandwidths,
     demean,
+    eigensystem_from_field,
+    eigenvalue_curve_by_size,
+    estimate_common_component,
     estimate_spectral_density,
     make_kernel,
     sample_autocovariance,
+    stability_scan,
     store_field,
 )
 import stfactor
@@ -318,6 +322,60 @@ class TestSpectralDensity:
             SpectralDensityEstimate(est.grid, pack(mirror(est.matrices)), est.kernels)
 
 
+class TestLagWindow:
+    """Only the lags the kernels weight are computed: the shell |h_d| = B_d goes where K(+-1) = 0."""
+
+    def test_lag_window_per_axis(self):
+        assert spectral._lag_window("ep", (3, 1, 0)) == (2, 0, 0)
+        assert spectral._lag_window("bartlett", (2, 2, 5)) == (1, 1, 4)
+        assert spectral._lag_window("trunc", (2, 1, 0)) == (2, 1, 0)
+        assert spectral._lag_window(("ep", "trunc", "bartlett"), (2, 2, 2)) == (1, 2, 1)
+
+    @pytest.mark.parametrize("kernels", ["epanechnikov", "bartlett", "truncated",
+                                         ("bartlett", "trunc", "ep")],
+                             ids=["epanechnikov", "bartlett", "truncated", "mixed"])
+    @pytest.mark.parametrize("shape, bw", [
+        ((4, 5, 6, 9), (2, 1, 3)),  # B2 = 1: lag window 0 under a kernel zero at +-1
+        ((3, 1, 6, 8), (0, 2, 3)),  # an extent-1 axis: B1 = 0
+    ], ids=["b_one", "extent_one"])
+    def test_estimate_matches_the_full_box_reference(self, kernels, shape, bw):
+        field = random_field(shape, seed=22)
+        est = estimate_spectral_density(field, kernels, bw)
+        oracle = spectral_full_reference(sample_autocovariance(field, bw), kernels)
+        assert np.max(np.abs(mirror(est.matrices) - oracle)) <= 1e-12 * np.abs(oracle).max()
+
+    @pytest.mark.parametrize("window", [(0, 0, 4), (2, 3, 1)], ids=["below_the_kernels", "past_b"])
+    def test_assembly_rejects_a_window_outside_the_kernels_and_b(self, window):
+        ac = sample_autocovariance(random_field((3, 4, 4, 6), seed=23), window)
+        with pytest.raises(ConfigError, match=r"lag window .* must lie between \(1, 1, 2\)"):
+            spectral_from_autocovariance(ac, "ep", (2, 2, 3))
+
+    @pytest.mark.parametrize("window, axis", [((-1, 1, 1), "S1"), ((1, 4, 1), "S2"), ((1, 1, 6), "T")])
+    def test_autocovariance_rejects_a_window_past_the_lattice(self, window, axis):
+        with pytest.raises(ConfigError, match=f"lag window L_{axis}="):
+            sample_autocovariance(random_field((3, 4, 4, 6), seed=24), window)
+
+    @pytest.mark.parametrize("entry, shape, bw", [
+        (lambda f, k, bw: estimate_common_component(f, 1, k, bw), (6, 5, 5, 8), (2, 2, 2)),
+        (lambda f, k, bw: stability_scan(f, 2, np.arange(0, 201) / 50, subsample_sizes=[4, 5],
+                                         kernels=k, bw=bw, c_manual=1.0), (6, 5, 5, 8), (2, 2, 2)),
+        (lambda f, k, bw: eigenvalue_curve_by_size(f, [3, 6], 2, k, bw), (6, 5, 5, 8), (2, 2, 2)),
+        (lambda f, k, bw: eigensystem_from_field(f, k, bw, q_keep=1), (6, 5, 5, 8), (2, 2, 2)),
+        (lambda f, k, bw: eigensystem_from_field(f, k, bw, q_keep=1), (40, 1, 3, 4), (0, 2, 2)),
+    ], ids=["estimate_common_component", "stability_scan", "eigenvalue_curve_by_size",
+            "eigensystem_from_field", "eigensystem_from_field_gram_route"])
+    def test_public_entries_ask_for_the_lag_window(self, monkeypatch, entry, shape, bw):
+        kernels, windows = ("ep", "trunc", "bartlett"), []
+
+        def spy(call):
+            return lambda field, window: windows.append(window) or call(field, window)
+
+        for module in (spectral, qselect, dynpca):
+            monkeypatch.setattr(module, "sample_autocovariance", spy(module.sample_autocovariance))
+        entry(random_field(shape, seed=25), kernels, bw)
+        assert windows == [spectral._lag_window(kernels, bw)]
+
+
 class TestMemoryBound:
     @pytest.fixture
     def tiny_memory(self, monkeypatch):
@@ -330,7 +388,8 @@ class TestMemoryBound:
 
     def test_raises_before_fft(self, tiny_memory):
         field = random_field((6, 5, 5, 6), seed=16)
-        need = spectral._spectral_step_bytes(6, (5, 5, 6), default_bandwidths((5, 5, 6)))
+        window = spectral._lag_window("ep", default_bandwidths((5, 5, 6)))
+        need = spectral._spectral_step_bytes(6, (5, 5, 6), window)
         with pytest.raises(ConfigError, match=f"needs {need} bytes, more than the 16384 bytes"):
             estimate_spectral_density(field)
 
@@ -354,15 +413,16 @@ class TestMemoryBound:
         assert "bytes of physical memory" in capsys.readouterr().err
         assert steps[-1].startswith(step)  # the check that fired
 
-    def test_traced_memory_pinned_to_estimate(self):
+    @pytest.mark.parametrize("kind", ["epanechnikov", "bartlett", "truncated"])
+    def test_traced_memory_pinned_to_estimate(self, kind):
         # tracemalloc sees numpy's data buffers; the bound is the step's own estimate
         field = random_field((60, 8, 8, 40), seed=17)
         bw = (2, 2, 5)
-        need = spectral._spectral_step_bytes(60, (8, 8, 40), bw)
+        need = spectral._spectral_step_bytes(60, (8, 8, 40), spectral._lag_window(kind, bw))
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            est = estimate_spectral_density(field, "ep", bw)
+            est = estimate_spectral_density(field, kind, bw)
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -380,7 +440,7 @@ class TestMemoryBound:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            est = spectral_from_autocovariance(ac, "ep")
+            est = spectral_from_autocovariance(ac, "ep", bw)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -439,7 +499,7 @@ spectral._BLOCK_BYTES = 3 * spectral._autocov_layout(30, field.dims, (2, 2, 3))[
 for cores in (1, 2):
     _rowmap.os.sched_getaffinity = lambda pid: set(range(cores))
     ac = spectral.sample_autocovariance(field, (2, 2, 3))
-    system = eigendecompose_all(spectral.spectral_from_autocovariance(ac, "ep"), 3)
+    system = eigendecompose_all(spectral.spectral_from_autocovariance(ac, "ep", (2, 2, 3)), 3)
     digest = hashlib.sha256()
     for a in (ac.gammas, system.eigenvalues, system.eigenvectors):
         digest.update(a.tobytes())
@@ -496,22 +556,24 @@ class TestBlockedRows:
             digests += child.stdout.split()
         assert len(digests) == 4 and len(set(digests)) == 1
 
-    def test_traced_peaks_within_the_bound(self, monkeypatch):
+    @pytest.mark.parametrize("kind", ["epanechnikov", "bartlett", "truncated"])
+    def test_traced_peaks_within_the_bound(self, monkeypatch, kind):
         # three-series blocks on two workers; the scratch is about a fifth of the bound
         n, dims, bw = 20, (8, 8, 40), (2, 2, 5)
+        window = spectral._lag_window(kind, bw)
         field = random_field((n, *dims), seed=17)
-        force_blocks(monkeypatch, n, dims, bw, 3)
+        force_blocks(monkeypatch, n, dims, window, 3)
         monkeypatch.setattr(_rowmap.os, "sched_getaffinity", lambda pid: {0, 1})
-        need = spectral._spectral_step_bytes(n, dims, bw)
+        need = spectral._spectral_step_bytes(n, dims, window)
         peaks = []
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            ac = sample_autocovariance(field, bw)
+            ac = sample_autocovariance(field, window)
             peaks.append(tracemalloc.get_traced_memory()[1] - base)
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            spectral_from_autocovariance(ac, "ep")
+            spectral_from_autocovariance(ac, kind, bw)
             peaks.append(tracemalloc.get_traced_memory()[1] - base)
         finally:
             tracemalloc.stop()
