@@ -7,8 +7,10 @@ the half-grid spectral matrices, the eigenvalues and phase-fixed eigenvector
 rows, chi with its mask, and the stacked baseline's chi (the Gram route).  ``studies.npz`` holds the
 per-replication metrics of the three Monte Carlo studies (the comparison's
 whole-lattice columns), one stability scan and both eigengap curves (nested
-submatrices and the Gram route).  ``tests/test_golden.py`` recomputes every
-array and compares it with the record.
+submatrices and the Gram route).  ``draws.npz`` holds ``simulate_field``'s raw
+x and chi for every replication of every design above, and of one design with
+several model_a factors.  ``tests/test_golden.py`` recomputes every array and
+compares it with the record.
 
 Rewrite the record only on purpose, and say which values moved and why:
 
@@ -40,6 +42,7 @@ from oracles import full_box
 
 PATH = Path(__file__).with_name("golden") / "rowmap.npz"
 STUDIES_PATH = PATH.with_name("studies.npz")
+DRAWS_PATH = PATH.with_name("draws.npz")
 
 # case name: (design, bandwidths); each has at least two autocovariance rows and filter chunks
 CASES = {
@@ -83,6 +86,10 @@ STUDIES = {
                    "subsample_sizes": [8, 10]}, None),
 }
 
+# the scan's and both curves' panel, and the panel whose stacked pairs feed the Gram-route curve
+SCAN = SimConfig("model_b", n=12, dims=(5, 5, 8), q=2, seed=24)
+STACKED = SimConfig("model_b", n=4, dims=(3, 3, 8), q=1, seed=25)
+
 
 def compute_studies() -> dict[str, np.ndarray]:
     """Every array of the studies' record."""
@@ -90,7 +97,7 @@ def compute_studies() -> dict[str, np.ndarray]:
     for study, (cfg, kwargs, names) in STUDIES.items():
         metrics = run_mc_study(cfg, study, **kwargs).metrics
         arrays.update({f"{study}.{name}": metrics[name] for name in names or metrics})
-    field = demean(simulate_field(SimConfig("model_b", n=12, dims=(5, 5, 8), q=2, seed=24))[0])
+    field = demean(simulate_field(SCAN)[0])
     scan = stability_scan(field, 3, np.arange(0, 401) / 100, subsample_sizes=[8, 10],
                           bw=(2, 2, 2), seed=5)
     arrays.update({
@@ -100,10 +107,26 @@ def compute_studies() -> dict[str, np.ndarray]:
         "curve.nested": eigenvalue_curve_by_size(field, [4, 8, 12], 3, "epanechnikov", (2, 2, 2)),
     })
     # 36 stacked (series, site) pairs on a (1, 1, 8) lattice: every size m > 8 is a Gram route
-    small = demean(simulate_field(SimConfig("model_b", n=4, dims=(3, 3, 8), q=1, seed=25))[0])
+    small = demean(simulate_field(STACKED)[0])
     stacked = as_demeaned_field(stacked_series_as_field(stack_to_time_series(small)).values)
     arrays["curve.gram"] = eigenvalue_curve_by_size(stacked, [12, 24, 36], 3, "epanechnikov",
                                                     (0, 0, 2))
+    return arrays
+
+
+DRAWS = {**{case: cfg for case, (cfg, _) in CASES.items()},
+         **{study: cfg for study, (cfg, _, _) in STUDIES.items()},
+         "scan": SCAN, "stacked": STACKED,
+         "model_a_q3": SimConfig("model_a", n=4, dims=(3, 4, 5), q=3, seed=15, r_a=2)}
+
+
+def compute_draws() -> dict[str, np.ndarray]:
+    """x and chi of every replication of every design in DRAWS."""
+    arrays = {}
+    for name, cfg in DRAWS.items():
+        for rep in range(cfg.n_reps):
+            x, chi = simulate_field(cfg, rep)
+            arrays[f"{name}.{rep}.x"], arrays[f"{name}.{rep}.chi"] = x.values, chi.values
     return arrays
 
 
@@ -111,7 +134,8 @@ def write() -> None:
     arrays = {f"{case}.{name}": value for case, (cfg, bw) in CASES.items()
               for name, value in compute(cfg, bw).items()}
     PATH.parent.mkdir(exist_ok=True)
-    for path, record in ((PATH, arrays), (STUDIES_PATH, compute_studies())):
+    for path, record in ((PATH, arrays), (STUDIES_PATH, compute_studies()),
+                         (DRAWS_PATH, compute_draws())):
         np.savez_compressed(path, versions=np.array(versions()), **record)
         print(f"wrote {path} ({path.stat().st_size} bytes) from {versions()}")
 

@@ -1,10 +1,12 @@
-"""The pipeline reproduces its checked-in record, inline and on two row-map workers."""
+"""The pipeline and the simulator reproduce their checked-in record, inline and on two row-map
+workers."""
 
 import numpy as np
 import pytest
 
 from stfactor import _rowmap
-from golden import CASES, PATH, STUDIES_PATH, compute, compute_studies, versions
+from golden import (CASES, DRAWS_PATH, PATH, STUDIES_PATH, compute, compute_draws, compute_studies,
+                    versions)
 
 
 def load(path):
@@ -59,3 +61,12 @@ def test_studies_scan_and_curves_match_the_record(monkeypatch, studies_record, p
     arrays = compute_studies()
     assert sorted(arrays) == sorted(set(studies_record) - {"versions"})
     assert_matches(arrays, studies_record)
+
+
+@POOLED
+def test_draws_match_the_record(monkeypatch, pooled):
+    pool(monkeypatch, pooled)
+    record = load(DRAWS_PATH)
+    arrays = compute_draws()
+    assert sorted(arrays) == sorted(set(record) - {"versions"})
+    assert_matches(arrays, record)
