@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rowmap import _map_rows, blas_pinned
+from ._rowmap import _map_rows, blas_pinned, map_workers
 from .errors import ConfigError, NumericError
 from .field import LatticeField, as_demeaned_field
 from .spectral import (
@@ -124,10 +124,14 @@ def _map_half_grid(solve, packed, sizes):
     """Per size m, eigenvalues (half, m) from solve(matrices, lo, hi) on the leading m x m blocks,
     and the worker count, in one row map.  Each worker builds complex matrices from ``packed``,
     about _EIGH_BATCH_BYTES but over _GIL_ROWS rows at a time, exact in the lower triangle that
-    LAPACK reads (the upper one holds the packing's other half)."""
-    half = len(packed)
-    vals = [np.empty((half, m)) for m in sizes]
+    LAPACK reads (the upper one holds the packing's other half), after a memory check."""
+    half, cost = len(packed), len(packed) * sum(m**3 for m in sizes)  # m x m eigensolves
     steps = [max(_EIGH_BATCH_BYTES // (16 * m * m), _GIL_ROWS // m + 1) for m in sizes]
+    scratch = max(min(step, half) * m * m for m, step in zip(sizes, steps))
+    # the eigenvalues, and each worker's complex batch with the eigenvectors solved from it
+    _check_memory(f"the eigensolves of {half} matrices at sizes {list(sizes)}",
+                  8 * half * sum(sizes) + 32 * map_workers(half, cost) * scratch)
+    vals = [np.empty((half, m)) for m in sizes]
 
     def rows(lo, hi, buffer):
         for m, step, out in zip(sizes, steps, vals):
@@ -138,9 +142,7 @@ def _map_half_grid(solve, packed, sizes):
                 _solve_rows(lambda a, b: solve(batch[a - start:b - start], a, b), out,
                             start, start + len(block))
 
-    scratch = max(min(step, half) * m * m for m, step in zip(sizes, steps))
-    return vals, _map_rows(rows, np.ones(half), half * sum(m**3 for m in sizes),  # m x m eigensolves
-                           lambda: [np.empty(scratch, complex)])
+    return vals, _map_rows(rows, np.ones(half), cost, lambda: [np.empty(scratch, complex)])
 
 
 def eigendecompose_all(estimate: SpectralDensityEstimate, q_keep: int) -> DynamicEigenSystem:

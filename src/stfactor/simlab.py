@@ -22,12 +22,15 @@ together, with the loading a_{ell j} folded into series ell's axis-0
 weights: axis 0 is one GEMM per block of series, axes 1 and 2 are
 batched matrix products over the block, and each block is added into
 chi in place.  A block holds at most :data:`_CONV_BUDGET_BYTES`
-(16 MiB) of scratch, the axis-0 product plus the block's band
+(8 MiB) of scratch, the axis-0 product plus the block's band
 matrices, unless one series alone needs more; the block size is fixed
 from the shapes before anything is allocated, so scratch memory does
 not grow with n.
 The result equals the per-series contraction up to the order of its
-sums (about 1e-15 of the largest |chi|).
+sums (about 1e-15 of the largest |chi|).  The shock fields are drawn
+one factor at a time from the one shocks substream (the same values as
+one (q, P1, P2, P3) draw), and each is convolved into chi and dropped
+before the next; x is the noise with chi added in place.
 
 The idiosyncratic part is either i.i.d. standard normal or the
 correlated design xi_{ell,s} = sum_kappa sum_{j=0..4}
@@ -35,8 +38,9 @@ correlated design xi_{ell,s} = sum_kappa sum_{j=0..4}
 c ~ U[0.5, 0.8], which is correlated across series, space, and time.
 
 Randomness is counter-based: every (seed, replication, stream role)
-triple opens an independent Philox substream, so results do not depend
-on execution order or thread count.
+triple opens an independent Philox substream, and ``simulate_field``
+holds BLAS at one thread, so results do not depend on execution order,
+BLAS thread count or replication threads.
 """
 
 from __future__ import annotations
@@ -129,7 +133,7 @@ class SimConfig:
 
 
 # scratch bytes per block of filters in _convolve_separable
-_CONV_BUDGET_BYTES = 16 * 2**20
+_CONV_BUDGET_BYTES = 8 * 2**20
 
 
 def _conv_block(dims, padded):
@@ -169,13 +173,14 @@ def _convolve_separable(shock: np.ndarray, weights, out: np.ndarray) -> None:
 
 
 def _model_a_chi(a, b, shocks, radius, dims):
-    """Truncated geometric convolution; shocks padded at least by radius."""
+    """Truncated geometric convolution of the shock fields ``shocks`` yields in turn, each padded
+    at least by radius."""
     lags = np.abs(np.arange(-radius, radius + 1))
     chi = np.zeros((len(a),) + tuple(dims))
-    for j in range(a.shape[1]):
+    for j, shock in enumerate(shocks):
         weights = b[:, j, None] ** lags
         # the loading a_{ell j} scales series ell's axis-0 filter
-        _convolve_separable(shocks[j], (a[:, j, None] * weights, weights, weights), chi)
+        _convolve_separable(shock, (a[:, j, None] * weights, weights, weights), chi)
     return chi
 
 
@@ -207,6 +212,7 @@ def _idio_correlated(cfg: SimConfig, rep: int) -> np.ndarray:
     return xi
 
 
+@blas_pinned()
 def simulate_field(cfg: SimConfig, rep: int = 0):
     """Draw replication ``rep`` of the configured design; returns (x, chi_true).
 
@@ -216,14 +222,16 @@ def simulate_field(cfg: SimConfig, rep: int = 0):
     """
     pad = cfg.r_a if cfg.model == "model_a" else 1
     padded = tuple(d + 2 * pad for d in cfg.dims)
-    # at once: the shocks, four panels (chi, a product or xi, x), the correlated draws, a block
+    # at once: a shock field and the next one's draw, three panels (chi, xi, and a product or
+    # one of xi's terms), the correlated draws, twice a block's scratch
     block, per_filter = _conv_block(cfg.dims, padded)
     draws = (cfg.n + 4) * math.prod(d + 2 for d in cfg.dims) if cfg.idio == "correlated" else 0
     _check_memory(f"the {cfg.model} design with n={cfg.n}, dims={cfg.dims}, q={cfg.q}, idio={cfg.idio}",
-                  8 * (cfg.q * math.prod(padded) + 4 * cfg.n * math.prod(cfg.dims) + draws
+                  8 * (min(cfg.q, 2) * math.prod(padded) + 3 * cfg.n * math.prod(cfg.dims) + draws
                        + 2 * min(block, cfg.n) * per_filter))
     a = substream(cfg.seed, rep, "loadings_a").standard_normal((cfg.n, cfg.q))
-    shocks = substream(cfg.seed, rep, "shocks").standard_normal((cfg.q,) + padded)
+    draw = substream(cfg.seed, rep, "shocks")
+    shocks = (draw.standard_normal(padded) for _ in range(cfg.q))
     if cfg.model == "model_a":
         b = substream(cfg.seed, rep, "decay_b").uniform(0.5, 0.8, size=(cfg.n, cfg.q))
         chi = _model_a_chi(a, b, shocks, pad, cfg.dims)
@@ -231,15 +239,16 @@ def simulate_field(cfg: SimConfig, rep: int = 0):
         spatial = np.array([[0.5, 1.0, 0.5]])
         temporal = np.array([[0.0, 1.0, 0.5]])  # lags kappa_3 in {0, 1} only
         chi = np.zeros((cfg.n,) + cfg.dims)
-        for j in range(cfg.q):
+        for j, shock in enumerate(shocks):
             base = np.zeros((1,) + cfg.dims)
-            _convolve_separable(shocks[j], (spatial, spatial, temporal), base)
+            _convolve_separable(shock, (spatial, spatial, temporal), base)
             chi += a[:, j][:, None, None, None] * base
     if cfg.idio == "iid_gaussian":
         xi = substream(cfg.seed, rep, "idio").standard_normal((cfg.n,) + cfg.dims)
     else:
         xi = _idio_correlated(cfg, rep)
-    return LatticeField(chi + xi), LatticeField(chi)
+    xi += chi  # x, with chi + xi's bits: addition commutes
+    return LatticeField(xi), LatticeField(chi)
 
 
 # ---------------------------------------------------------------------------

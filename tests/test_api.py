@@ -153,6 +153,7 @@ def test_only_the_row_map_and_the_study_start_worker_threads():
 
 
 def test_workers_are_counted_by_the_row_map_the_byte_estimates_and_the_echo():
-    """No layer counts the cores a second time to size per-worker buffers: the map makes them."""
+    """No layer counts the cores a second time to size per-worker buffers: the map makes them.
+    ``_map_half_grid`` counts them for its memory check only."""
     assert scopes_where(calls_named("map_workers")) == {
-        "_map_rows", "_spectral_step_bytes", "_filter_plan", "stability_scan"}
+        "_map_rows", "_spectral_step_bytes", "_filter_plan", "_map_half_grid", "stability_scan"}

@@ -117,23 +117,26 @@ class TestEstimate:
         assert sidecar["q"] == 3
 
     # model_a at n=30, 10x10x16 runs its convolution in two blocks of series; at 10x10x16
-    # the eigensolves run on the row map's threads, and at 12x12x20 the filter's chunks too
-    @pytest.mark.parametrize("model,n,dims", [
-        ("b", "24", "10,10,16"), ("a", "30", "10,10,16"), ("b", "30", "12,12,20"),
-    ], ids=["b", "a", "b_filter_map"])
-    def test_chi_bit_identical_across_blas_threads(self, tmp_path, model, n, dims):
+    # the eigensolves run on the row map's threads, and at 12x12x20 the filter's chunks too;
+    # at n=50, 10x10x100 (simulated only) model_a's products are large enough for BLAS threads
+    @pytest.mark.parametrize("model,n,dims,estimate", [
+        ("b", "24", "10,10,16", True), ("a", "30", "10,10,16", True),
+        ("b", "30", "12,12,20", True), ("a", "50", "10,10,100", False),
+    ], ids=["b", "a", "b_filter_map", "a_simulate"])
+    def test_chi_bit_identical_across_blas_threads(self, tmp_path, model, n, dims, estimate):
         # the settings echo promises bit-exact reproduction; hold it to that across
         # BLAS thread counts and row-map workers, each run in its own interpreter
         digests = []
         for threads, one_core in itertools.product(("1", "2"), (True, False)):
             out = tmp_path / f"threads{threads}_{'one_core' if one_core else 'all_cores'}"
             out.mkdir()
-            for args in (["simulate", "--model", model, "--n", n, "--dims", dims,
-                          "--q", "2", "--seed", "13", "--output", f"{out}/x.stf"],
-                         ["estimate", "--input", f"{out}/x.stf", "--q", "2",
-                          "--output", f"{out}/chi.stf"]):
+            commands = [["simulate", "--model", model, "--n", n, "--dims", dims,
+                         "--q", "2", "--seed", "13", "--output", f"{out}/x.stf"],
+                        ["estimate", "--input", f"{out}/x.stf", "--q", "2",
+                         "--output", f"{out}/chi.stf"]]
+            for args in commands[:1 + estimate]:
                 run_cli_child(args, threads, one_core)
-            digests.append([sha256(out / "x.stf"), sha256(out / "chi.stf")])
+            digests.append([sha256(out / name) for name in ("x.stf", "chi.stf")[:1 + estimate]])
         assert all(digest == digests[0] for digest in digests[1:])
 
     def test_sidecar_interior_bounds(self, tmp_path):

@@ -251,7 +251,9 @@ class TestGramRoute:
             marks["base"] = tracemalloc.get_traced_memory()[0]
             return system
 
-        monkeypatch.setattr(dynpca, "_check_memory", lambda step, need: needs.append(need))
+        # the Gram route's own check; the eigensolves of the small system check theirs
+        monkeypatch.setattr(dynpca, "_check_memory", lambda step, need: needs.append(need)
+                            if step.startswith("the Gram route") else None)
         monkeypatch.setattr(dynpca, "eigendecompose_all", traced_from_here)
         tracemalloc.start()
         try:
@@ -411,6 +413,16 @@ class TestHalfGridMap:
         assert calls == [126, 126, 48] and 126 * 4 > dynpca._GIL_ROWS
         weights = (est.grid.pair_weights / est.grid.size)[:, None]
         assert np.array_equal(vals, np.linalg.eigvalsh(est.matrices)[:, ::-1] * weights)
+
+    def test_memory_check_before_the_batches(self, monkeypatch):
+        est = hermitian_stack(300, 4, seed=5)
+        monkeypatch.setattr(spectral, "_physical_memory_bytes", lambda: 1024)
+        monkeypatch.setattr(dynpca, "_map_rows", None)  # fails if reached
+        # the eigenvalues, then one worker's batch of 300 matrices and its eigenvectors
+        need = 8 * 300 * 4 + 32 * 300 * 4 * 4
+        with pytest.raises(ConfigError, match=rf"the eigensolves of 300 matrices at sizes \[4\] "
+                                              rf"needs {need} bytes"):
+            eigendecompose_all(est, 1)
 
     @pytest.mark.parametrize("n, cores", [(2, 2), (7, 2), (30, 3), (100, 2), (5, 8)])
     def test_weighted_chunks_balance_pairs(self, monkeypatch, n, cores):

@@ -289,7 +289,10 @@ class TestStabilityScan:
             step_peaks.append(tracemalloc.get_traced_memory()[1] - base)
             return estimate
 
+        checked, check = [], dynpca._check_memory
         monkeypatch.setattr(qselect, "spectral_from_autocovariance", traced_assembly)
+        monkeypatch.setattr(dynpca, "_check_memory",
+                            lambda step, need: checked.append(need) or check(step, need))
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -298,9 +301,9 @@ class TestStabilityScan:
         finally:
             tracemalloc.stop()
         assert step_peaks[0] <= need  # the spectral step alone, through the assembly
-        # then the eigen map: the estimate (in ``need``) and each worker's batch of at most
-        # _EIGH_BATCH_BYTES (a batch of 10 matrices of order 80 here)
-        assert peak <= need + scan.settings["eigen_workers"] * dynpca._EIGH_BATCH_BYTES
+        # then the eigen map: the estimate (in ``need``) and what the map checks before its
+        # batches exist, the eigenvalues and each worker's batch (10 matrices of order 80 here)
+        assert len(checked) == 1 and peak <= need + checked[0]
 
     def test_memory_check_before_the_spectral_step(self, monkeypatch, panel):
         monkeypatch.setattr(spectral, "_physical_memory_bytes", lambda: 4 * 2**20)

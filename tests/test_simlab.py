@@ -212,7 +212,10 @@ class TestSimulationMemory:
         ("model_a", "correlated", 9, (4, 5, 7), 3, 4),
         ("model_b", "iid_gaussian", 12, (6, 5, 8), 2, None),
         ("model_b", "correlated", 5, (7, 6, 5), 1, None),
-    ], ids=["model_a_iid", "model_a_correlated", "model_b_iid", "model_b_correlated"])
+        # shocks larger than the rest: holding all four at once would top the bound
+        ("model_a", "iid_gaussian", 2, (3, 3, 3), 4, 6),
+    ], ids=["model_a_iid", "model_a_correlated", "model_b_iid", "model_b_correlated",
+            "model_a_four_factors"])
     def test_traced_peak_within_the_checked_bound(self, monkeypatch, model, idio, n, dims, q, r_a):
         cfg = SimConfig(model, n=n, dims=dims, q=q, idio=idio, seed=3, r_a=r_a)
         simulate_field(cfg)  # numpy's modules load on first use
@@ -227,6 +230,16 @@ class TestSimulationMemory:
         finally:
             tracemalloc.stop()
         assert len(needs) == 1 and peak <= needs[0]
+
+    def test_holds_the_blas_pin(self, monkeypatch):
+        # model_a's products run on one BLAS thread, so x does not depend on the thread count
+        sets, seen = [], []
+        monkeypatch.setattr(_rowmap, "_blas_thread_controls", lambda: (lambda: 3, sets.append))
+        convolve = simlab._convolve_separable
+        monkeypatch.setattr(simlab, "_convolve_separable",
+                            lambda *args: seen.append(sets[:]) or convolve(*args))
+        simulate_field(SimConfig("model_a", n=3, dims=(3, 3, 4), q=2, r_a=2))
+        assert sets == [1, 3] and seen == [[1], [1]]
 
     def test_raises_before_the_first_draw(self, monkeypatch):
         monkeypatch.setattr(simlab, "substream", None)  # a draw would raise TypeError
