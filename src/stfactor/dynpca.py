@@ -125,7 +125,8 @@ def _map_half_grid(solve, packed, sizes):
     and the worker count, in one row map.  Each worker builds complex matrices from ``packed``,
     about _EIGH_BATCH_BYTES but over _GIL_ROWS rows at a time, exact in the lower triangle that
     LAPACK reads (the upper one holds the packing's other half), after a memory check."""
-    half, cost = len(packed), len(packed) * sum(m**3 for m in sizes)  # m x m eigensolves
+    half = len(packed)
+    cost = half * sum(m**3 for m in sizes)  # m x m eigensolves
     steps = [max(_EIGH_BATCH_BYTES // (16 * m * m), _GIL_ROWS // m + 1) for m in sizes]
     scratch = max(min(step, half) * m * m for m, step in zip(sizes, steps))
     # the eigenvalues, and each worker's complex batch with the eigenvectors solved from it
