@@ -63,16 +63,14 @@ def map_workers(count: int, cost: float) -> int:
     return min(cores or 1, count)
 
 
-def _map_rows(task, weights, cost: float, scratch=tuple) -> int:
-    """task(lo, hi, *scratch()) on contiguous chunks of rows, one per worker, BLAS at one thread;
-    each chunk's weight is within one row of an equal share.  Returns the worker count.  The
+def _map_rows(task, weights, workers: int, scratch=tuple) -> None:
+    """task(lo, hi, *scratch()) on ``workers`` contiguous chunks of rows (the count the caller's
+    plan gave), BLAS at one thread; each chunk's weight is within one row of an equal share.  The
     calling thread makes all scratch first (glibc keeps a worker thread's freed heap resident), and
     each chunk drops its own when done: the other way round, `comparison` ops ran 3% slower."""
-    workers = map_workers(len(weights), cost)
     buffers, cum = [scratch() for _ in range(workers)], np.cumsum(weights)
     bounds = [0, *np.searchsorted(cum, cum[-1] * np.arange(1, workers) / workers, "right"), len(cum)]
     with blas_pinned(), ThreadPoolExecutor(max(workers - 1, 1)) as pool:
         rest = pool.map(lambda lo, hi: task(lo, hi, *buffers.pop()), bounds[1:-1], bounds[2:])
         task(bounds[0], bounds[1], *buffers.pop())
         list(rest)
-    return workers

@@ -30,7 +30,8 @@ from .field import (
     stacked_series_as_field,
     store_field,
 )
-from .spectral import _check_memory, make_kernel, validate_bandwidths
+from ._plan import _check_memory
+from .spectral import make_kernel, validate_bandwidths
 from .dynpca import eigenvalue_curve_by_size
 from .commoncomp import estimate_common_component
 from .qselect import NoSecondIntervalError, stability_scan

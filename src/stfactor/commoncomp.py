@@ -32,7 +32,8 @@ first and only the q scores are windowed.  Per axis W_d = D_d B_d D_d^*,
 with D_d the phases e^{i s theta_d} and B_d[s, u] = 1{|s-u| <= M_d} a
 real band, so one band product per axis serves every point of a row of
 the half grid (the points sharing theta_1, theta_2).  The rows run on
-the row map in a fixed number of chunks; each chunk sums its own
+the row map in the entry plan's fixed number of chunks (:mod:`_plan`),
+with the plan's worker count; each chunk sums its own
 partial chi and the partials are added in chunk order, so chi's bits
 depend on neither the core count nor the BLAS thread count.  The
 lag-domain form (C(kappa) summed over the grid, then convolved) is kept
@@ -48,11 +49,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rowmap import _map_rows, blas_pinned, map_workers
+from . import _plan
+from ._rowmap import _map_rows, blas_pinned
 from .errors import ConfigError
 from .field import LatticeField
 from .dynpca import DynamicEigenSystem, eigensystem_from_field
-from .spectral import FrequencyGrid, _check_memory, resolve_kernels, validate_bandwidths
+from .spectral import _lag_window, resolve_kernels, validate_bandwidths
 
 __all__ = [
     "validate_truncation",
@@ -60,9 +62,6 @@ __all__ = [
     "CommonComponentEstimate",
     "estimate_common_component",
 ]
-
-
-_FILTER_CHUNKS = 4  # partial sums of chi, added in chunk order whatever the worker count
 
 
 def validate_truncation(trunc, bw, dims) -> tuple[int, int, int]:
@@ -118,20 +117,8 @@ def _window(z: np.ndarray, m: int, out: np.ndarray) -> None:
         out[...] = tiled.reshape(z.shape[:-2] + (tiles * b, z.shape[-1]))[..., :extent, :]
 
 
-def _filter_plan(n: int, dims, q: int, grid, trunc):
-    """Row starts in chunks, the map cost (about 10 ns a unit) and the bytes held at once: each
-    chunk's partial chi, and per worker its buffers (3 more if tiled), rows and ufunc buffers."""
-    starts = np.arange(0, grid.half_count, grid.shape[2])
-    chunks = np.array_split(starts, min(_FILTER_CHUNKS, len(starts)))
-    volume, cols = int(np.prod(dims)), grid.shape[2] * q
-    cost = grid.half_count * q * volume * (2 * n + sum(2 * m + 1 for m in trunc)) / 32
-    tiled = any(d > 3 * (2 * m + 1) for d, m in zip(dims, trunc))
-    worker = (((2 + 3 * tiled) * volume + 2 * n) * cols + 3 * np.getbufsize()) * 16 + n * volume * 8
-    return chunks, cost, len(chunks) * n * volume * 8 + map_workers(len(chunks), cost) * worker
-
-
 def _apply_projection_frequency(
-    values: np.ndarray, system: DynamicEigenSystem, q: int, trunc
+    values: np.ndarray, system: DynamicEigenSystem, q: int, trunc, plan
 ) -> np.ndarray:
     """chi = (1/G) sum_theta P(theta)^dag W_theta[P(theta) x]: project, then window.
 
@@ -144,7 +131,7 @@ def _apply_projection_frequency(
     n, (s1, s2, t) = values.shape[0], values.shape[1:]
     x = values.reshape(n, -1)
     volume, points, weights = x.shape[1], grid.points, grid.pair_weights / grid.size
-    chunks, cost, _ = _filter_plan(n, values.shape[1:], q, grid, trunc)
+    chunks = plan.chunks
     partials = [np.zeros_like(x) for _ in chunks]
 
     def rows(lo, hi, bufs, product):  # the map's scratch: two score buffers, the back-projection
@@ -170,7 +157,7 @@ def _apply_projection_frequency(
             back = proj * np.repeat(weights[batch], 2 * q)[:, None]
             partials[chunk] += np.matmul(back.T, b.reshape(volume, -1).T, out=product)
 
-    _map_rows(rows, np.ones(len(chunks)), cost,
+    _map_rows(rows, np.ones(len(chunks)), plan.workers["filter"],
               lambda: (np.empty((2, volume * grid.shape[2] * q), complex), np.empty_like(x)))
     for part in partials[1:]:
         partials[0] += part
@@ -204,13 +191,14 @@ def estimate_common_component(
     kernels = resolve_kernels(kernels)
     bw = validate_bandwidths(bw, field.dims)
     trunc = validate_truncation(trunc, bw, field.dims)
-    _check_memory(f"the projection filter for n={field.n}, dims={tuple(field.dims)}, q={q}",
-                  _filter_plan(field.n, field.dims, q, FrequencyGrid(bw), trunc)[2])
-    system = eigensystem_from_field(field, kernels, bw, q_keep=q)
+    window = _lag_window(kernels, bw)
+    with _plan.entry(f"the common component for n={field.n}, dims={tuple(field.dims)}, q={q}",
+                     lambda: _plan.common_component(field.n, field.dims, window, bw, q, trunc)) as plan:
+        system = eigensystem_from_field(field, kernels, bw, q_keep=q)
     top = system.eigenvalues[:, : max(q, 1)]
     if q > 0 and np.all(top <= 0):
         warnings.warn("degenerate spectrum: all leading eigenvalues are <= 0", RuntimeWarning)
-    chi = _apply_projection_frequency(field.values, system, q, trunc)
+    chi = _apply_projection_frequency(field.values, system, q, trunc, plan)
     settings = {
         "n": field.n,
         "dims": list(field.dims),

@@ -25,8 +25,9 @@ usable core with BLAS at one thread, so each matrix gets the same LAPACK
 call, and the same bits, whatever the core count.  A worker builds its
 chunk's complex matrices from the packed estimate about 1 MiB at a time,
 in a buffer made by the calling thread (glibc keeps a worker thread's
-freed heap resident), and LAPACK reads their lower triangles.  The public
-entries hold BLAS at one thread for their whole call.
+freed heap resident), and LAPACK reads their lower triangles.  The batch
+rows and the worker count come from the entry's plan (:mod:`_plan`).  The
+public entries hold BLAS at one thread for their whole call.
 """
 
 from __future__ import annotations
@@ -35,13 +36,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rowmap import _map_rows, blas_pinned, map_workers
+from . import _plan
+from ._rowmap import _map_rows, blas_pinned
 from .errors import ConfigError, NumericError
 from .field import LatticeField, as_demeaned_field
 from .spectral import (
     FrequencyGrid,
     SpectralDensityEstimate,
-    _check_memory,
     _lag_window,
     estimate_spectral_density,
     sample_autocovariance,
@@ -102,10 +103,6 @@ def _fix_phases(rows: np.ndarray) -> np.ndarray:
     return rows * (np.conj(pivot) / mod)[..., None]
 
 
-_EIGH_BATCH_BYTES = 1 << 20
-_GIL_ROWS = 500  # numpy's gufuncs keep the GIL over a call of at most this many matrix rows
-
-
 def _solve_rows(solve, vals: np.ndarray, lo: int, hi: int) -> None:
     """vals[lo:hi] = solve(lo, hi); a failed or non-finite decomposition names its grid index."""
     try:
@@ -120,22 +117,17 @@ def _solve_rows(solve, vals: np.ndarray, lo: int, hi: int) -> None:
         raise NumericError(f"eigendecomposition failed at grid index {lo + int(np.argmax(bad))}")
 
 
-def _map_half_grid(solve, packed, sizes):
+def _map_half_grid(solve, packed, sizes, plan) -> list[np.ndarray]:
     """Per size m, eigenvalues (half, m) from solve(matrices, lo, hi) on the leading m x m blocks,
-    and the worker count, in one row map.  Each worker builds complex matrices from ``packed``,
-    about _EIGH_BATCH_BYTES but over _GIL_ROWS rows at a time, exact in the lower triangle that
-    LAPACK reads (the upper one holds the packing's other half), after a memory check."""
+    in one row map.  Each worker builds complex matrices from ``packed``, the plan's batch rows
+    at a time, exact in the lower triangle that LAPACK reads (the upper one holds the packing's
+    other half)."""
     half = len(packed)
-    cost = half * sum(m**3 for m in sizes)  # m x m eigensolves
-    steps = [max(_EIGH_BATCH_BYTES // (16 * m * m), _GIL_ROWS // m + 1) for m in sizes]
-    scratch = max(min(step, half) * m * m for m, step in zip(sizes, steps))
-    # the eigenvalues, and each worker's complex batch with the eigenvectors solved from it
-    _check_memory(f"the eigensolves of {half} matrices at sizes {list(sizes)}",
-                  8 * half * sum(sizes) + 32 * map_workers(half, cost) * scratch)
+    scratch = max(min(step, half) * m * m for m, step in zip(sizes, plan.steps))
     vals = [np.empty((half, m)) for m in sizes]
 
     def rows(lo, hi, buffer):
-        for m, step, out in zip(sizes, steps, vals):
+        for m, step, out in zip(sizes, plan.steps, vals):
             for start in range(lo, hi, step):
                 block = packed[start:min(start + step, hi), :m, :m]
                 batch = buffer[:block.size].reshape(block.shape)
@@ -143,7 +135,8 @@ def _map_half_grid(solve, packed, sizes):
                 _solve_rows(lambda a, b: solve(batch[a - start:b - start], a, b), out,
                             start, start + len(block))
 
-    return vals, _map_rows(rows, np.ones(half), cost, lambda: [np.empty(scratch, complex)])
+    _map_rows(rows, np.ones(half), plan.workers["eigen"], lambda: [np.empty(scratch, complex)])
+    return vals
 
 
 def eigendecompose_all(estimate: SpectralDensityEstimate, q_keep: int) -> DynamicEigenSystem:
@@ -156,6 +149,8 @@ def eigendecompose_all(estimate: SpectralDensityEstimate, q_keep: int) -> Dynami
     packed, n = estimate.packed, estimate.n
     if not 0 <= q_keep <= n:
         raise ConfigError(f"q_keep={q_keep} out of range 0..{n}")
+    plan = _plan.current(f"the eigensolves of {len(packed)} matrices at sizes {[n]}",
+                         lambda: _plan.eigensolves(len(packed), [n], q_keep))
     rows = np.empty((len(packed), q_keep, n), dtype=complex)
 
     def solve(mats, lo, hi):
@@ -165,8 +160,8 @@ def eigendecompose_all(estimate: SpectralDensityEstimate, q_keep: int) -> Dynami
         np.conj(v[:, :, ::-1][:, :, :q_keep].transpose(0, 2, 1), out=rows[lo:hi])
         return w[:, ::-1]
 
-    (vals,), workers = _map_half_grid(solve, packed, [n])
-    return DynamicEigenSystem(estimate.grid, vals, _fix_phases(rows), q_keep, workers)
+    (vals,) = _map_half_grid(solve, packed, [n], plan)
+    return DynamicEigenSystem(estimate.grid, vals, _fix_phases(rows), q_keep, plan.workers["eigen"])
 
 
 # ---------------------------------------------------------------------------
@@ -212,22 +207,19 @@ def eigensystem_from_field(
     if not field.demeaned:
         raise ConfigError("eigensystem_from_field requires a demeaned field")
     bw = validate_bandwidths(bw, field.dims)
-    n, volume = field.n, field.lattice_size
-    if volume >= n:
-        return eigendecompose_all(estimate_spectral_density(field, kernels, bw), q_keep)
-    if q_keep > volume:
+    n, volume, window = field.n, field.lattice_size, _lag_window(kernels, bw)
+    if volume < n and q_keep > volume:
         raise ConfigError(f"q_keep={q_keep} exceeds the rank bound min(n, S1*S2*T)={volume}")
-    # the n-sized arrays: eigenvalues; rows, their norm's and phases' temporaries; x2d @ back, cast
-    half = FrequencyGrid(bw).half_count
-    _check_memory(f"the Gram route's rows for n={n}, dims={tuple(field.dims)}, q_keep={q_keep}",
-                  8 * n * (half + 6 * half * q_keep + 3 * volume))
-    x2d = field.values.reshape(n, volume)
-    coords, back = _principal_field(x2d, field.dims)
-    if q_keep > coords.n:
-        raise NumericError(f"degenerate eigenvector in Gram route: q_keep={q_keep} > rank {coords.n}")
-    estimate = spectral_from_autocovariance(
-        sample_autocovariance(coords, _lag_window(kernels, bw)), kernels, bw)
-    small = eigendecompose_all(estimate, q_keep)
+    with _plan.entry(f"the eigensystem for n={n}, dims={tuple(field.dims)}, q_keep={q_keep}",
+                     lambda: _plan.eigensystem(n, field.dims, window, bw, q_keep)):
+        if volume >= n:
+            return eigendecompose_all(estimate_spectral_density(field, kernels, bw), q_keep)
+        x2d = field.values.reshape(n, volume)
+        coords, back = _principal_field(x2d, field.dims)
+        if q_keep > coords.n:
+            raise NumericError(f"degenerate eigenvector in Gram route: q_keep={q_keep} > rank {coords.n}")
+        small = eigendecompose_all(spectral_from_autocovariance(
+            sample_autocovariance(coords, window), kernels, bw), q_keep)
     vals = np.zeros((small.grid.half_count, n))
     vals[:, :coords.n] = small.eigenvalues
     vals[:, ::-1].sort(axis=1)  # the zeros belong above Y's negative eigenvalues
@@ -265,14 +257,19 @@ def eigenvalue_curve_by_size(
     if not 1 <= top_k <= min(m_values):
         raise ConfigError(f"top_k={top_k} must lie in 1..{min(m_values)} (smallest subpanel size)")
     bw = validate_bandwidths(bw, field.dims)
-    out = np.empty((len(m_values), top_k))
-    if field.lattice_size < field.n:
-        for r, m in enumerate(m_values):
+    window = _lag_window(kernels, bw)
+    with _plan.entry(f"the eigenvalue curve for n={field.n}, dims={tuple(field.dims)}, sizes={m_values}",
+                     lambda: _plan.curve(field.n, field.dims, window, bw, m_values)) as plan:
+        if field.lattice_size >= field.n:
+            estimate = estimate_spectral_density(field, kernels, bw)
+            return np.array([v[:, :top_k].sum(axis=0)
+                             for v in weighted_submatrix_eigenvalues(estimate, m_values)])
+        out = np.empty((len(m_values), top_k))
+        for r, (m, part) in enumerate(zip(m_values, plan.parts)):
             sub = field if m == field.n else LatticeField(field.values[:m], demeaned=True)
-            out[r] = eigensystem_from_field(sub, kernels, bw).eigenvalue_means()[:top_k]
+            with _plan.running(part):
+                out[r] = eigensystem_from_field(sub, kernels, bw).eigenvalue_means()[:top_k]
         return out
-    estimate = estimate_spectral_density(field, kernels, bw)
-    return np.array([v[:, :top_k].sum(axis=0) for v in weighted_submatrix_eigenvalues(estimate, m_values)])
 
 
 def weighted_submatrix_eigenvalues(estimate: SpectralDensityEstimate, sizes) -> list[np.ndarray]:
@@ -283,8 +280,9 @@ def weighted_submatrix_eigenvalues(estimate: SpectralDensityEstimate, sizes) -> 
     mean (1/G) sum_theta lambda_j(theta).  The weights are positive, so
     clamping the weighted values at zero clamps the eigenvalues.
     """
-    grid = estimate.grid
-    vals, _ = _map_half_grid(lambda mats, lo, hi: np.linalg.eigvalsh(mats)[:, ::-1],
-                             estimate.packed, [int(m) for m in sizes])
+    grid, sizes = estimate.grid, [int(m) for m in sizes]
+    plan = _plan.current(f"the eigensolves of {grid.half_count} matrices at sizes {sizes}",
+                         lambda: _plan.eigensolves(grid.half_count, sizes, weighted=True))
+    vals = _map_half_grid(lambda mats, lo, hi: np.linalg.eigvalsh(mats)[:, ::-1], estimate.packed, sizes,
+                          plan)
     return [v * (grid.pair_weights / grid.size)[:, None] for v in vals]
-

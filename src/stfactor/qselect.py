@@ -33,13 +33,13 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from ._rowmap import blas_pinned, map_workers
+from . import _plan
+from ._rowmap import blas_pinned
 from .dynpca import weighted_submatrix_eigenvalues
 from .errors import ConfigError, NumericError
 from .field import LatticeField
 from .spectral import (
     AutocovarianceSet,
-    _check_memory,
     _lag_window,
     resolve_kernels,
     sample_autocovariance,
@@ -179,7 +179,7 @@ def stability_scan(
     interval of c -> S_c.  The spectral estimate of the permuted panel
     is assembled once at full n; subsample estimates use its leading
     principal submatrices, which is what re-estimation on the subsample
-    would produce anyway.
+    would produce anyway.  All of it runs on the scan's plan (:mod:`_plan`).
 
     ``q_max`` defaults to :data:`DEFAULT_Q_MAX` and ``c_grid`` to
     0:0.0005:3, formed as ``arange(0, 6001) / 2000``.
@@ -219,19 +219,18 @@ def stability_scan(
     if sizes[0] < 1 or sizes[-1] > n:
         raise ConfigError("subsample sizes must lie in 1..n")
     n_c, n_j = len(c_grid), len(sizes)
-    # per c: qhat plus s_curve's two temporaries, or plus one subsample's scores and their sum
-    _check_memory(f"the scan over {n_c} c_grid scales", 8 * n_c * (3 * n_j + 2 * (q_max + 1)))
-
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    perm = rng.permutation(n)
-
     window = _lag_window(kernels, bw)  # the permuted panel's lag box is re-indexed: P Gamma(h) P^T
-    estimate = spectral_from_autocovariance(AutocovarianceSet(
-        window, sample_autocovariance(field, window).gammas[:, perm[:, None], perm]), kernels, bw)
+    with _plan.entry(f"the scan of n={n}, dims={tuple(field.dims)} over {n_c} c_grid scales",
+                     lambda: _plan.scan(n, field.dims, window, bw, sizes, n_c, q_max)) as plan:
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+        perm = rng.permutation(n)
+        estimate = spectral_from_autocovariance(AutocovarianceSet(
+            window, sample_autocovariance(field, window).gammas[:, perm[:, None], perm]), kernels, bw)
+        eigenvalues = weighted_submatrix_eigenvalues(estimate, sizes)
     smoothness = tuple(k.smoothness for k in kernels)
 
     qhat = np.empty((n_c, n_j), dtype=np.int64)
-    for j, (m, weighted) in enumerate(zip(sizes, weighted_submatrix_eigenvalues(estimate, sizes))):
+    for j, (m, weighted) in enumerate(zip(sizes, eigenvalues)):
         means = np.maximum(weighted, 0.0).sum(axis=0)
         pen = penalty_value(m, field.dims, bw, smoothness)
         tails = _tail_means(means, q_max)
@@ -255,7 +254,7 @@ def stability_scan(
         "subsample_sizes": [int(s) for s in sizes],
         "seed": int(seed),
         "c_grid": [float(c_grid[0]), float(c_grid[-1]), len(c_grid)],
-        "eigen_workers": map_workers(estimate.grid.half_count, estimate.grid.half_count * n**3),
+        "eigen_workers": plan.workers["eigen"],
     }
 
     def build(selected_c, selected_q):

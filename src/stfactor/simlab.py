@@ -21,11 +21,11 @@ shock field.  model_a runs its n per-series filters of one factor
 together, with the loading a_{ell j} folded into series ell's axis-0
 weights: axis 0 is one GEMM per block of series, axes 1 and 2 are
 batched matrix products over the block, and each block is added into
-chi in place.  A block holds at most :data:`_CONV_BUDGET_BYTES`
-(8 MiB) of scratch, the axis-0 product plus the block's band
-matrices, unless one series alone needs more; the block size is fixed
-from the shapes before anything is allocated, so scratch memory does
-not grow with n.
+chi in place.  A block holds at most 8 MiB of scratch, the axis-0
+product plus the block's band matrices, unless one series alone needs
+more; the block size is the plan's (:mod:`_plan`), fixed from the
+shapes before anything is allocated, so scratch memory does not grow
+with n.
 The result equals the per-series contraction up to the order of its
 sums (about 1e-15 of the largest |chi|).  The shock fields are drawn
 one factor at a time from the one shocks substream (the same values as
@@ -46,12 +46,12 @@ BLAS thread count or replication threads.
 from __future__ import annotations
 
 import itertools
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _plan
 from ._rowmap import blas_pinned
 from .errors import ConfigError, DataError, NumericError
 from .field import (
@@ -68,7 +68,7 @@ from .commoncomp import (
     validate_truncation,
 )
 from .qselect import DEFAULT_Q_MAX, stability_scan
-from .spectral import _check_memory, resolve_kernels, validate_bandwidths
+from .spectral import _lag_window, resolve_kernels, validate_bandwidths
 
 __all__ = [
     "SimConfig",
@@ -132,19 +132,8 @@ class SimConfig:
             raise ConfigError("n and all extents must be positive")
 
 
-# scratch bytes per block of filters in _convolve_separable
-_CONV_BUDGET_BYTES = 8 * 2**20
-
-
-def _conv_block(dims, padded):
-    """Filters per block of _convolve_separable and one filter's scratch floats (held at most twice)."""
-    (s1, s2, t), (p1, p2, p3) = dims, padded
-    per_filter = s1 * p2 * p3 + s1 * p1 + s2 * p2 + t * p3
-    return max(1, _CONV_BUDGET_BYTES // (8 * per_filter)), per_filter
-
-
-def _convolve_separable(shock: np.ndarray, weights, out: np.ndarray) -> None:
-    """Add k separable lag filters of one padded shock field into ``out``.
+def _convolve_separable(shock: np.ndarray, weights, out: np.ndarray, block: int) -> None:
+    """Add k separable lag filters of one padded shock field into ``out``, ``block`` at a time.
 
     ``weights`` holds one (k, 2 r_d + 1) array per axis d; row i gives
     filter i's weights at lags kappa_d = -r_d..r_d.  ``out`` is
@@ -161,7 +150,6 @@ def _convolve_separable(shock: np.ndarray, weights, out: np.ndarray) -> None:
         kappa = np.arange(s)[:, None] + (p - s) // 2 - np.arange(p)
         cols.append(np.where(np.abs(kappa) <= radius, kappa + radius, 2 * radius + 1))
         padded.append(np.pad(w, ((0, 0), (0, 1))))
-    block = _conv_block(out.shape[1:], shock.shape)[0]
     flat = shock.reshape(p1, p2 * p3)
     for lo in range(0, k, block):
         m0, m1, m2 = (w[lo:lo + block, c] for w, c in zip(padded, cols))
@@ -172,15 +160,15 @@ def _convolve_separable(shock: np.ndarray, weights, out: np.ndarray) -> None:
             m, s1, s2, t)
 
 
-def _model_a_chi(a, b, shocks, radius, dims):
+def _model_a_chi(a, b, shocks, radius, dims, block):
     """Truncated geometric convolution of the shock fields ``shocks`` yields in turn, each padded
-    at least by radius."""
+    at least by radius, ``block`` filters at a time."""
     lags = np.abs(np.arange(-radius, radius + 1))
     chi = np.zeros((len(a),) + tuple(dims))
     for j, shock in enumerate(shocks):
         weights = b[:, j, None] ** lags
         # the loading a_{ell j} scales series ell's axis-0 filter
-        _convolve_separable(shock, (a[:, j, None] * weights, weights, weights), chi)
+        _convolve_separable(shock, (a[:, j, None] * weights, weights, weights), chi, block)
     return chi
 
 
@@ -222,26 +210,22 @@ def simulate_field(cfg: SimConfig, rep: int = 0):
     """
     pad = cfg.r_a if cfg.model == "model_a" else 1
     padded = tuple(d + 2 * pad for d in cfg.dims)
-    # at once: a shock field and the next one's draw, three panels (chi, xi, and x, a product or
-    # one of xi's terms), the correlated draws, twice a block's scratch
-    block, per_filter = _conv_block(cfg.dims, padded)
-    draws = (cfg.n + 4) * math.prod(d + 2 for d in cfg.dims) if cfg.idio == "correlated" else 0
-    _check_memory(f"the {cfg.model} design with n={cfg.n}, dims={cfg.dims}, q={cfg.q}, idio={cfg.idio}",
-                  8 * (min(cfg.q, 2) * math.prod(padded) + 3 * cfg.n * math.prod(cfg.dims) + draws
-                       + 2 * min(block, cfg.n) * per_filter))
+    block = _plan.current(
+        f"the {cfg.model} design with n={cfg.n}, dims={cfg.dims}, q={cfg.q}, idio={cfg.idio}",
+        lambda: _plan.simulation(cfg.n, cfg.dims, cfg.q, pad, cfg.idio == "correlated")).block
     a = substream(cfg.seed, rep, "loadings_a").standard_normal((cfg.n, cfg.q))
     draw = substream(cfg.seed, rep, "shocks")
     shocks = (draw.standard_normal(padded) for _ in range(cfg.q))
     if cfg.model == "model_a":
         b = substream(cfg.seed, rep, "decay_b").uniform(0.5, 0.8, size=(cfg.n, cfg.q))
-        chi = _model_a_chi(a, b, shocks, pad, cfg.dims)
+        chi = _model_a_chi(a, b, shocks, pad, cfg.dims, block)
     else:
         spatial = np.array([[0.5, 1.0, 0.5]])
         temporal = np.array([[0.0, 1.0, 0.5]])  # lags kappa_3 in {0, 1} only
         chi = np.zeros((cfg.n,) + cfg.dims)
         for j, shock in enumerate(shocks):
             base = np.zeros((1,) + cfg.dims)
-            _convolve_separable(shock, (spatial, spatial, temporal), base)
+            _convolve_separable(shock, (spatial, spatial, temporal), base, block)
             chi += a[:, j][:, None, None, None] * base
     if cfg.idio == "iid_gaussian":
         xi = substream(cfg.seed, rep, "idio").standard_normal((cfg.n,) + cfg.dims)
@@ -308,11 +292,15 @@ def gdfm_baseline(
     ``settings`` describe the temporal filter, bw (0, 0, B_T) and trunc
     (0, 0, M_T), on the field's lattice.
     """
-    sf = as_demeaned_field(stacked_series_as_field(stack_to_time_series(field)).values)
     # unset values resolve on the stacked (1, 1, T) lattice: B_T by default, M_T = B_T
-    bw = None if bw_t is None else (0, 0, int(bw_t))
-    trunc = None if trunc_t is None else (0, 0, int(trunc_t))
-    est = estimate_common_component(sf, q, kernels, bw, trunc)
+    stacked = (1, 1, field.dims[2])
+    bw = validate_bandwidths(None if bw_t is None else (0, 0, int(bw_t)), stacked)
+    trunc = validate_truncation(None if trunc_t is None else (0, 0, int(trunc_t)), bw, stacked)
+    window, kernels = _lag_window(kernels, bw), resolve_kernels(kernels)
+    with _plan.entry(f"the stacked baseline for n={field.n}, dims={tuple(field.dims)}, q={q}",
+                     lambda: _plan.baseline(field.n, field.dims, window, bw, q, trunc)):
+        sf = as_demeaned_field(stacked_series_as_field(stack_to_time_series(field)).values)
+        est = estimate_common_component(sf, q, kernels, bw, trunc)
     settings = {**est.settings, "n": field.n, "dims": list(field.dims)}
     return CommonComponentEstimate(est.chi.reshape(field.values.shape),
                                    interior_mask(field.dims, settings["trunc"]), settings)

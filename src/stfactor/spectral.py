@@ -40,20 +40,20 @@ half (G // 2 + 1 lags of the lag window, zero first) is stored, and the assembly
 
 The autocovariance rows (in column blocks of about 4 MiB) and the
 assembly's rows run on the row map of :mod:`_rowmap`, which makes each
-worker's scratch in the calling thread.  The spectral step is the largest
-allocation (that scratch included) and is checked before any array exists.
+worker's scratch in the calling thread.  Their pad lengths, block width
+and worker counts come from the entry's plan (:mod:`_plan`), whose bytes,
+that scratch included, are checked before any array exists.
 """
 
 from __future__ import annotations
 
 import ctypes
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _rowmap
+from . import _plan, _rowmap
 from .errors import ConfigError
 from .field import LatticeField
 
@@ -216,9 +216,6 @@ class FrequencyGrid:
         return w
 
 
-_BLOCK_BYTES = 4 << 20  # one cross-spectrum block: a cache-sized share of the padded half-spectrum
-
-
 # ---------------------------------------------------------------------------
 # Sample autocovariances
 # ---------------------------------------------------------------------------
@@ -243,63 +240,15 @@ class AutocovarianceSet:
             raise ConfigError(f"expected {half} half-box lags, got {self.gammas.shape[0]}")
 
 
-def _next_fast_len(target: int) -> int:
-    # smallest 5-smooth integer >= target
-    n = target
-    while True:
-        m = n
-        for p in (2, 3, 5):
-            while m % p == 0:
-                m //= p
-        if m == 1:
-            return n
-        n += 1
-
-
 def _lag_window(kernels, bw) -> tuple[int, int, int]:
     """The lags the kernels weight within bandwidths B: L_d = B_d - 1 where K_d(+-1) = 0, else B_d."""
     return tuple(b - 1 if b and k(1.0) == 0.0 else b for k, b in zip(resolve_kernels(kernels), bw))
 
 
-def _physical_memory_bytes() -> int:
-    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-
-
-def _check_memory(step: str, need: int) -> None:
-    """ConfigError, before anything is allocated, if ``step`` needs more than physical memory."""
-    if need > (have := _physical_memory_bytes()):
-        raise ConfigError(f"{step} needs {need:.0f} bytes, more than the {have} bytes of physical memory")
-
-
-def _autocov_layout(n: int, dims, window):
-    """Padded lengths, block width w, per-series lengths of the block arrays (the cross-spectra
-    with one row series, P1 P2 K3 bins with K3 = P3 // 2 + 1, and their transforms over each
-    axis in turn) and the cost, pairs times bins; w series' cross-spectra fill _BLOCK_BYTES."""
-    # zero padding past d + B keeps every lag |h| <= B free of wrap-around
-    pad = tuple(_next_fast_len(d + b + 1) for d, b in zip(dims, window))
-    l1, l2, l3 = (2 * b + 1 for b in window)
-    k3 = pad[2] // 2 + 1
-    sizes = (pad[0] * pad[1] * k3, l1 * pad[1] * k3, l1 * l2 * k3, l1 * l2 * l3)
-    return pad, min(n, max(1, _BLOCK_BYTES // (sizes[0] * 16))), sizes, n * (n + 1) // 2 * sizes[0]
-
-
-def _spectral_step_bytes(n: int, dims, window) -> int:
-    """Bytes held at once by the spectral step, from the shapes alone: the real autocovariances on
-    the half box of the lag window L, the packed estimate on the largest bandwidth grid that has
-    lag window L (B_d = min(L_d + 1, d - 1)), the complex padded half-spectrum of the field, and
-    each row worker's scratch (one conjugated series and the four block arrays) and numpy's
-    iterator buffers for a strided complex ufunc (at most one per operand)."""
-    grid = FrequencyGrid(tuple(min(b + 1, d - 1) for b, d in zip(window, dims)))
-    _, width, sizes, cost = _autocov_layout(n, dims, window)
-    worker = sizes[0] + width * sum(sizes) + 3 * np.getbufsize()
-    return (n * n * (FrequencyGrid(tuple(window)).half_count + grid.half_count) * 8
-            + sizes[0] * n * 16 + _rowmap.map_workers(n, cost) * worker * 16)
-
-
-def _autocov_fft(values: np.ndarray, window) -> np.ndarray:
+def _autocov_fft(values: np.ndarray, window, plan) -> np.ndarray:
     n = values.shape[0]
     grid = FrequencyGrid(tuple(window))
-    pad, width, sizes, cost = _autocov_layout(n, values.shape[1:], window)
+    pad, width, sizes, workers = plan.pad, plan.width, plan.sizes, plan.workers["autocov"]
     k3 = np.arange(pad[2] // 2 + 1)
     # one padded array, transformed axis by axis in place: rfftn would hold two at once
     spec = np.zeros((n, pad[0], pad[1], len(k3)), complex)
@@ -331,8 +280,9 @@ def _autocov_fft(values: np.ndarray, window) -> np.ndarray:
                 out[:, j:j + w, i] = box[half - 1:]
 
     lengths = (sizes[0], *(s * width for s in sizes))  # per worker: a conjugated series, the blocks
-    _rowmap._map_rows(rows, n - np.arange(n), cost, lambda: [np.empty(k, complex) for k in lengths])
+    _rowmap._map_rows(rows, n - np.arange(n), workers, lambda: [np.empty(k, complex) for k in lengths])
     del spec  # glibc keeps the freed pages resident unless trimmed
+    cost = n * (n + 1) // 2 * sizes[0]  # pairs times bins, whatever the cores
     if cost >= _rowmap._POOL_MIN_COST and hasattr(libc := ctypes.CDLL(None), "malloc_trim"):
         libc.malloc_trim(ctypes.c_size_t(0))
     return out
@@ -347,10 +297,9 @@ def sample_autocovariance(field: LatticeField, window) -> AutocovarianceSet:
     biased normalization).  Lags with empty overlap are exactly zero.
     Computed from zero-padded FFTs (cross-spectra inverted onto the lag
     box only) and stored on the box's non-negative half, zero lag first
-    (see :class:`AutocovarianceSet`).  Raises ConfigError
-    before allocating when the spectral step (these autocovariances,
-    the half-grid estimate assembled from them and the padded FFT)
-    would not fit in physical memory.
+    (see :class:`AutocovarianceSet`).  Raises ConfigError before
+    allocating when its plan (these autocovariances, the padded FFT and
+    the row workers' scratch) would not fit in physical memory.
     """
     if not field.demeaned:
         raise ConfigError("sample_autocovariance requires a demeaned field")
@@ -359,9 +308,9 @@ def sample_autocovariance(field: LatticeField, window) -> AutocovarianceSet:
     for b, d, name in zip(window, field.dims, ("S1", "S2", "T")):
         if not 0 <= b < d:
             raise ConfigError(f"lag window L_{name}={b} must satisfy 0 <= L_{name} < extent {name}={d}")
-    _check_memory(f"the spectral step for n={field.n}, dims={tuple(field.dims)}, lag window={window}",
-                  _spectral_step_bytes(field.n, field.dims, window))
-    return AutocovarianceSet(window, _autocov_fft(field.values, window))
+    plan = _plan.current(f"the autocovariances for n={field.n}, dims={field.dims}, lag window={window}",
+                         lambda: _plan.spectral(field.n, field.dims, window))
+    return AutocovarianceSet(window, _autocov_fft(field.values, window, plan))
 
 
 # ---------------------------------------------------------------------------
@@ -429,6 +378,7 @@ def spectral_from_autocovariance(autocov: AutocovarianceSet, kernels, bw) -> Spe
         raise ConfigError(f"lag window {window} must lie between {_lag_window(kernels, bw)} and {bw}")
     grid = FrequencyGrid(tuple(bw))
     n = autocov.gammas.shape[1]
+    plan = _plan.current(f"the assembly for n={n}, bw={tuple(bw)}", lambda: _plan.assembly(n, window, bw))
     inner = tuple(slice(b - l, b + l + 1) for b, l in zip(bw, window))  # the lags |h_d| <= L_d
     w = kernel_lag_weights(kernels, bw).reshape(grid.shape)[inner].ravel()
     _, s2, s3 = grid.shape
@@ -440,8 +390,6 @@ def spectral_from_autocovariance(autocov: AutocovarianceSet, kernels, bw) -> Spe
     e1 = e1[:r1]
     half = grid.half_count
     packed = np.empty((half, n, n))
-    # cost: pairs x lags x axis lengths / 8, measured at about 10 ns a unit
-    cost = n * (n + 1) // 2 * grid.size * sum(grid.shape) / 8
 
     def rows(lo, hi, lags, prod):  # row i on and right of the diagonal, packed down column i
         for i in range(lo, hi):
@@ -461,7 +409,8 @@ def spectral_from_autocovariance(autocov: AutocovarianceSet, kernels, bw) -> Spe
             packed[-1, i, i + 1:] = 0.0  # zero frequency is a real matrix
 
     lengths = (max(box, r1 * s2 * l3) * n, r1 * s2 * s3 * n)  # per worker: weighted lags, axis products
-    _rowmap._map_rows(rows, n - np.arange(n), cost, lambda: [np.empty(k, complex) for k in lengths])
+    _rowmap._map_rows(rows, n - np.arange(n), plan.workers["assembly"],
+                      lambda: [np.empty(k, complex) for k in lengths])
     return SpectralDensityEstimate(grid, packed, kernels)
 
 
@@ -482,4 +431,7 @@ def estimate_spectral_density(
     if not field.demeaned:
         raise ConfigError("estimate_spectral_density requires a demeaned field")
     kernels, bw = resolve_kernels(kernels), validate_bandwidths(bw, field.dims)
-    return spectral_from_autocovariance(sample_autocovariance(field, _lag_window(kernels, bw)), kernels, bw)
+    window = _lag_window(kernels, bw)
+    with _plan.entry(f"the spectral step for n={field.n}, dims={tuple(field.dims)}, bw={bw}",
+                     lambda: _plan.spectral(field.n, field.dims, window, bw)):
+        return spectral_from_autocovariance(sample_autocovariance(field, window), kernels, bw)

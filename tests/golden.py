@@ -15,6 +15,9 @@ compares it with the record.
 Rewrite the record only on purpose, and say which values moved and why:
 
     PYTHONPATH=src python tests/golden.py --write
+
+``--diff`` recomputes the record and prints, for every array, whether its
+bytes equal the checked-in ones and its largest move max|new - old| / max|old|.
 """
 
 from __future__ import annotations
@@ -130,20 +133,59 @@ def compute_draws() -> dict[str, np.ndarray]:
     return arrays
 
 
-def write() -> None:
+def records() -> dict[Path, dict[str, np.ndarray]]:
+    """Every file of the record, recomputed."""
     arrays = {f"{case}.{name}": value for case, (cfg, bw) in CASES.items()
               for name, value in compute(cfg, bw).items()}
+    return {PATH: arrays, STUDIES_PATH: compute_studies(), DRAWS_PATH: compute_draws()}
+
+
+def write() -> None:
     PATH.parent.mkdir(exist_ok=True)
-    for path, record in ((PATH, arrays), (STUDIES_PATH, compute_studies()),
-                         (DRAWS_PATH, compute_draws())):
+    for path, record in records().items():
         np.savez_compressed(path, versions=np.array(versions()), **record)
         print(f"wrote {path} ({path.stat().st_size} bytes) from {versions()}")
+
+
+def move(new: np.ndarray, old: np.ndarray) -> float:
+    """max|new - old| / max|old| (0 when both are all zero, inf for a new shape)."""
+    if new.shape != old.shape:
+        return np.inf
+    if new.size == 0:
+        return 0.0
+    new, old = (a.astype(np.int64) if a.dtype == bool else a for a in (new, old))
+    largest, scale = float(np.max(np.abs(new - old))), float(np.max(np.abs(old)))
+    return largest / scale if scale else (0.0 if largest == 0 else np.inf)
+
+
+def diff() -> bool:
+    """Print each array's byte equality and largest move against the record; True if no bytes moved."""
+    same = True
+    for path, record in records().items():
+        with np.load(path) as data:
+            old = dict(data)
+        print(f"{path.name}: recorded from {old.pop('versions')}, recomputed from {versions()}")
+        for name in sorted(set(record) | set(old)):
+            if name not in record or name not in old:
+                print(f"  {name}: only in the {'record' if name in old else 'recomputation'}")
+                same = False
+                continue
+            new, was = np.asarray(record[name]), old[name]
+            equal = new.dtype == was.dtype and new.shape == was.shape and new.tobytes() == was.tobytes()
+            same &= equal
+            print(f"  {name}: bytes {'equal' if equal else 'differ'}, largest move {move(new, was):.3g}")
+    return same
 
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--write", action="store_true", help="recompute and overwrite the record")
-    if parser.parse_args().write:
+    parser.add_argument("--diff", action="store_true",
+                        help="compare a recomputation with the record, array by array; exit 1 if bytes moved")
+    args = parser.parse_args()
+    if args.write:
         write()
+    elif args.diff:
+        raise SystemExit(0 if diff() else 1)
     else:
         parser.print_help()

@@ -26,6 +26,9 @@ shock field together, in blocks of series.
 ``separable_convolution_reference`` applies one (series, factor) pair's
 filter at a time, one banded matrix product per axis.
 
+The library computes the sample autocovariances from padded FFTs;
+``direct_autocovariance`` sums the lagged products lag by lag.
+
 The library assembles the spectral estimate on the non-redundant half
 grid only, one upper-triangle row at a time.  ``spectral_full_reference``
 transforms every row at every point of the whole grid, the negated half
@@ -34,6 +37,7 @@ matrix.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -67,6 +71,24 @@ def full_box(autocov):
     """(G, n, n) autocovariances on the whole lag box, in C order over (h1 + B1, h2 + B2, h3 + B3):
     the negative lags as the stored half reversed and transposed, Gamma(-h) = Gamma(h)^T, then the half."""
     return np.concatenate([autocov.gammas[:0:-1].transpose(0, 2, 1), autocov.gammas])
+
+
+def direct_autocovariance(values, window):
+    """(G, n, n) sample autocovariances on the whole lag box, one matrix product per
+    non-redundant lag, mirror-filled."""
+    n, dims = values.shape[0], values.shape[1:]
+    grid = FrequencyGrid(tuple(window))
+    out = np.empty((grid.size, n, n))
+    for i, h in enumerate(grid.offsets[: grid.half_count]):
+        # varsigma and varsigma - h both in the lattice, 0-based
+        lead = tuple(slice(max(k, 0), d + min(k, 0)) for k, d in zip(h, dims))
+        trail = tuple(slice(max(-k, 0), d - max(k, 0)) for k, d in zip(h, dims))
+        lead_x = values[(slice(None), *lead)].reshape(n, -1)
+        out[i] = lead_x @ values[(slice(None), *trail)].reshape(n, -1).T
+        out[grid.size - 1 - i] = out[i].T
+    center = grid.zero_index
+    out[center] = 0.5 * (out[center] + out[center].T)
+    return out / math.prod(dims)
 
 
 def gamma(autocov, h):

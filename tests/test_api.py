@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 
 import stfactor
+from stfactor import _plan
 from conftest import random_field
 
 
@@ -153,7 +154,8 @@ def test_only_the_row_map_and_the_study_start_worker_threads():
 
 
 def test_workers_are_counted_by_the_row_map_the_byte_estimates_and_the_echo():
-    """No layer counts the cores a second time to size per-worker buffers: the map makes them.
-    ``_map_half_grid`` counts them for its memory check only."""
-    assert scopes_where(calls_named("map_workers")) == {
-        "_map_rows", "_spectral_step_bytes", "_filter_plan", "_map_half_grid", "stability_scan"}
+    """Each row map's workers are counted once per entry, by the plan's stage builders, which size
+    the bytes with them; ``_map_rows`` and the echoes are handed the plan's count."""
+    owners = scopes_where(calls_named("map_workers"))
+    assert owners == {"_autocov", "_assembly", "_eigensolves", "_filter"}
+    assert all(callable(getattr(_plan, name)) for name in owners)

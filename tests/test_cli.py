@@ -25,7 +25,7 @@ from stfactor import (
     stability_scan,
     store_field,
 )
-from stfactor import _rowmap, cli, commoncomp, dynpca, qselect, spectral
+from stfactor import _plan, _rowmap, cli, commoncomp, dynpca, qselect
 from stfactor.cli import main
 from conftest import random_field
 
@@ -253,7 +253,7 @@ class TestSelectQ:
             cli._parse_cgrid(text)
 
     def test_cgrid_memory_checked_before_allocation(self, monkeypatch):
-        monkeypatch.setattr(spectral, "_physical_memory_bytes", lambda: 2**20)
+        monkeypatch.setattr(_plan, "_physical_memory_bytes", lambda: 2**20)
         tracemalloc.start()
         try:
             # 3,000,001 scales: 48 MB of grid and arange
@@ -851,7 +851,7 @@ def test_c_manual_outside_the_grid_exits_2(tmp_path, capsys, tiny_panel, value):
 ], ids=["simulate", "mc_study"])
 def test_simulation_short_of_memory_exits_2(tmp_path, capsys, monkeypatch, command):
     # the design is checked before its first draw; the CLI names it and its bytes
-    monkeypatch.setattr(spectral, "_physical_memory_bytes", lambda: 4096)
+    monkeypatch.setattr(_plan, "_physical_memory_bytes", lambda: 4096)
     assert exit_status(command + ["--output", f"{tmp_path}/out"]) == 2
     err = capsys.readouterr().err
     design = "model_a design with n=5" if command[0] == "simulate" else "model_b design with n=5"
@@ -864,16 +864,21 @@ def test_simulation_short_of_memory_exits_2(tmp_path, capsys, monkeypatch, comma
     ["eigengap", "--input", "{x}", "--gdfm", "--m-values", "300", "--bw", "1,1,1"],
 ], ids=["compare_gdfm", "eigengap_gdfm"])
 def test_gram_route_short_of_memory_exits_2(tmp_path, capsys, monkeypatch, tiny_panel, command):
-    # one byte short of the Gram route's rows; the comparison's panel estimate and stacked filter
-    # need more, so it stops at an earlier check, the stacked curve at the Gram route's own
+    # one byte short of the last entry's plan, the stacked panel's (its Gram route): the run stops
+    # at the first entry whose plan needs more, and names it
     argv = [a.format(x=tiny_panel) for a in command] + ["--output", f"{tmp_path}/out"]
-    needs = []
-    check = dynpca._check_memory
-    monkeypatch.setattr(dynpca, "_check_memory", lambda step, need: needs.append(need) or check(step, need))
+    checks = []
+    check = _plan._check_memory
+    monkeypatch.setattr(_plan, "_check_memory",
+                        lambda step, need: checks.append((step, need)) or check(step, need))
     assert main(argv) == 0
-    monkeypatch.setattr(spectral, "_physical_memory_bytes", lambda: needs[0] - 1)
+    steps = [step for step, _ in checks]
+    assert steps[-1].startswith("the eigenvalue curve for n=300" if command[0] == "eigengap"
+                                else "the stacked baseline for n=6")
+    have = checks[-1][1] - 1
+    monkeypatch.setattr(_plan, "_physical_memory_bytes", lambda: have)
     capsys.readouterr()
     assert exit_status(argv) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err and "bytes of physical memory" in err
-    assert ("Gram route's rows for n=300" in err) == (command[0] == "eigengap")
+    assert f"{next(step for step, need in checks if need > have)} needs" in err

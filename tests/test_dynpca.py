@@ -26,7 +26,7 @@ from stfactor import (
     stack_to_time_series,
     stacked_series_as_field,
 )
-from stfactor import _rowmap, dynpca, spectral
+from stfactor import _plan, _rowmap, dynpca
 from stfactor.dynpca import weighted_submatrix_eigenvalues
 from stfactor.spectral import SpectralDensityEstimate, make_kernel
 from conftest import random_field
@@ -236,14 +236,13 @@ class TestGramRoute:
         with pytest.raises(NumericError, match="degenerate eigenvector in Gram route"):
             estimate_common_component(field, 3, "bartlett", (1, 1, 1), (1, 1, 1))
 
-    @pytest.mark.parametrize("q_keep", [0, 2, 5])
-    def test_traced_rows_within_the_checked_bound(self, monkeypatch, q_keep):
-        # a stacked shape: 600 series on a (1, 1, 10) lattice, traced from the small eigensystem
-        # on, so that only the n-sized arrays count
-        field = random_field((600, 1, 1, 10), seed=36)
+    @staticmethod
+    def traced_tail(monkeypatch, n, q_keep):
+        """The traced peak of a stacked panel's n-sized arrays, from the small eigensystem on, and
+        the last stage of the entry's plan, which counts them."""
+        field = random_field((n, 1, 1, 10), seed=36)
         eigensystem_from_field(field, "ep", (0, 0, 3), q_keep)  # numpy's lazy set-up
-        needs, marks = [], {}
-        decompose = dynpca.eigendecompose_all
+        marks, decompose = {}, dynpca.eigendecompose_all
 
         def traced_from_here(*args):
             system = decompose(*args)
@@ -251,9 +250,6 @@ class TestGramRoute:
             marks["base"] = tracemalloc.get_traced_memory()[0]
             return system
 
-        # the Gram route's own check; the eigensolves of the small system check theirs
-        monkeypatch.setattr(dynpca, "_check_memory", lambda step, need: needs.append(need)
-                            if step.startswith("the Gram route") else None)
         monkeypatch.setattr(dynpca, "eigendecompose_all", traced_from_here)
         tracemalloc.start()
         try:
@@ -261,13 +257,27 @@ class TestGramRoute:
             peak = tracemalloc.get_traced_memory()[1] - marks["base"]
         finally:
             tracemalloc.stop()
-        assert len(needs) == 1 and peak <= needs[0]
+        return peak, _plan._eigensystem(n, (1, 1, 10), (0, 0, 2), (0, 0, 3), q_keep)[-1][1]
+
+    @pytest.mark.parametrize("q_keep", [0, 2, 5])
+    def test_traced_rows_within_the_checked_bound(self, monkeypatch, q_keep):
+        # a stacked shape: 600 series on a (1, 1, 10) lattice, so that only the n-sized arrays
+        # count: eigenvalues; rows, their norm's and phases' temporaries; x2d @ back and its
+        # complex cast; one complex iterator buffer of the phases' product
+        peak, tail = self.traced_tail(monkeypatch, 600, q_keep)
+        assert tail == 8 * 600 * (4 + 6 * 4 * q_keep + 3 * 10) + (16 * np.getbufsize() if q_keep else 0)
+        assert peak <= tail
+
+    def test_traced_rows_need_the_phases_buffer(self, monkeypatch):
+        # q_keep = V - 1 on 60 series: the rows and their temporaries alone fall short
+        peak, tail = self.traced_tail(monkeypatch, 60, 9)
+        assert tail - 16 * np.getbufsize() < peak <= tail
 
     def test_memory_check_before_the_principal_field(self, monkeypatch):
-        monkeypatch.setattr(spectral, "_physical_memory_bytes", lambda: 64 * 1024)
+        monkeypatch.setattr(_plan, "_physical_memory_bytes", lambda: 64 * 1024)
         monkeypatch.setattr(dynpca, "_principal_field", None)  # fails if reached
-        need = 8 * 600 * (4 + 6 * 4 * 2 + 3 * 10)  # eigenvalues, rows and temporaries, x2d @ back
-        with pytest.raises(ConfigError, match=rf"Gram route's rows for n=600, dims=\(1, 1, 10\), "
+        need = _plan.eigensystem(600, (1, 1, 10), (0, 0, 2), (0, 0, 3), 2).bytes
+        with pytest.raises(ConfigError, match=rf"the eigensystem for n=600, dims=\(1, 1, 10\), "
                                               rf"q_keep=2 needs {need} bytes"):
             eigensystem_from_field(random_field((600, 1, 1, 10), seed=36), "ep", (0, 0, 3), 2)
 
@@ -379,8 +389,8 @@ class TestHalfGridMap:
         monkeypatch.setattr(_rowmap, "_POOL_MIN_COST", 0)
         est = hermitian_stack(7, 6, seed=3)
         whole = eigendecompose_all(est, 2)
-        monkeypatch.setattr(dynpca, "_EIGH_BATCH_BYTES", 2 * 16 * 6 * 6)
-        monkeypatch.setattr(dynpca, "_GIL_ROWS", 0)
+        monkeypatch.setattr(_plan, "_EIGH_BATCH_BYTES", 2 * 16 * 6 * 6)
+        monkeypatch.setattr(_plan, "_GIL_ROWS", 0)
         calls = []
         solve_rows = dynpca._solve_rows
 
@@ -399,7 +409,7 @@ class TestHalfGridMap:
 
     def test_batches_hold_enough_rows_to_release_the_gil(self, monkeypatch):
         # one matrix of bytes, but numpy solves a batch of at most 500 rows holding the GIL
-        monkeypatch.setattr(dynpca, "_EIGH_BATCH_BYTES", 16 * 4 * 4)
+        monkeypatch.setattr(_plan, "_EIGH_BATCH_BYTES", 16 * 4 * 4)
         calls = []
         solve_rows = dynpca._solve_rows
 
@@ -410,16 +420,16 @@ class TestHalfGridMap:
         monkeypatch.setattr(dynpca, "_solve_rows", spy)
         est = hermitian_stack(300, 4, seed=5)
         (vals,) = weighted_submatrix_eigenvalues(est, [4])
-        assert calls == [126, 126, 48] and 126 * 4 > dynpca._GIL_ROWS
+        assert calls == [126, 126, 48] and 126 * 4 > _plan._GIL_ROWS
         weights = (est.grid.pair_weights / est.grid.size)[:, None]
         assert np.array_equal(vals, np.linalg.eigvalsh(est.matrices)[:, ::-1] * weights)
 
     def test_memory_check_before_the_batches(self, monkeypatch):
         est = hermitian_stack(300, 4, seed=5)
-        monkeypatch.setattr(spectral, "_physical_memory_bytes", lambda: 1024)
+        monkeypatch.setattr(_plan, "_physical_memory_bytes", lambda: 1024)
         monkeypatch.setattr(dynpca, "_map_rows", None)  # fails if reached
         # the eigenvalues, then one worker's batch of 300 matrices and its eigenvectors
-        need = 8 * 300 * 4 + 32 * 300 * 4 * 4
+        need = _plan.eigensolves(300, [4], 1).bytes
         with pytest.raises(ConfigError, match=rf"the eigensolves of 300 matrices at sizes \[4\] "
                                               rf"needs {need} bytes"):
             eigendecompose_all(est, 1)
@@ -431,7 +441,8 @@ class TestHalfGridMap:
         monkeypatch.setattr(_rowmap.os, "sched_getaffinity", lambda pid: set(range(cores)))
         weights = n - np.arange(n)
         chunks = []
-        workers = _rowmap._map_rows(lambda lo, hi: chunks.append((lo, hi)), weights, 0)
+        workers = _rowmap.map_workers(n, 0)
+        _rowmap._map_rows(lambda lo, hi: chunks.append((lo, hi)), weights, workers)
         bounds = sorted(chunks)
         assert len(bounds) == workers == _rowmap.map_workers(n, 0)
         assert bounds[0][0] == 0 and bounds[-1][1] == n
@@ -532,8 +543,8 @@ def test_public_entries_hold_the_blas_pin(monkeypatch, entry):
     sets, maps = [], []
     monkeypatch.setattr(_rowmap, "_POOL_MIN_COST", 0)
     monkeypatch.setattr(_rowmap, "_blas_thread_controls", lambda: (lambda: 3, sets.append))
-    workers = _rowmap.map_workers
-    monkeypatch.setattr(_rowmap, "map_workers", lambda *a: maps.append(sets[:]) or workers(*a))
+    pool = _rowmap.ThreadPoolExecutor
+    monkeypatch.setattr(_rowmap, "ThreadPoolExecutor", lambda *a: maps.append(sets[:]) or pool(*a))
     entry(random_field((6, 5, 5, 8), seed=35))
     assert sets == [1, 3] and len(maps) >= 2
     assert all(seen == [1] for seen in maps)
@@ -566,8 +577,9 @@ class TestBlasPin:
         try:
             # more callers than cores, each running its own map
             with ThreadPoolExecutor(4) as pool:
-                maps = pool.map(lambda count: dynpca._map_half_grid(solve, np.zeros((count, 1, 1)), [1]),
-                                [5, 1, 3, 2] * 3, timeout=60)
+                maps = pool.map(lambda count: dynpca._map_half_grid(
+                    solve, np.zeros((count, 1, 1)), [1], _plan.eigensolves(count, [1])), [5, 1, 3, 2] * 3,
+                    timeout=60)
                 list(maps)
         finally:
             sys.setswitchinterval(interval)

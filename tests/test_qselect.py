@@ -13,7 +13,7 @@ from stfactor import (
     penalty_value,
     stability_scan,
 )
-from stfactor import dynpca, qselect, spectral
+from stfactor import _plan, qselect, spectral
 from stfactor.qselect import _stable_runs, _tail_means
 from stfactor.simlab import SimConfig, simulate_field
 from stfactor import demean
@@ -277,8 +277,12 @@ class TestStabilityScan:
         n, dims, bw = 80, (3, 3, 5), (2, 2, 2)
         field = random_field((n, *dims), seed=49)
         grid = FrequencyGrid(bw)
-        need = spectral._spectral_step_bytes(n, dims, spectral._lag_window(kind, bw))
-        assert n * n * (grid.size * 8 + grid.half_count * 16) > need
+        window = spectral._lag_window(kind, bw)
+        # the scan's spectral step: the lag box, its permuted copy and index arrays, the assembly
+        autocov = _plan._autocov(n, dims, window)
+        spectral_step = _plan._chain(autocov, ({}, autocov[2] + 16 * n * n, 0),
+                                     _plan._assembly(n, window, bw)).bytes
+        assert n * n * (grid.size * 8 + grid.half_count * 16) > spectral_step
         args = (field, 3, np.arange(0, 101) / 50.0)
         kwargs = {"subsample_sizes": [70], "bw": bw, "kernels": kind, "c_manual": 1.0}
         stability_scan(*args, **kwargs)  # numpy's lazy set-up
@@ -289,26 +293,28 @@ class TestStabilityScan:
             step_peaks.append(tracemalloc.get_traced_memory()[1] - base)
             return estimate
 
-        checked, check = [], dynpca._check_memory
+        checked, check = [], _plan._check_memory
         monkeypatch.setattr(qselect, "spectral_from_autocovariance", traced_assembly)
-        monkeypatch.setattr(dynpca, "_check_memory",
+        monkeypatch.setattr(_plan, "_check_memory",
                             lambda step, need: checked.append(need) or check(step, need))
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            scan = stability_scan(*args, **kwargs)
+            stability_scan(*args, **kwargs)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert step_peaks[0] <= need  # the spectral step alone, through the assembly
-        # then the eigen map: the estimate (in ``need``) and what the map checks before its
-        # batches exist, the eigenvalues and each worker's batch (10 matrices of order 80 here)
-        assert len(checked) == 1 and peak <= need + checked[0]
+        assert step_peaks[0] <= spectral_step  # the spectral step alone, through the assembly
+        # then the eigen map and the c grid: one check, by the scan's plan, bounds it all
+        assert checked == [_plan.scan(n, dims, window, bw, [70, 80], 101, 3).bytes]
+        assert peak <= checked[0]
 
     def test_memory_check_before_the_spectral_step(self, monkeypatch, panel):
-        monkeypatch.setattr(spectral, "_physical_memory_bytes", lambda: 4 * 2**20)
+        monkeypatch.setattr(_plan, "_physical_memory_bytes", lambda: 4 * 2**20)
         monkeypatch.setattr(qselect, "sample_autocovariance", None)  # fails if reached
-        # qhat and its temporaries for sizes (27, 30), scores for q = 0..3
-        need = 8 * 200_000 * (3 * 2 + 2 * 4)
+        # the scan's plan, above the c grid's share alone: qhat and its temporaries for sizes
+        # (27, 30), scores for q = 0..3
+        need = _plan.scan(30, (12, 12, 12), (1, 1, 1), (2, 2, 2), [27, 30], 200_000, 3).bytes
+        assert need > 8 * 200_000 * (3 * 2 + 2 * 4)
         with pytest.raises(ConfigError, match=f"200000 c_grid scales needs {need} bytes"):
             stability_scan(panel, 3, np.arange(200_000) / 1e5, subsample_sizes=[27], bw=(2, 2, 2))

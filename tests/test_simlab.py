@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -18,11 +19,18 @@ from stfactor import (
     simulate_field,
     substream,
 )
-from stfactor import _rowmap, simlab, spectral
+from stfactor import _plan, _rowmap, simlab
 from stfactor.simlab import _idio_correlated, _model_a_chi
 
 # blocked products reorder the sums of the per-series contractions
 CONV_RTOL = 1e-13
+
+
+def model_a_chi(a, b, shocks, radius, dims):
+    """model_a's chi from the shocks, in the blocks the simulator's plan gives their padding."""
+    pad = (shocks.shape[1] - dims[0]) // 2
+    block = _plan.simulation(len(a), dims, len(shocks), pad, False).block
+    return _model_a_chi(a, b, shocks, radius, dims, block)
 
 
 def model_a_inputs(n, dims, q, radius, seed=0):
@@ -84,8 +92,8 @@ class TestModelA:
         b = substream(cfg.seed, 0, "decay_b").uniform(0.5, 0.8, size=(cfg.n, cfg.q))
         padded = tuple(d + 120 for d in cfg.dims)
         shocks = substream(cfg.seed, 0, "shocks").standard_normal((cfg.q,) + padded)
-        chi40 = _model_a_chi(a, b, shocks, 40, cfg.dims)
-        chi60 = _model_a_chi(a, b, shocks, 60, cfg.dims)
+        chi40 = model_a_chi(a, b, shocks, 40, cfg.dims)
+        chi60 = model_a_chi(a, b, shocks, 60, cfg.dims)
         assert np.abs(chi40 - chi60).max() <= 1e-3 * chi60.std()
 
     # golden: the CLI golden file's shape; ragged: n=30 is 23 + 7 series
@@ -101,11 +109,11 @@ class TestModelA:
         if budget_filters is not None:
             (s1, s2, t), (p1, p2, p3) = dims, shocks.shape[1:]
             per_filter = 8 * (s1 * p2 * p3 + s1 * p1 + s2 * p2 + t * p3)
-            monkeypatch.setattr(simlab, "_CONV_BUDGET_BYTES", budget_filters * per_filter)
+            monkeypatch.setattr(_plan, "_CONV_BUDGET_BYTES", budget_filters * per_filter)
         lags = np.abs(np.arange(-radius, radius + 1))
         ref = separable_convolution_reference(a, lambda ell, j: [b[ell, j] ** lags] * 3,
                                               shocks, dims)
-        assert_matches_reference(_model_a_chi(a, b, shocks, radius, dims), ref)
+        assert_matches_reference(model_a_chi(a, b, shocks, radius, dims), ref)
 
     @pytest.mark.parametrize("n,dims", [(100, (10, 10, 100)), (100, (25, 25, 25))],
                              ids=["eigengap", "cube"])
@@ -113,11 +121,11 @@ class TestModelA:
         a, b, shocks = model_a_inputs(n, dims, 2, 40)
         tracemalloc.start()
         try:
-            chi = _model_a_chi(a, b, shocks, 40, dims)
+            chi = model_a_chi(a, b, shocks, 40, dims)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - chi.nbytes <= 3 * simlab._CONV_BUDGET_BYTES
+        assert peak - chi.nbytes <= 3 * _plan._CONV_BUDGET_BYTES
 
 
 class TestModelB:
@@ -220,8 +228,9 @@ class TestSimulationMemory:
         cfg = SimConfig(model, n=n, dims=dims, q=q, idio=idio, seed=3, r_a=r_a)
         simulate_field(cfg)  # numpy's modules load on first use
         needs = []
-        check = simlab._check_memory
-        monkeypatch.setattr(simlab, "_check_memory", lambda step, need: needs.append(need) or check(step, need))
+        check = _plan._check_memory
+        monkeypatch.setattr(_plan, "_check_memory",
+                            lambda step, need: needs.append(need) or check(step, need))
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -229,7 +238,16 @@ class TestSimulationMemory:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert len(needs) == 1 and peak <= needs[0]
+        # a shock field and the next one's draw, chi, xi and x, the correlated draws, two blocks
+        pad = r_a if model == "model_a" else 1
+        (s1, s2, t), (p1, p2, p3) = dims, (d + 2 * pad for d in dims)
+        per_filter = s1 * p2 * p3 + s1 * p1 + s2 * p2 + t * p3
+        block = max(1, _plan._CONV_BUDGET_BYTES // (8 * per_filter))
+        draws = (n + 4) * math.prod(d + 2 for d in dims) if idio == "correlated" else 0
+        need = 8 * (min(q, 2) * p1 * p2 * p3 + 3 * n * math.prod(dims) + draws
+                    + 2 * min(block, n) * per_filter)
+        assert needs == [_plan.simulation(n, dims, q, pad, idio == "correlated").bytes] == [need]
+        assert peak <= need
 
     def test_holds_the_blas_pin(self, monkeypatch):
         # model_a's products run on one BLAS thread, so x does not depend on the thread count
@@ -243,7 +261,7 @@ class TestSimulationMemory:
 
     def test_raises_before_the_first_draw(self, monkeypatch):
         monkeypatch.setattr(simlab, "substream", None)  # a draw would raise TypeError
-        monkeypatch.setattr(spectral, "_physical_memory_bytes", lambda: 1024)
+        monkeypatch.setattr(_plan, "_physical_memory_bytes", lambda: 1024)
         cfg = SimConfig("model_a", n=4, dims=(3, 3, 4), q=1, idio="correlated", r_a=2)
         with pytest.raises(ConfigError, match=r"model_a design with n=4, dims=\(3, 3, 4\), q=1, "
                                               r"idio=correlated needs \d+ bytes, more than the 1024"):
@@ -370,8 +388,8 @@ class TestRunMcStudy:
         sets, maps = [], []
         monkeypatch.setattr(_rowmap, "_POOL_MIN_COST", 0)
         monkeypatch.setattr(_rowmap, "_blas_thread_controls", lambda: (lambda: 3, sets.append))
-        workers = _rowmap.map_workers
-        monkeypatch.setattr(_rowmap, "map_workers", lambda *a: maps.append(sets[:]) or workers(*a))
+        pool = _rowmap.ThreadPoolExecutor
+        monkeypatch.setattr(_rowmap, "ThreadPoolExecutor", lambda *a: maps.append(sets[:]) or pool(*a))
         cfg = SimConfig(model="model_b", n=8, dims=(6, 6, 8), q=1, seed=42)
         run_mc_study(cfg, "accuracy", bw=(2, 2, 2), n_reps=2, threads=2)
         assert sets == [1, 3] and len(maps) >= 4
@@ -432,7 +450,7 @@ class TestRunMcStudy:
 
     def test_interior_check_builds_no_mask(self, monkeypatch):
         # a 400^3 interior mask alone is 64 MB: the simulator's memory check fires first
-        monkeypatch.setattr(spectral, "_physical_memory_bytes", lambda: 2**20)
+        monkeypatch.setattr(_plan, "_physical_memory_bytes", lambda: 2**20)
         cfg = SimConfig(model="model_b", n=4, dims=(400, 400, 400), q=1)
         tracemalloc.start()
         try:

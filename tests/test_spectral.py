@@ -1,4 +1,3 @@
-import math
 import os
 import subprocess
 import sys
@@ -26,11 +25,11 @@ from stfactor import (
     store_field,
 )
 import stfactor
-from stfactor import _rowmap, cli, commoncomp, dynpca, qselect, spectral
+from stfactor import _plan, _rowmap, cli, dynpca, qselect, spectral
 from stfactor.cli import main
 from stfactor.spectral import spectral_from_autocovariance, validate_bandwidths
 from conftest import random_field
-from oracles import full_box, gamma, mirror, pack, spectral_full_reference
+from oracles import direct_autocovariance, full_box, gamma, mirror, pack, spectral_full_reference
 
 
 class TestKernels:
@@ -113,23 +112,6 @@ def brute_force_autocovariance(values, h):
                         values[:, a1 - 1, a2 - 1, a3 - 1], values[:, b1 - 1, b2 - 1, b3 - 1]
                     )
     return out / (s1n * s2n * tn)
-
-
-def direct_autocovariance(values, window):
-    """One matrix product per non-redundant lag, mirror-filled (oracle)."""
-    n, dims = values.shape[0], values.shape[1:]
-    grid = FrequencyGrid(tuple(window))
-    out = np.empty((grid.size, n, n))
-    for i, h in enumerate(grid.offsets[: grid.half_count]):
-        # varsigma and varsigma - h both in the lattice, 0-based
-        lead = tuple(slice(max(k, 0), d + min(k, 0)) for k, d in zip(h, dims))
-        trail = tuple(slice(max(-k, 0), d - max(k, 0)) for k, d in zip(h, dims))
-        lead_x = values[(slice(None), *lead)].reshape(n, -1)
-        out[i] = lead_x @ values[(slice(None), *trail)].reshape(n, -1).T
-        out[grid.size - 1 - i] = out[i].T
-    center = grid.zero_index
-    out[center] = 0.5 * (out[center] + out[center].T)
-    return out / math.prod(dims)
 
 
 class TestAutocovariance:
@@ -383,27 +365,28 @@ class TestMemoryBound:
             raise AssertionError("FFT ran before the memory check")
 
         # the 6 x 5 x 5 x 6 field below needs about 100 kB for its spectral step
-        monkeypatch.setattr(spectral, "_physical_memory_bytes", lambda: 16 * 1024)
+        monkeypatch.setattr(_plan, "_physical_memory_bytes", lambda: 16 * 1024)
         monkeypatch.setattr(np.fft, "rfft", no_fft)
 
     def test_raises_before_fft(self, tiny_memory):
         field = random_field((6, 5, 5, 6), seed=16)
-        window = spectral._lag_window("ep", default_bandwidths((5, 5, 6)))
-        need = spectral._spectral_step_bytes(6, (5, 5, 6), window)
+        bw = default_bandwidths((5, 5, 6))
+        need = _plan.spectral(6, (5, 5, 6), spectral._lag_window("ep", bw), bw).bytes
         with pytest.raises(ConfigError, match=f"needs {need} bytes, more than the 16384 bytes"):
             estimate_spectral_density(field)
 
     @pytest.mark.parametrize("command,step", [
-        (["estimate", "--q", "1"], "the projection filter for n=6"),
-        (["select-q", "--qmax", "2"], "the scan over 6001 c_grid scales"),
-        (["eigengap", "--m-values", "6", "--topk", "1"], "the spectral step for n=6, dims=(5, 5, 6)"),
-        # the leading 6 of the 150 stacked series fit their (1, 1, 6) lattice: the standard route
+        (["estimate", "--q", "1"], "the common component for n=6, dims=(5, 5, 6), q=1"),
+        (["select-q", "--qmax", "2"], "the scan of n=6, dims=(5, 5, 6) over 6001 c_grid scales"),
+        (["eigengap", "--m-values", "6", "--topk", "1"], "the eigenvalue curve for n=6, dims=(5, 5, 6)"),
+        # the leading 6 of the 150 stacked series fit their (1, 1, 6) lattice: the standard route,
+        # planned by the curve of the stacked panel
         (["eigengap", "--gdfm", "--m-values", "6", "--topk", "1"],
-         "the spectral step for n=6, dims=(1, 1, 6)"),
+         "the eigenvalue curve for n=150, dims=(1, 1, 6), sizes=[6]"),
     ], ids=["estimate", "select_q", "eigengap", "eigengap_gdfm_standard_route"])
     def test_cli_exits_2(self, tmp_path, capsys, monkeypatch, tiny_memory, command, step):
         steps = []
-        for module in (spectral, commoncomp, dynpca, qselect, cli):
+        for module in (_plan, cli):
             check = module._check_memory
             monkeypatch.setattr(module, "_check_memory",
                                 lambda s, need, _check=check: steps.append(s) or _check(s, need))
@@ -418,7 +401,7 @@ class TestMemoryBound:
         # tracemalloc sees numpy's data buffers; the bound is the step's own estimate
         field = random_field((60, 8, 8, 40), seed=17)
         bw = (2, 2, 5)
-        need = spectral._spectral_step_bytes(60, (8, 8, 40), spectral._lag_window(kind, bw))
+        need = _plan.spectral(60, (8, 8, 40), spectral._lag_window(kind, bw), bw).bytes
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -426,7 +409,7 @@ class TestMemoryBound:
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak - base <= 1.1 * need
+        assert peak - base <= need
         # the estimate keeps its packed matrices and nothing grid-sized besides
         assert held - base <= 1.05 * est.packed.nbytes
 
@@ -468,7 +451,7 @@ class TestMemoryBound:
     def test_padded_transform_within_the_bound(self, n, side):
         dims, bw = (side,) * 3, (1, 1, 1)
         field = random_field((n, *dims), seed=18)
-        need = spectral._spectral_step_bytes(n, dims, bw)
+        need = _plan.spectral(n, dims, bw).bytes
         sample_autocovariance(field, bw)  # numpy's FFT modules load on first use
         tracemalloc.start()
         try:
@@ -482,20 +465,20 @@ class TestMemoryBound:
 
 def force_blocks(monkeypatch, n, dims, window, width):
     """Column blocks of ``width`` series, and row threads even at a tiny shape."""
-    bins = spectral._autocov_layout(n, dims, window)[2][0]
-    monkeypatch.setattr(spectral, "_BLOCK_BYTES", width * bins * 16)
+    bins = _plan.spectral(n, dims, window).sizes[0]
+    monkeypatch.setattr(_plan, "_BLOCK_BYTES", width * bins * 16)
     monkeypatch.setattr(_rowmap, "_POOL_MIN_COST", 0)
-    assert spectral._autocov_layout(n, dims, window)[1] == min(width, n)
+    assert _plan.spectral(n, dims, window).width == min(width, n)
 
 
 # the child's numbers at one and two row workers, one sha256 line each
 _BLOCKED_CHILD = """
 import hashlib
 import numpy as np
-from stfactor import LatticeField, _rowmap, demean, eigendecompose_all, spectral
+from stfactor import LatticeField, _plan, _rowmap, demean, eigendecompose_all, spectral
 _rowmap._POOL_MIN_COST = 0
 field = demean(LatticeField(np.random.default_rng(7).standard_normal((30, 6, 6, 10))))
-spectral._BLOCK_BYTES = 3 * spectral._autocov_layout(30, field.dims, (2, 2, 3))[2][0] * 16
+_plan._BLOCK_BYTES = 3 * _plan.spectral(30, field.dims, (2, 2, 3)).sizes[0] * 16
 for cores in (1, 2):
     _rowmap.os.sched_getaffinity = lambda pid: set(range(cores))
     ac = spectral.sample_autocovariance(field, (2, 2, 3))
@@ -564,7 +547,7 @@ class TestBlockedRows:
         field = random_field((n, *dims), seed=17)
         force_blocks(monkeypatch, n, dims, window, 3)
         monkeypatch.setattr(_rowmap.os, "sched_getaffinity", lambda pid: {0, 1})
-        need = spectral._spectral_step_bytes(n, dims, window)
+        need = _plan.spectral(n, dims, window, bw).bytes
         peaks = []
         tracemalloc.start()
         try:
@@ -611,7 +594,8 @@ class TestRowScratch:
             log.append((lo, hi))
             chunks.append((lo, hi, buf, log))
 
-        workers = _rowmap._map_rows(task, np.ones(7), 0, scratch)
+        workers = _rowmap.map_workers(7, 0)
+        _rowmap._map_rows(task, np.ones(7), workers, scratch)
         pinned = _rowmap._blas_thread_controls() is not None
         assert workers == (min(cores, 7) if pinned else 1)
         assert makers == [threading.get_ident()] * workers
