@@ -65,7 +65,7 @@ def map_workers(count: int, cost: float) -> int:
 
 def _map_rows(task, weights, workers: int, scratch=tuple) -> None:
     """task(lo, hi, *scratch()) on ``workers`` contiguous chunks of rows (the count the caller's
-    plan gave), BLAS at one thread; each chunk's weight is within one row of an equal share.  The
+    layout gave), BLAS at one thread; each chunk's weight is within one row of an equal share.  The
     calling thread makes all scratch first (glibc keeps a worker thread's freed heap resident), and
     each chunk drops its own when done: the other way round, `comparison` ops ran 3% slower."""
     buffers, cum = [scratch() for _ in range(workers)], np.cumsum(weights)

@@ -32,8 +32,8 @@ first and only the q scores are windowed.  Per axis W_d = D_d B_d D_d^*,
 with D_d the phases e^{i s theta_d} and B_d[s, u] = 1{|s-u| <= M_d} a
 real band, so one band product per axis serves every point of a row of
 the half grid (the points sharing theta_1, theta_2).  The rows run on
-the row map in the entry plan's fixed number of chunks (:mod:`_plan`),
-with the plan's worker count; each chunk sums its own
+the row map in a fixed number of chunks, laid out with the worker count
+from the filter's own shapes (:mod:`_plan`); each chunk sums its own
 partial chi and the partials are added in chunk order, so chi's bits
 depend on neither the core count nor the BLAS thread count.  The
 lag-domain form (C(kappa) summed over the grid, then convolved) is kept
@@ -118,7 +118,7 @@ def _window(z: np.ndarray, m: int, out: np.ndarray) -> None:
 
 
 def _apply_projection_frequency(
-    values: np.ndarray, system: DynamicEigenSystem, q: int, trunc, plan
+    values: np.ndarray, system: DynamicEigenSystem, q: int, trunc, layout
 ) -> np.ndarray:
     """chi = (1/G) sum_theta P(theta)^dag W_theta[P(theta) x]: project, then window.
 
@@ -131,7 +131,7 @@ def _apply_projection_frequency(
     n, (s1, s2, t) = values.shape[0], values.shape[1:]
     x = values.reshape(n, -1)
     volume, points, weights = x.shape[1], grid.points, grid.pair_weights / grid.size
-    chunks = plan.chunks
+    chunks = layout["chunks"]
     partials = [np.zeros_like(x) for _ in chunks]
 
     def rows(lo, hi, bufs, product):  # the map's scratch: two score buffers, the back-projection
@@ -157,7 +157,7 @@ def _apply_projection_frequency(
             back = proj * np.repeat(weights[batch], 2 * q)[:, None]
             partials[chunk] += np.matmul(back.T, b.reshape(volume, -1).T, out=product)
 
-    _map_rows(rows, np.ones(len(chunks)), plan.workers["filter"],
+    _map_rows(rows, np.ones(len(chunks)), layout["workers"],
               lambda: (np.empty((2, volume * grid.shape[2] * q), complex), np.empty_like(x)))
     for part in partials[1:]:
         partials[0] += part
@@ -193,12 +193,13 @@ def estimate_common_component(
     trunc = validate_truncation(trunc, bw, field.dims)
     window = _lag_window(kernels, bw)
     with _plan.entry(f"the common component for n={field.n}, dims={tuple(field.dims)}, q={q}",
-                     lambda: _plan.common_component(field.n, field.dims, window, bw, q, trunc)) as plan:
+                     _plan.common_component(field.n, field.dims, window, bw, q, trunc)):
         system = eigensystem_from_field(field, kernels, bw, q_keep=q)
     top = system.eigenvalues[:, : max(q, 1)]
     if q > 0 and np.all(top <= 0):
         warnings.warn("degenerate spectrum: all leading eigenvalues are <= 0", RuntimeWarning)
-    chi = _apply_projection_frequency(field.values, system, q, trunc, plan)
+    chi = _apply_projection_frequency(field.values, system, q, trunc,
+                                      _plan._filter(field.n, field.dims, q, bw, trunc)[0])
     settings = {
         "n": field.n,
         "dims": list(field.dims),

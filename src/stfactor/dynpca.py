@@ -25,9 +25,9 @@ usable core with BLAS at one thread, so each matrix gets the same LAPACK
 call, and the same bits, whatever the core count.  A worker builds its
 chunk's complex matrices from the packed estimate about 1 MiB at a time,
 in a buffer made by the calling thread (glibc keeps a worker thread's
-freed heap resident), and LAPACK reads their lower triangles.  The batch
-rows and the worker count come from the entry's plan (:mod:`_plan`).  The
-public entries hold BLAS at one thread for their whole call.
+freed heap resident), and LAPACK reads their lower triangles.  A step lays
+out its batch rows and workers from its own arguments (:mod:`_plan`); the
+public entries check their bytes once and hold BLAS at one thread throughout.
 """
 
 from __future__ import annotations
@@ -117,17 +117,17 @@ def _solve_rows(solve, vals: np.ndarray, lo: int, hi: int) -> None:
         raise NumericError(f"eigendecomposition failed at grid index {lo + int(np.argmax(bad))}")
 
 
-def _map_half_grid(solve, packed, sizes, plan) -> list[np.ndarray]:
+def _map_half_grid(solve, packed, sizes, layout) -> list[np.ndarray]:
     """Per size m, eigenvalues (half, m) from solve(matrices, lo, hi) on the leading m x m blocks,
-    in one row map.  Each worker builds complex matrices from ``packed``, the plan's batch rows
+    in one row map.  Each worker builds complex matrices from ``packed``, the layout's batch rows
     at a time, exact in the lower triangle that LAPACK reads (the upper one holds the packing's
     other half)."""
     half = len(packed)
-    scratch = max(min(step, half) * m * m for m, step in zip(sizes, plan.steps))
+    scratch = max(min(step, half) * m * m for m, step in zip(sizes, layout["steps"]))
     vals = [np.empty((half, m)) for m in sizes]
 
     def rows(lo, hi, buffer):
-        for m, step, out in zip(sizes, plan.steps, vals):
+        for m, step, out in zip(sizes, layout["steps"], vals):
             for start in range(lo, hi, step):
                 block = packed[start:min(start + step, hi), :m, :m]
                 batch = buffer[:block.size].reshape(block.shape)
@@ -135,7 +135,7 @@ def _map_half_grid(solve, packed, sizes, plan) -> list[np.ndarray]:
                 _solve_rows(lambda a, b: solve(batch[a - start:b - start], a, b), out,
                             start, start + len(block))
 
-    _map_rows(rows, np.ones(half), plan.workers["eigen"], lambda: [np.empty(scratch, complex)])
+    _map_rows(rows, np.ones(half), layout["workers"], lambda: [np.empty(scratch, complex)])
     return vals
 
 
@@ -149,8 +149,8 @@ def eigendecompose_all(estimate: SpectralDensityEstimate, q_keep: int) -> Dynami
     packed, n = estimate.packed, estimate.n
     if not 0 <= q_keep <= n:
         raise ConfigError(f"q_keep={q_keep} out of range 0..{n}")
-    plan = _plan.current(f"the eigensolves of {len(packed)} matrices at sizes {[n]}",
-                         lambda: _plan.eigensolves(len(packed), [n], q_keep))
+    layout = _plan.step(f"the eigensolves of {len(packed)} matrices at sizes {[n]}",
+                        _plan._eigensolves(len(packed), [n], q_keep))
     rows = np.empty((len(packed), q_keep, n), dtype=complex)
 
     def solve(mats, lo, hi):
@@ -160,8 +160,8 @@ def eigendecompose_all(estimate: SpectralDensityEstimate, q_keep: int) -> Dynami
         np.conj(v[:, :, ::-1][:, :, :q_keep].transpose(0, 2, 1), out=rows[lo:hi])
         return w[:, ::-1]
 
-    (vals,) = _map_half_grid(solve, packed, [n], plan)
-    return DynamicEigenSystem(estimate.grid, vals, _fix_phases(rows), q_keep, plan.workers["eigen"])
+    (vals,) = _map_half_grid(solve, packed, [n], layout)
+    return DynamicEigenSystem(estimate.grid, vals, _fix_phases(rows), q_keep, layout["workers"])
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +211,7 @@ def eigensystem_from_field(
     if volume < n and q_keep > volume:
         raise ConfigError(f"q_keep={q_keep} exceeds the rank bound min(n, S1*S2*T)={volume}")
     with _plan.entry(f"the eigensystem for n={n}, dims={tuple(field.dims)}, q_keep={q_keep}",
-                     lambda: _plan.eigensystem(n, field.dims, window, bw, q_keep)):
+                     _plan.eigensystem(n, field.dims, window, bw, q_keep)):
         if volume >= n:
             return eigendecompose_all(estimate_spectral_density(field, kernels, bw), q_keep)
         x2d = field.values.reshape(n, volume)
@@ -223,10 +223,11 @@ def eigensystem_from_field(
     vals = np.zeros((small.grid.half_count, n))
     vals[:, :coords.n] = small.eigenvalues
     vals[:, ::-1].sort(axis=1)  # the zeros belong above Y's negative eigenvalues
-    rows = np.zeros((small.grid.half_count, q_keep, n), dtype=np.complex128)
     if q_keep > 0:
         rows = small.eigenvectors @ (x2d @ back).T
         rows = _fix_phases(rows / np.linalg.norm(rows, axis=2, keepdims=True))
+    else:
+        rows = np.zeros((small.grid.half_count, q_keep, n), dtype=np.complex128)
     return DynamicEigenSystem(small.grid, vals, rows, q_keep, small.eigen_workers)
 
 
@@ -259,16 +260,15 @@ def eigenvalue_curve_by_size(
     bw = validate_bandwidths(bw, field.dims)
     window = _lag_window(kernels, bw)
     with _plan.entry(f"the eigenvalue curve for n={field.n}, dims={tuple(field.dims)}, sizes={m_values}",
-                     lambda: _plan.curve(field.n, field.dims, window, bw, m_values)) as plan:
+                     _plan.curve(field.n, field.dims, window, bw, m_values)):
         if field.lattice_size >= field.n:
             estimate = estimate_spectral_density(field, kernels, bw)
             return np.array([v[:, :top_k].sum(axis=0)
                              for v in weighted_submatrix_eigenvalues(estimate, m_values)])
         out = np.empty((len(m_values), top_k))
-        for r, (m, part) in enumerate(zip(m_values, plan.parts)):
+        for r, m in enumerate(m_values):
             sub = field if m == field.n else LatticeField(field.values[:m], demeaned=True)
-            with _plan.running(part):
-                out[r] = eigensystem_from_field(sub, kernels, bw).eigenvalue_means()[:top_k]
+            out[r] = eigensystem_from_field(sub, kernels, bw).eigenvalue_means()[:top_k]
         return out
 
 
@@ -281,8 +281,9 @@ def weighted_submatrix_eigenvalues(estimate: SpectralDensityEstimate, sizes) -> 
     clamping the weighted values at zero clamps the eigenvalues.
     """
     grid, sizes = estimate.grid, [int(m) for m in sizes]
-    plan = _plan.current(f"the eigensolves of {grid.half_count} matrices at sizes {sizes}",
-                         lambda: _plan.eigensolves(grid.half_count, sizes, weighted=True))
+    stage = _plan._eigensolves(grid.half_count, sizes)  # and the weighted copy of its eigenvalues
+    layout = _plan.step(f"the eigensolves of {grid.half_count} matrices at sizes {sizes}",
+                        stage, ({}, stage[2], 0))
     vals = _map_half_grid(lambda mats, lo, hi: np.linalg.eigvalsh(mats)[:, ::-1], estimate.packed, sizes,
-                          plan)
+                          layout)
     return [v * (grid.pair_weights / grid.size)[:, None] for v in vals]

@@ -179,7 +179,7 @@ def stability_scan(
     interval of c -> S_c.  The spectral estimate of the permuted panel
     is assembled once at full n; subsample estimates use its leading
     principal submatrices, which is what re-estimation on the subsample
-    would produce anyway.  All of it runs on the scan's plan (:mod:`_plan`).
+    would produce anyway.  Its bytes are checked once, before any work (:mod:`_plan`).
 
     ``q_max`` defaults to :data:`DEFAULT_Q_MAX` and ``c_grid`` to
     0:0.0005:3, formed as ``arange(0, 6001) / 2000``.
@@ -221,7 +221,7 @@ def stability_scan(
     n_c, n_j = len(c_grid), len(sizes)
     window = _lag_window(kernels, bw)  # the permuted panel's lag box is re-indexed: P Gamma(h) P^T
     with _plan.entry(f"the scan of n={n}, dims={tuple(field.dims)} over {n_c} c_grid scales",
-                     lambda: _plan.scan(n, field.dims, window, bw, sizes, n_c, q_max)) as plan:
+                     _plan.scan(n, field.dims, window, bw, sizes, n_c, q_max)):
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
         perm = rng.permutation(n)
         estimate = spectral_from_autocovariance(AutocovarianceSet(
@@ -254,7 +254,7 @@ def stability_scan(
         "subsample_sizes": [int(s) for s in sizes],
         "seed": int(seed),
         "c_grid": [float(c_grid[0]), float(c_grid[-1]), len(c_grid)],
-        "eigen_workers": plan.workers["eigen"],
+        "eigen_workers": _plan._eigensolves(estimate.grid.half_count, sizes)[0]["workers"],
     }
 
     def build(selected_c, selected_q):

@@ -23,7 +23,7 @@ weights: axis 0 is one GEMM per block of series, axes 1 and 2 are
 batched matrix products over the block, and each block is added into
 chi in place.  A block holds at most 8 MiB of scratch, the axis-0
 product plus the block's band matrices, unless one series alone needs
-more; the block size is the plan's (:mod:`_plan`), fixed from the
+more; the block size is laid out by :mod:`_plan`, fixed from the
 shapes before anything is allocated, so scratch memory does not grow
 with n.
 The result equals the per-series contraction up to the order of its
@@ -210,9 +210,8 @@ def simulate_field(cfg: SimConfig, rep: int = 0):
     """
     pad = cfg.r_a if cfg.model == "model_a" else 1
     padded = tuple(d + 2 * pad for d in cfg.dims)
-    block = _plan.current(
-        f"the {cfg.model} design with n={cfg.n}, dims={cfg.dims}, q={cfg.q}, idio={cfg.idio}",
-        lambda: _plan.simulation(cfg.n, cfg.dims, cfg.q, pad, cfg.idio == "correlated")).block
+    block = _plan.step(f"the {cfg.model} design with n={cfg.n}, dims={cfg.dims}, q={cfg.q}, idio={cfg.idio}",
+                       _plan._simulation(cfg.n, cfg.dims, cfg.q, pad, cfg.idio == "correlated"))["block"]
     a = substream(cfg.seed, rep, "loadings_a").standard_normal((cfg.n, cfg.q))
     draw = substream(cfg.seed, rep, "shocks")
     shocks = (draw.standard_normal(padded) for _ in range(cfg.q))
@@ -298,7 +297,7 @@ def gdfm_baseline(
     trunc = validate_truncation(None if trunc_t is None else (0, 0, int(trunc_t)), bw, stacked)
     window, kernels = _lag_window(kernels, bw), resolve_kernels(kernels)
     with _plan.entry(f"the stacked baseline for n={field.n}, dims={tuple(field.dims)}, q={q}",
-                     lambda: _plan.baseline(field.n, field.dims, window, bw, q, trunc)):
+                     _plan.baseline(field.n, field.dims, window, bw, q, trunc)):
         sf = as_demeaned_field(stacked_series_as_field(stack_to_time_series(field)).values)
         est = estimate_common_component(sf, q, kernels, bw, trunc)
     settings = {**est.settings, "n": field.n, "dims": list(field.dims)}

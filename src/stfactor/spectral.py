@@ -40,9 +40,10 @@ half (G // 2 + 1 lags of the lag window, zero first) is stored, and the assembly
 
 The autocovariance rows (in column blocks of about 4 MiB) and the
 assembly's rows run on the row map of :mod:`_rowmap`, which makes each
-worker's scratch in the calling thread.  Their pad lengths, block width
-and worker counts come from the entry's plan (:mod:`_plan`), whose bytes,
-that scratch included, are checked before any array exists.
+worker's scratch in the calling thread.  Each step lays itself out (pad
+lengths, block width, worker counts) from its own arguments with its stage
+in :mod:`_plan`, and the bytes, that scratch included, are checked once
+per public entry before any array exists.
 """
 
 from __future__ import annotations
@@ -245,10 +246,10 @@ def _lag_window(kernels, bw) -> tuple[int, int, int]:
     return tuple(b - 1 if b and k(1.0) == 0.0 else b for k, b in zip(resolve_kernels(kernels), bw))
 
 
-def _autocov_fft(values: np.ndarray, window, plan) -> np.ndarray:
+def _autocov_fft(values: np.ndarray, window, layout) -> np.ndarray:
     n = values.shape[0]
     grid = FrequencyGrid(tuple(window))
-    pad, width, sizes, workers = plan.pad, plan.width, plan.sizes, plan.workers["autocov"]
+    pad, width, sizes, workers = layout["pad"], layout["width"], layout["sizes"], layout["workers"]
     k3 = np.arange(pad[2] // 2 + 1)
     # one padded array, transformed axis by axis in place: rfftn would hold two at once
     spec = np.zeros((n, pad[0], pad[1], len(k3)), complex)
@@ -298,7 +299,7 @@ def sample_autocovariance(field: LatticeField, window) -> AutocovarianceSet:
     Computed from zero-padded FFTs (cross-spectra inverted onto the lag
     box only) and stored on the box's non-negative half, zero lag first
     (see :class:`AutocovarianceSet`).  Raises ConfigError before
-    allocating when its plan (these autocovariances, the padded FFT and
+    allocating when its bytes (these autocovariances, the padded FFT and
     the row workers' scratch) would not fit in physical memory.
     """
     if not field.demeaned:
@@ -308,9 +309,9 @@ def sample_autocovariance(field: LatticeField, window) -> AutocovarianceSet:
     for b, d, name in zip(window, field.dims, ("S1", "S2", "T")):
         if not 0 <= b < d:
             raise ConfigError(f"lag window L_{name}={b} must satisfy 0 <= L_{name} < extent {name}={d}")
-    plan = _plan.current(f"the autocovariances for n={field.n}, dims={field.dims}, lag window={window}",
-                         lambda: _plan.spectral(field.n, field.dims, window))
-    return AutocovarianceSet(window, _autocov_fft(field.values, window, plan))
+    layout = _plan.step(f"the autocovariances for n={field.n}, dims={field.dims}, lag window={window}",
+                        _plan._autocov(field.n, field.dims, window))
+    return AutocovarianceSet(window, _autocov_fft(field.values, window, layout))
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +379,7 @@ def spectral_from_autocovariance(autocov: AutocovarianceSet, kernels, bw) -> Spe
         raise ConfigError(f"lag window {window} must lie between {_lag_window(kernels, bw)} and {bw}")
     grid = FrequencyGrid(tuple(bw))
     n = autocov.gammas.shape[1]
-    plan = _plan.current(f"the assembly for n={n}, bw={tuple(bw)}", lambda: _plan.assembly(n, window, bw))
+    layout = _plan.step(f"the assembly for n={n}, bw={tuple(bw)}", _plan._assembly(n, window, bw))
     inner = tuple(slice(b - l, b + l + 1) for b, l in zip(bw, window))  # the lags |h_d| <= L_d
     w = kernel_lag_weights(kernels, bw).reshape(grid.shape)[inner].ravel()
     _, s2, s3 = grid.shape
@@ -409,7 +410,7 @@ def spectral_from_autocovariance(autocov: AutocovarianceSet, kernels, bw) -> Spe
             packed[-1, i, i + 1:] = 0.0  # zero frequency is a real matrix
 
     lengths = (max(box, r1 * s2 * l3) * n, r1 * s2 * s3 * n)  # per worker: weighted lags, axis products
-    _rowmap._map_rows(rows, n - np.arange(n), plan.workers["assembly"],
+    _rowmap._map_rows(rows, n - np.arange(n), layout["workers"],
                       lambda: [np.empty(k, complex) for k in lengths])
     return SpectralDensityEstimate(grid, packed, kernels)
 
@@ -433,5 +434,5 @@ def estimate_spectral_density(
     kernels, bw = resolve_kernels(kernels), validate_bandwidths(bw, field.dims)
     window = _lag_window(kernels, bw)
     with _plan.entry(f"the spectral step for n={field.n}, dims={tuple(field.dims)}, bw={bw}",
-                     lambda: _plan.spectral(field.n, field.dims, window, bw)):
+                     _plan.spectral(field.n, field.dims, window, bw)):
         return spectral_from_autocovariance(sample_autocovariance(field, window), kernels, bw)

@@ -153,6 +153,20 @@ def test_only_the_row_map_and_the_study_start_worker_threads():
     assert scopes_where(calls_named("ThreadPoolExecutor")) == {"_map_rows", "run_mc_study"}
 
 
+def test_the_one_context_variable_is_the_checked_flag_of_step_and_entry():
+    """Each step lays itself out from its own arguments: the one ambient state left is ``_plan``'s
+    flag that an enclosing entry already checked the bytes, and only ``step`` and ``entry`` read it."""
+    made = calls_named("ContextVar")
+    package = Path(stfactor.__file__).resolve().parent
+    counts = {path.name: sum(map(made, ast.walk(ast.parse(path.read_text())))) for path in package.glob("*.py")}
+    assert {name: count for name, count in counts.items() if count} == {"_plan.py": 1}
+    (flag,) = [target.id for node in ast.parse(Path(_plan.__file__).read_text()).body
+               if isinstance(node, ast.Assign) and made(node.value) for target in node.targets]
+    assert scopes_where(lambda node: isinstance(node, ast.Name) and node.id == flag
+                        and isinstance(node.ctx, ast.Load)
+                        or isinstance(node, ast.Attribute) and node.attr == flag) == {"step", "entry"}
+
+
 def test_workers_are_counted_by_the_row_map_the_byte_estimates_and_the_echo():
     """Each row map's workers are counted once per entry, by the plan's stage builders, which size
     the bytes with them; ``_map_rows`` and the echoes are handed the plan's count."""

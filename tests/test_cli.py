@@ -55,16 +55,52 @@ def exit_status(argv):
         return exc.code
 
 
-def run_cli_child(args, blas_threads, one_core=False):
-    """``stfactor`` in its own interpreter, with BLAS limited to ``blas_threads`` from the start
-    and, with ``one_core``, the process held to one core, so every row map runs one worker."""
+_CLI_CHILD = """
+import json, sys
+from stfactor.cli import main
+for args in json.loads(sys.argv[1]):
+    if main(args):
+        sys.exit(f"stfactor {' '.join(args)} failed")
+"""
+
+
+def run_cli_child(commands, blas_threads, one_core=False):
+    """The ``stfactor`` command lines ``commands`` in turn, in one interpreter of their own, with
+    BLAS limited to ``blas_threads`` from the start and, with ``one_core``, the process held to one
+    core, so every row map runs one worker."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads, OMP_NUM_THREADS=blas_threads,
                MKL_NUM_THREADS=blas_threads)
     src = str(Path(stfactor.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     core = {min(os.sched_getaffinity(0))}
-    subprocess.run([sys.executable, "-m", "stfactor.cli"] + args, env=env, check=True, timeout=120,
-                   preexec_fn=(lambda: os.sched_setaffinity(0, core)) if one_core else None)
+    subprocess.run([sys.executable, "-c", _CLI_CHILD, json.dumps(commands)], env=env, check=True,
+                   timeout=300, preexec_fn=(lambda: os.sched_setaffinity(0, core)) if one_core else None)
+
+
+# model_a at n=30, 10x10x16 runs its convolution in two blocks of series; at 10x10x16 the
+# eigensolves run on the row map's threads, and at 12x12x20 the filter's chunks too; at n=50,
+# 10x10x100 (simulated only) model_a's products are large enough for BLAS threads
+BLAS_DESIGNS = {"b": ("b", "24", "10,10,16", True), "a": ("a", "30", "10,10,16", True),
+                "b_filter_map": ("b", "30", "12,12,20", True), "a_simulate": ("a", "50", "10,10,100", False)}
+
+
+@pytest.fixture(scope="module")
+def blas_settings_outputs(tmp_path_factory):
+    """Each setting's output directory (BLAS threads 1 or 2, one core or all), where one fresh
+    interpreter simulated every design of ``BLAS_DESIGNS`` and estimated its chi if asked."""
+    outputs = {}
+    for threads, one_core in itertools.product(("1", "2"), (True, False)):
+        out = tmp_path_factory.mktemp(f"threads{threads}_{'one_core' if one_core else 'all_cores'}")
+        commands = []
+        for name, (model, n, dims, estimate) in BLAS_DESIGNS.items():
+            commands.append(["simulate", "--model", model, "--n", n, "--dims", dims,
+                             "--q", "2", "--seed", "13", "--output", f"{out}/{name}_x.stf"])
+            if estimate:
+                commands.append(["estimate", "--input", f"{out}/{name}_x.stf", "--q", "2",
+                                 "--output", f"{out}/{name}_chi.stf"])
+        run_cli_child(commands, threads, one_core)
+        outputs[threads, one_core] = out
+    return outputs
 
 
 class TestSimulate:
@@ -116,28 +152,14 @@ class TestEstimate:
         sidecar = json.loads((tmp_path / "chi.stf.json").read_text())
         assert sidecar["q"] == 3
 
-    # model_a at n=30, 10x10x16 runs its convolution in two blocks of series; at 10x10x16
-    # the eigensolves run on the row map's threads, and at 12x12x20 the filter's chunks too;
-    # at n=50, 10x10x100 (simulated only) model_a's products are large enough for BLAS threads
-    @pytest.mark.parametrize("model,n,dims,estimate", [
-        ("b", "24", "10,10,16", True), ("a", "30", "10,10,16", True),
-        ("b", "30", "12,12,20", True), ("a", "50", "10,10,100", False),
-    ], ids=["b", "a", "b_filter_map", "a_simulate"])
-    def test_chi_bit_identical_across_blas_threads(self, tmp_path, model, n, dims, estimate):
+    @pytest.mark.parametrize("design", BLAS_DESIGNS)
+    def test_chi_bit_identical_across_blas_threads(self, blas_settings_outputs, design):
         # the settings echo promises bit-exact reproduction; hold it to that across
-        # BLAS thread counts and row-map workers, each run in its own interpreter
-        digests = []
-        for threads, one_core in itertools.product(("1", "2"), (True, False)):
-            out = tmp_path / f"threads{threads}_{'one_core' if one_core else 'all_cores'}"
-            out.mkdir()
-            commands = [["simulate", "--model", model, "--n", n, "--dims", dims,
-                         "--q", "2", "--seed", "13", "--output", f"{out}/x.stf"],
-                        ["estimate", "--input", f"{out}/x.stf", "--q", "2",
-                         "--output", f"{out}/chi.stf"]]
-            for args in commands[:1 + estimate]:
-                run_cli_child(args, threads, one_core)
-            digests.append([sha256(out / name) for name in ("x.stf", "chi.stf")[:1 + estimate]])
-        assert all(digest == digests[0] for digest in digests[1:])
+        # BLAS thread counts and row-map workers, each setting in its own interpreter
+        names = ("x.stf", "chi.stf")[:1 + BLAS_DESIGNS[design][3]]
+        digests = [[sha256(out / f"{design}_{name}") for name in names]
+                   for out in blas_settings_outputs.values()]
+        assert len(digests) == 4 and all(digest == digests[0] for digest in digests[1:])
 
     def test_sidecar_interior_bounds(self, tmp_path):
         store_field(random_field((3, 5, 5, 6), seed=63, demeaned=False), tmp_path / "x.stf")
@@ -227,8 +249,8 @@ class TestSelectQ:
               "--seed", "17", "--output", f"{tmp_path}/x.stf"])
         digests = []
         for threads in ("1", "2"):
-            run_cli_child(["select-q", "--input", f"{tmp_path}/x.stf", "--bw", "2,2,2",
-                           "--output", f"{tmp_path}/scan{threads}"], threads)
+            run_cli_child([["select-q", "--input", f"{tmp_path}/x.stf", "--bw", "2,2,2",
+                            "--output", f"{tmp_path}/scan{threads}"]], threads)
             digests.append([sha256(tmp_path / f"scan{threads}.{ext}") for ext in ("csv", "json")])
         assert digests[0] == digests[1]
 

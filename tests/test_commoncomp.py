@@ -297,7 +297,7 @@ class TestChunkedFilter:
         grid = system.grid
         rows = -(-grid.half_count // grid.shape[2])
         window = spectral._lag_window("ep", bw)
-        chunks = _plan.common_component(shape[0], shape[1:], window, bw, 2, bw).chunks
+        chunks = _plan._filter(shape[0], shape[1:], 2, bw, bw)[0]["chunks"]
         assert len(chunks) == min(rows, _plan._FILTER_CHUNKS)
         autocov = spectral.sample_autocovariance(field, window)
         monkeypatch.setattr(_rowmap, "_POOL_MIN_COST", 0)
@@ -308,9 +308,9 @@ class TestChunkedFilter:
             for cores in (1, 2, 4):
                 monkeypatch.setattr(_rowmap.os, "sched_getaffinity", lambda pid: set(range(cores)))
                 pinned = _rowmap._blas_thread_controls() is not None
-                plan = _plan.common_component(shape[0], shape[1:], window, bw, 2, bw)
-                assert plan.workers["filter"] == (min(cores, len(chunks)) if pinned else 1)
-                chis.append(commoncomp._apply_projection_frequency(field.values, system, 2, bw, plan))
+                layout = _plan._filter(shape[0], shape[1:], 2, bw, bw)[0]
+                assert layout["workers"] == (min(cores, len(chunks)) if pinned else 1)
+                chis.append(commoncomp._apply_projection_frequency(field.values, system, 2, bw, layout))
                 mats.append(spectral.spectral_from_autocovariance(autocov, "ep", bw).matrices)
         finally:
             sys.setswitchinterval(interval)
@@ -326,14 +326,12 @@ class TestChunkedFilter:
         system = eigensystem_from_field(field, "ep", bw, q_keep=q)
         monkeypatch.setattr(_rowmap, "_POOL_MIN_COST", 0)
         monkeypatch.setattr(_rowmap.os, "sched_getaffinity", lambda pid: {0, 1})
-        # the filter's stage of the entry's plan: its peak on top of what the eigensystem holds
+        # the filter's stage of the entry's bytes: its peak on top of what the eigensystem holds
         layout, need, _ = _plan._filter(n, dims, q, bw, bw)
-        plan = _plan.common_component(n, dims, spectral._lag_window("ep", bw), bw, q, bw)
-        assert plan.workers["filter"] == layout["workers"]["filter"]
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            commoncomp._apply_projection_frequency(field.values, system, q, bw, plan)
+            commoncomp._apply_projection_frequency(field.values, system, q, bw, layout)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -341,7 +339,7 @@ class TestChunkedFilter:
 
     def test_memory_check_before_the_spectral_step(self, monkeypatch):
         field = random_field((6, 5, 5, 6), seed=72)
-        need = _plan.common_component(6, (5, 5, 6), (1, 1, 1), (2, 2, 2), 1, (2, 2, 2)).bytes
+        need = _plan.common_component(6, (5, 5, 6), (1, 1, 1), (2, 2, 2), 1, (2, 2, 2))
         monkeypatch.setattr(_plan, "_physical_memory_bytes", lambda: need - 1)
         monkeypatch.setattr(commoncomp, "eigensystem_from_field", None)  # fails if reached
         with pytest.raises(ConfigError, match=f"the common component .* needs {need} bytes"):

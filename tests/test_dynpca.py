@@ -262,10 +262,12 @@ class TestGramRoute:
     @pytest.mark.parametrize("q_keep", [0, 2, 5])
     def test_traced_rows_within_the_checked_bound(self, monkeypatch, q_keep):
         # a stacked shape: 600 series on a (1, 1, 10) lattice, so that only the n-sized arrays
-        # count: eigenvalues; rows, their norm's and phases' temporaries; x2d @ back and its
-        # complex cast; one complex iterator buffer of the phases' product
+        # count: eigenvalues; then the rows with x2d @ back and its complex cast, or later the
+        # rows with their norm's and phases' temporaries and one complex iterator buffer of the
+        # phases' product.  No zero rows are alive beside them.
         peak, tail = self.traced_tail(monkeypatch, 600, q_keep)
-        assert tail == 8 * 600 * (4 + 6 * 4 * q_keep + 3 * 10) + (16 * np.getbufsize() if q_keep else 0)
+        rows, buffer = 4 * q_keep, 16 * np.getbufsize() if q_keep else 0
+        assert tail == 8 * 600 * (4 + max(6 * rows, 2 * rows + 3 * 10)) + buffer
         assert peak <= tail
 
     def test_traced_rows_need_the_phases_buffer(self, monkeypatch):
@@ -273,10 +275,41 @@ class TestGramRoute:
         peak, tail = self.traced_tail(monkeypatch, 60, 9)
         assert tail - 16 * np.getbufsize() < peak <= tail
 
+    def test_steps_are_laid_out_for_the_principal_coordinates(self, monkeypatch):
+        # demeaned, 40 stacked series on 10 lattice points have r = 9 principal coordinates: the
+        # entry's bytes are those of V = 10 series, and each step lays itself out for its own r
+        seen = {}
+
+        def spy(name, series):
+            stage = getattr(_plan, name)
+            monkeypatch.setattr(_plan, name, lambda *a, **k: seen.setdefault(name, []).append(series(*a))
+                                or stage(*a, **k))
+
+        spy("_autocov", lambda n, dims, window: n)
+        spy("_assembly", lambda n, window, bw: n)
+        spy("_eigensolves", lambda half, sizes, q_keep=0: list(sizes))
+        eigensystem_from_field(random_field((40, 1, 1, 10), seed=36), "ep", (0, 0, 3), q_keep=2)
+        assert seen == {"_autocov": [10, 9], "_assembly": [10, 9], "_eigensolves": [[10], [9]]}
+
+    def test_smaller_coordinate_batches_within_the_entry_bytes(self, monkeypatch):
+        # 166 coordinates take eigensolve batches of 4 matrices where 167 series take 3, so the
+        # entry's bytes count the batch of any size up to V: 1.14x of them otherwise
+        monkeypatch.setattr(_rowmap.os, "sched_getaffinity", lambda pid: {0, 1})
+        field = random_field((170, 1, 1, 167), seed=5)
+        eigensystem_from_field(field, "ep", (0, 0, 5))  # numpy's lazy set-up
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert eigensystem_from_field(field, "ep", (0, 0, 5)).eigenvalues.shape == (6, 170)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= _plan.eigensystem(170, (1, 1, 167), (0, 0, 4), (0, 0, 5), 0)
+
     def test_memory_check_before_the_principal_field(self, monkeypatch):
         monkeypatch.setattr(_plan, "_physical_memory_bytes", lambda: 64 * 1024)
         monkeypatch.setattr(dynpca, "_principal_field", None)  # fails if reached
-        need = _plan.eigensystem(600, (1, 1, 10), (0, 0, 2), (0, 0, 3), 2).bytes
+        need = _plan.eigensystem(600, (1, 1, 10), (0, 0, 2), (0, 0, 3), 2)
         with pytest.raises(ConfigError, match=rf"the eigensystem for n=600, dims=\(1, 1, 10\), "
                                               rf"q_keep=2 needs {need} bytes"):
             eigensystem_from_field(random_field((600, 1, 1, 10), seed=36), "ep", (0, 0, 3), 2)
@@ -429,7 +462,7 @@ class TestHalfGridMap:
         monkeypatch.setattr(_plan, "_physical_memory_bytes", lambda: 1024)
         monkeypatch.setattr(dynpca, "_map_rows", None)  # fails if reached
         # the eigenvalues, then one worker's batch of 300 matrices and its eigenvectors
-        need = _plan.eigensolves(300, [4], 1).bytes
+        need = _plan._chain(_plan._eigensolves(300, [4], 1))
         with pytest.raises(ConfigError, match=rf"the eigensolves of 300 matrices at sizes \[4\] "
                                               rf"needs {need} bytes"):
             eigendecompose_all(est, 1)
@@ -578,7 +611,7 @@ class TestBlasPin:
             # more callers than cores, each running its own map
             with ThreadPoolExecutor(4) as pool:
                 maps = pool.map(lambda count: dynpca._map_half_grid(
-                    solve, np.zeros((count, 1, 1)), [1], _plan.eigensolves(count, [1])), [5, 1, 3, 2] * 3,
+                    solve, np.zeros((count, 1, 1)), [1], _plan._eigensolves(count, [1])[0]), [5, 1, 3, 2] * 3,
                     timeout=60)
                 list(maps)
         finally:

@@ -281,7 +281,7 @@ class TestStabilityScan:
         # the scan's spectral step: the lag box, its permuted copy and index arrays, the assembly
         autocov = _plan._autocov(n, dims, window)
         spectral_step = _plan._chain(autocov, ({}, autocov[2] + 16 * n * n, 0),
-                                     _plan._assembly(n, window, bw)).bytes
+                                     _plan._assembly(n, window, bw))
         assert n * n * (grid.size * 8 + grid.half_count * 16) > spectral_step
         args = (field, 3, np.arange(0, 101) / 50.0)
         kwargs = {"subsample_sizes": [70], "bw": bw, "kernels": kind, "c_manual": 1.0}
@@ -306,7 +306,7 @@ class TestStabilityScan:
             tracemalloc.stop()
         assert step_peaks[0] <= spectral_step  # the spectral step alone, through the assembly
         # then the eigen map and the c grid: one check, by the scan's plan, bounds it all
-        assert checked == [_plan.scan(n, dims, window, bw, [70, 80], 101, 3).bytes]
+        assert checked == [_plan.scan(n, dims, window, bw, [70, 80], 101, 3)]
         assert peak <= checked[0]
 
     def test_memory_check_before_the_spectral_step(self, monkeypatch, panel):
@@ -314,7 +314,7 @@ class TestStabilityScan:
         monkeypatch.setattr(qselect, "sample_autocovariance", None)  # fails if reached
         # the scan's plan, above the c grid's share alone: qhat and its temporaries for sizes
         # (27, 30), scores for q = 0..3
-        need = _plan.scan(30, (12, 12, 12), (1, 1, 1), (2, 2, 2), [27, 30], 200_000, 3).bytes
+        need = _plan.scan(30, (12, 12, 12), (1, 1, 1), (2, 2, 2), [27, 30], 200_000, 3)
         assert need > 8 * 200_000 * (3 * 2 + 2 * 4)
         with pytest.raises(ConfigError, match=f"200000 c_grid scales needs {need} bytes"):
             stability_scan(panel, 3, np.arange(200_000) / 1e5, subsample_sizes=[27], bw=(2, 2, 2))

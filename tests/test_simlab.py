@@ -29,7 +29,7 @@ CONV_RTOL = 1e-13
 def model_a_chi(a, b, shocks, radius, dims):
     """model_a's chi from the shocks, in the blocks the simulator's plan gives their padding."""
     pad = (shocks.shape[1] - dims[0]) // 2
-    block = _plan.simulation(len(a), dims, len(shocks), pad, False).block
+    block = _plan._simulation(len(a), dims, len(shocks), pad, False)[0]["block"]
     return _model_a_chi(a, b, shocks, radius, dims, block)
 
 
@@ -246,7 +246,7 @@ class TestSimulationMemory:
         draws = (n + 4) * math.prod(d + 2 for d in dims) if idio == "correlated" else 0
         need = 8 * (min(q, 2) * p1 * p2 * p3 + 3 * n * math.prod(dims) + draws
                     + 2 * min(block, n) * per_filter)
-        assert needs == [_plan.simulation(n, dims, q, pad, idio == "correlated").bytes] == [need]
+        assert needs == [_plan._simulation(n, dims, q, pad, idio == "correlated")[1]] == [need]
         assert peak <= need
 
     def test_holds_the_blas_pin(self, monkeypatch):

@@ -371,7 +371,7 @@ class TestMemoryBound:
     def test_raises_before_fft(self, tiny_memory):
         field = random_field((6, 5, 5, 6), seed=16)
         bw = default_bandwidths((5, 5, 6))
-        need = _plan.spectral(6, (5, 5, 6), spectral._lag_window("ep", bw), bw).bytes
+        need = _plan.spectral(6, (5, 5, 6), spectral._lag_window("ep", bw), bw)
         with pytest.raises(ConfigError, match=f"needs {need} bytes, more than the 16384 bytes"):
             estimate_spectral_density(field)
 
@@ -401,7 +401,7 @@ class TestMemoryBound:
         # tracemalloc sees numpy's data buffers; the bound is the step's own estimate
         field = random_field((60, 8, 8, 40), seed=17)
         bw = (2, 2, 5)
-        need = _plan.spectral(60, (8, 8, 40), spectral._lag_window(kind, bw), bw).bytes
+        need = _plan.spectral(60, (8, 8, 40), spectral._lag_window(kind, bw), bw)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -451,7 +451,7 @@ class TestMemoryBound:
     def test_padded_transform_within_the_bound(self, n, side):
         dims, bw = (side,) * 3, (1, 1, 1)
         field = random_field((n, *dims), seed=18)
-        need = _plan.spectral(n, dims, bw).bytes
+        need = _plan._chain(_plan._autocov(n, dims, bw))
         sample_autocovariance(field, bw)  # numpy's FFT modules load on first use
         tracemalloc.start()
         try:
@@ -465,10 +465,10 @@ class TestMemoryBound:
 
 def force_blocks(monkeypatch, n, dims, window, width):
     """Column blocks of ``width`` series, and row threads even at a tiny shape."""
-    bins = _plan.spectral(n, dims, window).sizes[0]
+    bins = _plan._autocov(n, dims, window)[0]["sizes"][0]
     monkeypatch.setattr(_plan, "_BLOCK_BYTES", width * bins * 16)
     monkeypatch.setattr(_rowmap, "_POOL_MIN_COST", 0)
-    assert _plan.spectral(n, dims, window).width == min(width, n)
+    assert _plan._autocov(n, dims, window)[0]["width"] == min(width, n)
 
 
 # the child's numbers at one and two row workers, one sha256 line each
@@ -478,7 +478,7 @@ import numpy as np
 from stfactor import LatticeField, _plan, _rowmap, demean, eigendecompose_all, spectral
 _rowmap._POOL_MIN_COST = 0
 field = demean(LatticeField(np.random.default_rng(7).standard_normal((30, 6, 6, 10))))
-_plan._BLOCK_BYTES = 3 * _plan.spectral(30, field.dims, (2, 2, 3)).sizes[0] * 16
+_plan._BLOCK_BYTES = 3 * _plan._autocov(30, field.dims, (2, 2, 3))[0]["sizes"][0] * 16
 for cores in (1, 2):
     _rowmap.os.sched_getaffinity = lambda pid: set(range(cores))
     ac = spectral.sample_autocovariance(field, (2, 2, 3))
@@ -547,7 +547,7 @@ class TestBlockedRows:
         field = random_field((n, *dims), seed=17)
         force_blocks(monkeypatch, n, dims, window, 3)
         monkeypatch.setattr(_rowmap.os, "sched_getaffinity", lambda pid: {0, 1})
-        need = _plan.spectral(n, dims, window, bw).bytes
+        need = _plan.spectral(n, dims, window, bw)
         peaks = []
         tracemalloc.start()
         try:
