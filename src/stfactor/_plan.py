@@ -117,13 +117,13 @@ def _eigensolves(half: int, sizes, q_keep: int = 0, fewer: bool = False):
     """Batch rows per size m (about _EIGH_BATCH_BYTES, over _GIL_ROWS rows a call): the eigenvalues,
     each worker's batch with its eigenvectors, and q_keep rows with their phase-fixed copy.  If
     ``fewer``, the batch of any one size up to sizes[0]: a smaller size can take more rows."""
-    def step(m):
+    def per_batch(m):
         return max(_EIGH_BATCH_BYTES // (16 * m * m), _GIL_ROWS // m + 1)
 
     workers = map_workers(half, half * sum(m**3 for m in sizes))  # m x m eigensolves
-    batch = max(min(step(m), half) * m * (m + 1) for m in (range(1, sizes[0] + 1) if fewer else sizes))
+    batch = max(min(per_batch(m), half) * m * (m + 1) for m in (range(1, sizes[0] + 1) if fewer else sizes))
     vals, rows = 8 * half * sum(sizes), 16 * half * q_keep * max(sizes)
-    return ({"steps": tuple(map(step, sizes)), "workers": workers},
+    return ({"steps": tuple(map(per_batch, sizes)), "workers": workers},
             vals + 2 * rows + _phases(q_keep) + 32 * workers * batch, vals + rows)
 
 
